@@ -126,6 +126,9 @@ def _profile_from_spec(spec):
 def cmd_pointvalue(args):
     prof, breaks = _profile_from_spec(args.profile)
     x = tuple(float(v) for v in args.x.split(",")) if args.x else (0.0,)
+    if args.method != "kernel" and (args.t != 1.0 or any(v != 0.0 for v in x)):
+        raise ValueError(f"--method {args.method} computes t = 1 at the origin only, "
+                         f"got --t {args.t:g} --x {','.join(f'{v:g}' for v in x)}")
     if args.method == "kernel":
         val = wave.kernel_solution_2d(prof, args.t, np.asarray(x), tol=args.tol,
                                       breakpoints=breaks)
@@ -206,7 +209,7 @@ def cmd_sweep(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(doc, indent=1))
-    _write_manifest(out.parent, out.stem, "sweep", conf, [args.config], [out],
+    _write_manifest(out.parent, out.stem, "sweep", report.config, [args.config], [out],
                     t0, seed=cfg.seed,
                     grid={"n": cfg.grid_n, "L": cfg.grid_l})
     _emit({"verdict": report.verdict, "out": str(out),
@@ -302,8 +305,8 @@ def build_parser():
                    required=True)
     p.add_argument("--profile", required=True,
                    help="gaussian:a | annulus_exact:delta | annulus_smooth:delta")
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--x", default="")
+    p.add_argument("--t", type=float, default=1.0, help="time (other methods: 1 only)")
+    p.add_argument("--x", default="", help="point, comma list (other methods: origin only)")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_pointvalue)

@@ -146,11 +146,6 @@ class _ShellCutoff:
         sig = np.asarray(sig, dtype=float)
         return smooth_step(sig - 1.0) * smooth_step(4.0 - sig)
 
-    def c_prime(self, sig):
-        sig = np.asarray(sig, dtype=float)
-        return (smooth_step_d(sig - 1.0) * smooth_step(4.0 - sig)
-                - smooth_step(sig - 1.0) * smooth_step_d(4.0 - sig))
-
     def psi(self, r):
         r = np.asarray(r, dtype=float)
         u = 1.0 - r * r
@@ -169,8 +164,9 @@ class _ShellCutoff:
         um = u[m]
         lg = np.log(um)
         sig = lg / self.logd
-        c = self.c(sig)
-        cp = self.c_prime(sig)
+        rise, fall = smooth_step(sig - 1.0), smooth_step(4.0 - sig)
+        c = rise * fall
+        cp = smooth_step_d(sig - 1.0) * fall - rise * smooth_step_d(4.0 - sig)
         dpsi_du = -(cp / (um * self.logd) * um ** -0.5 / lg
                     + c * (-0.5 * um ** -1.5 / lg - um ** -1.5 / lg ** 2))
         out[m] = dpsi_du * (-2.0 * r[m])

@@ -63,6 +63,10 @@ class GapRunConfig:
     def curve(self) -> GeodesicCurve:
         return make_preset(self.target, **self.target_params)
 
+    def echo(self) -> dict:
+        """Fields a report records: all but ``jobs``, which changes no result."""
+        return {k: v for k, v in asdict(self).items() if k != "jobs"}
+
 
 @dataclass
 class GapReport:
@@ -244,7 +248,7 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
                  "init_constant": ref["init_constant"],
                  "sup_constant": ref["sup_constant"],
                  "range_admissibility_checked": range_checked}
-    return GapReport(asdict(cfg), rows, constants, verdict, detail)
+    return GapReport(cfg.echo(), rows, constants, verdict, detail)
 
 
 def certified_radial_run(cfg: GapRunConfig) -> GapReport:
@@ -321,7 +325,7 @@ def certified_radial_run(cfg: GapRunConfig) -> GapReport:
                  "chi_l2": kappa_l2, "c3": c3}
     verdict = "pass" if all_hold else "fail"
     detail = {"certificate_margins": [r["certificate"]["margin"] for r in rows]}
-    return GapReport(asdict(cfg), rows, constants, verdict, detail)
+    return GapReport(cfg.echo(), rows, constants, verdict, detail)
 
 
 def _first_level_crossing(z_at, t, level, wave, upper=False):

@@ -17,6 +17,11 @@ structure sits far below any uniform grid resolution (thin annuli near the
 unit circle) stay computable: panels are aligned with the profile's
 breakpoints and the tables are dense exactly where the structure lives.
 
+One inverse-Abel evaluator serves ``value`` and ``dt_value``: it builds the
+panels of a whole ``(t, r)`` batch with ragged ``repeat``/``bincount``
+assembly, in chunks of about ``_NODE_BUDGET`` Gauss nodes; the strip scan
+and the ray-transform table are evaluated the same way.
+
 For odd dimensions the classical exact reductions are used instead
 (``r z`` solves the 1-d wave equation when n = 3).
 """
@@ -94,6 +99,43 @@ def gauss_panel_nodes(edges, order=24):
     xs = 0.5 * w[:, None] * xg[None, :] + (a + 0.5 * w)[:, None]
     ws = 0.5 * w[:, None] * wg[None, :]
     return xs.ravel(), ws.ravel()
+
+
+# Gauss nodes evaluated at once by the batched quadratures below.  Chunk
+# arrays of 0.5 MB stay in cache: for the delta-0.01 table build plus strip
+# scan (2-vCPU x86 host) 64k nodes took 6.2-6.7 s and 243 MB peak RSS, 1M
+# took 7.5-8.2 s and 350 MB, 4M was slower still; 32k gained nothing.
+_NODE_BUDGET = 1 << 16
+
+
+def _ragged_gauss(edges, max_len, order):
+    """Gauss-Legendre rules on the panels between consecutive entries of each
+    row of sorted ``edges`` (rows padded with NaN).  A panel wider than its
+    row's ``max_len`` is split in ``n = ceil(width / max_len)`` pieces at
+    ``a + k (b - a) / n``, the last edge ``b``, as ``np.linspace`` places them.
+    Yields ``(lo, hi, nodes, weights, owner)`` for runs of rows ``lo:hi`` of
+    about ``_NODE_BUDGET`` nodes, nodes row by row in increasing order."""
+    width = np.diff(edges, axis=1)
+    counts = np.where(width > 0, np.maximum(np.ceil(width / max_len[:, None]), 1.0),
+                      0.0).astype(np.int64)
+    ends = np.cumsum(counts.sum(axis=1) * order)
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(ends // _NODE_BUDGET)) + 1,
+                             [ends.size]]).tolist()
+    xg, wg = _leggauss(order)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        row, col = np.nonzero(counts[lo:hi])
+        n = counts[lo + row, col]
+        a = np.repeat(edges[lo + row, col], n)
+        b = np.repeat(edges[lo + row, col + 1], n)
+        step = (b - a) / np.repeat(n, n)
+        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        left = k * step + a
+        w = np.where(k + 1 == np.repeat(n, n), b, (k + 1) * step + a) - left
+        keep = w > 0
+        left, w, owner = left[keep], w[keep], np.repeat(row, n)[keep]
+        xs = 0.5 * w[:, None] * xg[None, :] + (left + 0.5 * w)[:, None]
+        ws = 0.5 * w[:, None] * wg[None, :]
+        yield lo, hi, xs.ravel(), ws.ravel(), np.repeat(owner, order)
 
 
 def sphere_area(n: int) -> float:
@@ -174,59 +216,34 @@ class RadialWave2D:
 
     # -- ray (line-integral) transform of the datum --------------------------
 
-    @staticmethod
-    def _cap_panels(edges, max_len):
-        """Subdivide panels so none exceeds max_len (keeps Gauss rules
-        accurate on slowly varying stretches of generic profiles)."""
-        out = [edges[0]]
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b - a > max_len:
-                out.extend(np.linspace(a, b, int(math.ceil((b - a) / max_len)) + 1)[1:])
-            else:
-                out.append(b)
-        return np.unique(np.asarray(out))
-
-    def _tau_panels(self, s):
-        """Panel edges in tau for g(s) = 2 int psi(sqrt(s^2 + tau^2)) dtau."""
-        s2 = s * s
-        all_b = self._all_radial_edges
-        bb = all_b[all_b > s]
-        edges = np.concatenate([[0.0], np.sqrt(bb * bb - s2)])
-        edges = np.unique(edges)
-        if edges.size > 24:  # structure-aligned panels already fine-grained
-            return edges
-        return self._cap_panels(edges, self.support / 12.0)
-
     def _ray_transforms(self, s_arr, order=16):
-        """Tabulate the ray transform and (when the derivative profile is
-        available) its s-derivative in one pass: the quadrature nodes of all
-        table entries are assembled into a single vectorized evaluation."""
-        chunks, weights, owner, s_of = [], [], [], []
-        for i, s in enumerate(np.abs(s_arr)):
-            if s >= self.support:
-                continue
-            tt, wt = gauss_panel_nodes(self._tau_panels(s), order)
-            if tt.size == 0:
-                continue
-            chunks.append(np.sqrt(s * s + tt * tt))
-            weights.append(wt)
-            owner.append(np.full(tt.size, i))
-            s_of.append(np.full(tt.size, s))
+        """Tabulate the ray transform g(s) = 2 int psi(sqrt(s^2 + tau^2)) dtau
+        and (when the derivative profile is available) its s-derivative.  The
+        tau panels end where the ray crosses a radial edge and, for entries
+        with at most 24 edges, are capped at ``support / 12``."""
         g = np.zeros_like(s_arr)
         gp = np.zeros_like(s_arr)
-        if not chunks:
-            return g, gp
-        radii = np.concatenate(chunks)
-        wts = 2.0 * np.concatenate(weights)
-        own = np.concatenate(owner)
-        np.add.at(g, own, wts * np.asarray(self.psi(radii), dtype=float))
-        if self.psi_prime is not None:
-            s_all = np.concatenate(s_of)
-            vals = np.zeros_like(radii)
-            pos = radii > 0
-            vals[pos] = (np.asarray(self.psi_prime(radii[pos]), dtype=float)
-                         * s_all[pos] / radii[pos])
-            np.add.at(gp, own, wts * vals)
+        s = np.abs(s_arr)
+        rows = np.flatnonzero(s < self.support)
+        s = s[rows]
+        bb = self._all_radial_edges
+        crossed = bb[None, :] > s[:, None]
+        tau = np.sqrt(np.where(crossed, bb * bb - (s * s)[:, None], np.nan))
+        edges = np.sort(np.concatenate([np.zeros((s.size, 1)), tau], axis=1), axis=1)
+        n_edges = 1 + np.sum(np.diff(edges, axis=1) > 0, axis=1)
+        max_len = np.where(n_edges > 24, np.inf, self.support / 12.0)
+        for lo, hi, tt, wt, own in _ragged_gauss(edges, max_len, order):
+            sk = s[lo:hi][own]
+            radii = np.sqrt(sk * sk + tt * tt)
+            wts = 2.0 * wt
+            g[rows[lo:hi]] = np.bincount(
+                own, wts * np.asarray(self.psi(radii), dtype=float), minlength=hi - lo)
+            if self.psi_prime is not None:
+                vals = np.zeros_like(radii)
+                pos = radii > 0
+                vals[pos] = (np.asarray(self.psi_prime(radii[pos]), dtype=float)
+                             * sk[pos] / radii[pos])
+                gp[rows[lo:hi]] = np.bincount(own, wts * vals, minlength=hi - lo)
         return g, gp
 
     def g(self, s):
@@ -239,60 +256,52 @@ class RadialWave2D:
 
     # -- inverse Abel evaluation ---------------------------------------------
 
-    def _sigma_panels(self, t, r):
-        """Panel edges in sigma for the Abel integral at (t, r); the
-        integration variable is sigma with s' = sqrt(r^2 + sigma^2)."""
-        lim2 = (self.support + t) ** 2 - r * r
-        if lim2 <= 0:
-            return None
-        sig_max = math.sqrt(lim2)
-        edges = {0.0, sig_max}
-        crossings = set()
-        for b in self.breaks:
-            crossings.update((b - t, b + t, -b + t))
-        crossings.add(t)  # s' - t changes sign
-        for sp in crossings:
-            if sp >= r:
-                v = sp * sp - r * r
-                if 0 < v < lim2:
-                    edges.add(math.sqrt(v))
-        # s'(sigma) curves near sigma ~ r; refine there
-        for f in (0.25, 1.0, 4.0):
-            v = f * r
-            if 0 < v < sig_max:
-                edges.add(v)
-        return self._cap_panels(np.unique(np.asarray(sorted(edges))),
-                                (self.support + t) / 12.0)
+    def _abel(self, t, r, derivative):
+        """Inverse Abel integral z (or z_t with ``derivative``) at every pair
+        of the broadcast ``(t, r)`` batch, in sigma with s' = sqrt(r^2 +
+        sigma^2) up to s' = support + t.  Panel edges sit where s' -+ t crosses
+        a breakpoint, where s' - t changes sign and at ``0.25 r``, ``r``,
+        ``4 r`` (s'(sigma) bends there); panels are capped at (support + t)/12."""
+        t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.abs(np.asarray(r, dtype=float)))
+        shape = t.shape
+        t, r = t.ravel(), r.ravel()
+        out = np.zeros(t.size)
+        top = self.support + t
+        lim2 = top * top - r * r
+        live = np.flatnonzero(lim2 > 0)
+        t, r, top, lim2 = t[live], r[live], top[live], lim2[live]
+        sig_max = np.sqrt(lim2)
+        tc, rc = t[:, None], r[:, None]
+        b = self.breaks[None, :]
+        sp = np.concatenate([b - tc, b + tc, tc - b, tc], axis=1)
+        v = sp * sp - rc * rc
+        cross = np.sqrt(np.where((sp >= rc) & (v > 0) & (v < lim2[:, None]), v, np.nan))
+        bend = rc * np.array([0.25, 1.0, 4.0])
+        bend = np.where((bend > 0) & (bend < sig_max[:, None]), bend, np.nan)
+        edges = np.sort(np.concatenate(
+            [np.zeros((t.size, 1)), sig_max[:, None], cross, bend], axis=1), axis=1)
+        g = self.g_prime if derivative else self.g
+        for lo, hi, sig, w, own in _ragged_gauss(edges, top / 12.0, self.panel_order):
+            rk, tk = r[lo:hi][own], t[lo:hi][own]
+            s = np.sqrt(rk * rk + sig * sig)
+            low = s == 0  # both squares underflow when r < 1e-162
+            s[low] = np.hypot(rk[low], sig[low])
+            ahead, behind = g(s + tk), g(s - tk)
+            f = ahead + behind if derivative else ahead - behind
+            out[live[lo:hi]] = -np.bincount(own, w * f / s, minlength=hi - lo) / TWO_PI
+        return out.reshape(shape)
 
     def value(self, t, r):
-        """Point value z(t, r) (vectorized over an array of radii)."""
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.zeros_like(r_arr)
-        for i, ri in enumerate(np.abs(r_arr)):
-            panels = self._sigma_panels(t, ri)
-            if panels is None:
-                continue
-            sig, w = gauss_panel_nodes(panels, self.panel_order)
-            if sig.size == 0:
-                continue
-            sp = np.sqrt(ri * ri + sig * sig)
-            out[i] = -float(np.sum(w * (self.g(sp + t) - self.g(sp - t)) / sp)) / TWO_PI
-        return out if np.ndim(r) else float(out[0])
+        """Point value z(t, r), vectorized over broadcast arrays of t and r
+        (a float for scalar t and r)."""
+        z = self._abel(t, r, derivative=False)
+        return z if z.ndim else float(z)
 
     def dt_value(self, t, r):
-        """Time derivative z_t(t, r)."""
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.zeros_like(r_arr)
-        for i, ri in enumerate(np.abs(r_arr)):
-            panels = self._sigma_panels(t, ri)
-            if panels is None:
-                continue
-            sig, w = gauss_panel_nodes(panels, self.panel_order)
-            if sig.size == 0:
-                continue
-            sp = np.sqrt(ri * ri + sig * sig)
-            out[i] = -float(np.sum(w * (self.g_prime(sp + t) + self.g_prime(sp - t)) / sp)) / TWO_PI
-        return out if np.ndim(r) else float(out[0])
+        """Time derivative z_t(t, r), vectorized as :meth:`value`."""
+        z = self._abel(t, r, derivative=True)
+        return z if z.ndim else float(z)
 
     # -- global radial quadrature of z(t, .) and z_t(t, .) -------------------
 
@@ -343,20 +352,24 @@ class RadialWave2D:
 
         Scans a uniform time grid (plus caller-supplied structure-aware
         times), then refines locally around the winner in both t and r.
+        Each stage is one batched evaluation; ties go to the earliest time,
+        then the smallest radius index, of the scan order.
         Returns ``(m, t_at_max, r_at_max)``.
         """
         times = np.unique(np.concatenate(
             [np.arange(t_step, 1.0 + 1e-12, t_step), np.asarray(extra_times, dtype=float),
              [1.0]]))
         times = times[(times > 0) & (times <= 1.0)]
-        best = (0.0, times[0], 0.0)
-        for t in times:
-            rs = self._scan_radii(t) if r_candidates is None else r_candidates(t)
-            z = self.value(t, rs)
-            k = int(np.argmax(np.abs(z)))
-            if abs(z[k]) > best[0]:
-                best = (abs(z[k]), float(t), float(rs[k]))
-        m, tj, rj = best
+
+        def scan(ts, rs, best):
+            z = np.abs(self._abel(ts, rs, derivative=False))
+            k = int(np.argmax(z))
+            return (float(z[k]), float(ts[k]), float(rs[k])) if z[k] > best[0] else best
+
+        radii = [np.asarray(self._scan_radii(t) if r_candidates is None
+                            else r_candidates(t), dtype=float) for t in times]
+        m, tj, rj = scan(np.repeat(times, [rs.size for rs in radii]),
+                         np.concatenate(radii), (0.0, float(times[0]), 0.0))
         dt = t_step
         dr = None
         for _ in range(refine_rounds):
@@ -371,11 +384,8 @@ class RadialWave2D:
             else:
                 dr /= 8.0
                 rs_local = np.abs(rj + dr * np.arange(-8, 9))
-            for t in ts:
-                z = self.value(t, rs_local)
-                k = int(np.argmax(np.abs(z)))
-                if abs(z[k]) > m:
-                    m, tj, rj = abs(z[k]), float(t), float(rs_local[k])
+            m, tj, rj = scan(np.repeat(ts, rs_local.size), np.tile(rs_local, ts.size),
+                             (m, tj, rj))
         return m, tj, rj
 
     def _scan_radii(self, t):
@@ -395,31 +405,6 @@ class RadialWave2D:
         parts.append(ladder)
         rs = np.unique(np.concatenate(parts))
         return rs[rs <= top]
-
-    def half_level_radius(self, t, level, r_hint=None, tol_factor=1e-3):
-        """Largest radius ``r*`` such that z(t, r') >= level for all sampled
-        r' <= r*, found by coarse scan plus bisection."""
-        r_top = r_hint if r_hint is not None else t + self.support
-        rs = np.linspace(0.0, r_top, 257)[1:]
-        z = self.value(t, rs)
-        below = np.nonzero(z < level)[0]
-        if below.size == 0:
-            return float(rs[-1])
-        if below[0] == 0:
-            hi = rs[0]
-            lo = 0.0
-        else:
-            lo, hi = rs[below[0] - 1], rs[below[0]]
-        # bisection on the first crossing
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= tol_factor * max(hi, 1e-30):
-                break
-            if self.value(t, mid) >= level:
-                lo = mid
-            else:
-                hi = mid
-        return float(lo)
 
 
 # ---------------------------------------------------------------------------

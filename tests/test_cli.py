@@ -65,6 +65,18 @@ def test_pointvalue_annulus_closed_form(capsys):
     assert abs(lines[0]["value"] - 0.5 * math.log(1.5)) < 1e-6
 
 
+def test_pointvalue_representation_methods_only_at_unit_time_origin(capsys):
+    code, lines, _ = run(capsys, "pointvalue", "--method", "kirchhoff",
+                         "--profile", "gaussian:1.0", "--x", "0,0")
+    assert code == 0 and lines[0]["t"] == 1.0
+    for method in ("kirchhoff", "evenrep", "oddrep"):
+        for bad in (("--t", "0.5"), ("--x", "0.3")):
+            code, lines, err = run(capsys, "pointvalue", "--method", method,
+                                   "--profile", "gaussian:1.0", *bad)
+            assert code == 1 and lines == []
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_chi_and_sequence(tmp_path, capsys):
     code, lines, _ = run(capsys, "chi", "--n", "2", "--out", str(tmp_path))
     assert code == 0 and lines[0]["kappa"] > 0

@@ -127,6 +127,7 @@ def test_scaling_suite_slopes():
 def test_worker_count_invariance(sphere_report):
     # same report regardless of parallelism degree
     rep2 = gap_run(GapRunConfig(deltas=(0.3, 0.1), jobs=2))
+    assert rep2.config == sphere_report.config
     for a, b in zip(sphere_report.rows, rep2.rows):
         assert abs(a["gap"] - b["gap"]) <= 1e-14 * max(1.0, a["gap"])
         assert abs(a["data_distance"] - b["data_distance"]) <= 1e-14

@@ -1,11 +1,16 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sint
 from scipy.special import j0
 
-from wavegap.construct import LogCutoffAtom, delta_family, shell_wave
+from wavegap.construct import (LogCutoffAtom, delta_family, focusing_sequence,
+                               shell_wave, strip_normalize)
 from wavegap.field import TorusGrid
 from wavegap.radial import (RadialWave2D, fourier_hs_sq_radial_3d,
                             gauss_panel_nodes, gaussian_origin_value,
@@ -13,6 +18,7 @@ from wavegap.radial import (RadialWave2D, fourier_hs_sq_radial_3d,
                             l2_radial_measure, l2_sq_radial_3d,
                             l2_sq_shell_3d, odd3_origin_value, odd3_value,
                             smooth_step, smooth_step_d, sphere_area)
+from wavegap.wave import kernel_solution_2d
 
 
 def test_gauss_panels_integrate_polynomial():
@@ -51,6 +57,80 @@ def test_wave2d_against_hankel_oracle(gauss_wave):
             return np.sin(t * k) * (np.pi) * np.exp(-k * k / 4.0) * j0(k * r) / (2 * np.pi)
         oracle, _ = sint.quad(f, 0, 60, limit=400)
         assert abs(gauss_wave.value(t, r) - oracle) < 5e-7
+
+
+_points = st.lists(st.tuples(st.floats(min_value=0.01, max_value=1.5),
+                             st.floats(min_value=0.0, max_value=12.0)),
+                   min_size=1, max_size=40)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_points)
+def test_batched_abel_matches_pointwise_calls(gauss_wave, pts):
+    t, r = (np.array(v) for v in zip(*pts))
+    for f in (gauss_wave.value, gauss_wave.dt_value):
+        batch = f(t, r)
+        single = np.array([f(ti, ri) for ti, ri in zip(t, r)])
+        assert np.max(np.abs(batch - single)) <= 1e-13 * max(np.max(np.abs(batch)), 1e-300)
+
+
+def _loop_abel(wave, t, r, derivative):
+    """Per-pair reference for the batched evaluator: the panel rules of the
+    per-radius loop it replaced (plus its underflow guard for r < 1e-162).
+    Returns the value and the sum of the absolute terms, which bounds the
+    rounding of a reordered summation."""
+    lim2 = (wave.support + t) ** 2 - r * r
+    if lim2 <= 0:
+        return 0.0, 0.0
+    sig_max = math.sqrt(lim2)
+    edges = {0.0, sig_max}
+    for sp in [t] + [c for b in wave.breaks for c in (b - t, b + t, t - b)]:
+        v = sp * sp - r * r
+        if sp >= r and 0 < v < lim2:
+            edges.add(math.sqrt(v))
+    edges.update(f * r for f in (0.25, 1.0, 4.0) if 0 < f * r < sig_max)
+    edges = sorted(edges)
+    max_len = (wave.support + t) / 12.0
+    capped = [edges[0]]
+    for a, b in zip(edges[:-1], edges[1:]):
+        n = math.ceil((b - a) / max_len) if b - a > max_len else 1
+        capped.extend(np.linspace(a, b, n + 1)[1:])
+    sig, w = gauss_panel_nodes(np.unique(capped), wave.panel_order)
+    sp = np.sqrt(r * r + sig * sig)
+    sp[sp == 0] = np.hypot(r, sig[sp == 0])
+    g = wave.g_prime if derivative else wave.g
+    f = g(sp + t) + g(sp - t) if derivative else g(sp + t) - g(sp - t)
+    terms = w * f / sp / (2.0 * math.pi)
+    return -float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=0.01, max_value=1.0),
+                          st.floats(min_value=0.0, max_value=2.2)),
+                min_size=1, max_size=20))
+def test_batched_abel_matches_loop_reference(pts):
+    wave = shell_wave(delta_family(0.3))  # four breakpoints, cached
+    t, r = (np.array(v) for v in zip(*pts))
+    for derivative, f in ((False, wave.value), (True, wave.dt_value)):
+        ref, scale = np.array([_loop_abel(wave, ti, ri, derivative) for ti, ri in pts]).T
+        assert np.all(np.abs(f(t, r) - ref) <= 1e-13 * scale)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=0.01, max_value=1.5), st.floats(min_value=0.0, max_value=1.0))
+def test_abel_scalar_radius_and_outside_support(gauss_wave, t, frac):
+    r_out = (gauss_wave.support + t) * (1.0 + frac)
+    for f in (gauss_wave.value, gauss_wave.dt_value):
+        assert type(f(t, 0.5)) is float
+        assert f(t, r_out) == 0.0
+        assert np.all(f(t, np.array([r_out, r_out + 1.0])) == 0.0)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.floats(min_value=0.2, max_value=1.2), st.floats(min_value=0.0, max_value=2.0))
+def test_abel_matches_kernel_quadrature(gauss_wave, t, r):
+    oracle = kernel_solution_2d(gauss_wave.psi, t, np.array([r, 0.0]))
+    assert abs(gauss_wave.value(t, r) - oracle) < 5e-7
 
 
 def test_wave2d_origin_matches_gaussian_formula(gauss_wave):
@@ -163,3 +243,17 @@ def test_half_level_radius_cosine():
     r = _half_level_radius(lambda t, rr: np.cos(np.asarray(rr)), 0.5, 0.5,
                            r_top=3.0, fine=1e-6)
     assert abs(r - math.pi / 3.0) < 1e-6
+
+
+def test_shell_wave_delta_0p3_matches_recorded_values():
+    # values recorded from the per-radius loop implementation
+    ref = json.loads((Path(__file__).parent / "radial_delta_0p3.json").read_text())
+    wave = shell_wave(delta_family(0.3))
+    assert wave._s.size == ref["table_size"]
+    idx = np.array(ref["index"])
+    np.testing.assert_array_equal(wave._s[idx], ref["s"])
+    for got, want in ((wave._g[idx], ref["g"]), (wave._gp[idx], ref["gp"])):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    nz = strip_normalize(focusing_sequence(2, [0.3])[0])
+    assert abs(nz.m_raw - ref["strip_m_raw"]) <= 1e-12 * ref["strip_m_raw"]
+    assert abs(nz.t_j - ref["strip_t_j"]) <= 1e-12 * ref["strip_t_j"]
