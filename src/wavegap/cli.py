@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -198,6 +199,11 @@ def cmd_sweep(args):
     t0 = time.time()
     conf = _load_config(args.config)
     kind = conf.pop("kind", "gap")
+    if kind not in ("gap", "certified"):
+        raise ValueError(f"{args.config}: kind must be gap or certified, got {kind!r}")
+    unknown = set(conf) - {f.name for f in dataclasses.fields(experiment.GapRunConfig)}
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config key(s): {', '.join(sorted(unknown))}")
     if getattr(args, "jobs", None):
         conf["jobs"] = args.jobs
     cfg = experiment.GapRunConfig(**conf)
@@ -250,6 +256,12 @@ def cmd_report(args):
         if "rows" not in doc:
             raise ValueError(f"schema mismatch: {p} has no rows")
         docs.append((Path(p).stem, doc))
+    deltas = [r["delta"] for r in docs[0][1]["rows"]]
+    for name, doc in docs[1:]:
+        other = [r["delta"] for r in doc["rows"]]
+        if other != deltas:
+            raise ValueError(f"delta lists differ: {docs[0][0]} has {deltas}, "
+                             f"{name} has {other}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "merged.csv"
@@ -259,7 +271,6 @@ def cmd_report(args):
         for name, _ in docs:
             header += [f"{name}_data_distance", f"{name}_gap"]
         w.writerow(header)
-        deltas = [r["delta"] for r in docs[0][1]["rows"]]
         for i, d in enumerate(deltas):
             row = [d]
             for _, doc in docs:

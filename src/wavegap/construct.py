@@ -33,7 +33,7 @@ from .field import (RadialProfile, ScalarField, TorusGrid, radial_embed, remove_
 from .norms import sobolev_norm
 from .radial import (RadialWave2D, gauss_panel_nodes, h_half_sq_radial_3d,
                      h_half_sq_shell_3d, l2_radial_measure, l2_sq_shell_3d, smooth_step, smooth_step_d)
-from .wave import WaveState, spectral_propagate
+from .wave import WaveState, _value_sweep, spectral_propagate
 
 __all__ = [
     "PLANAR_POINT_FACTOR",
@@ -369,30 +369,26 @@ def strip_normalize_grid(state: WaveState, t_step: float = 1.0 / 256.0,
     scans the propagated field on the uniform time grid, refines once
     locally, and returns ``(m, t_j, shift_index, normalized_datum_field)``
     with the datum recentered so the maximum sits at the origin."""
+    def scan(times, best):
+        for t, zt in zip(times, _value_sweep(state, times)):
+            v = zt.values
+            kk = np.unravel_index(int(np.argmax(np.abs(v))), v.shape)
+            if abs(v[kk]) > best[0]:
+                best = (float(abs(v[kk])), float(t), kk, float(v[kk]))
+        return best
+
     times = np.arange(t_step, 1.0 + 1e-12, t_step)
-    best = (0.0, times[0], None)
-    for t in times:
-        zt = spectral_propagate(state, float(t)).u.values
-        k = np.unravel_index(int(np.argmax(np.abs(zt))), zt.shape)
-        if abs(zt[k]) > best[0]:
-            best = (float(abs(zt[k])), float(t), k)
-    m, tj, k = best
+    m, tj, k, z_at_max = scan(times, (0.0, times[0], None, 0.0))
     fine = t_step / refine
-    for t in tj + fine * np.arange(-refine + 1, refine):
-        if not 0.0 < t <= 1.0:
-            continue
-        zt = spectral_propagate(state, float(t)).u.values
-        kk = np.unravel_index(int(np.argmax(np.abs(zt))), zt.shape)
-        if abs(zt[kk]) > m:
-            m, tj, k = float(abs(zt[kk])), float(t), kk
+    local = [t for t in tj + fine * np.arange(-refine + 1, refine) if 0.0 < t <= 1.0]
+    m, tj, k, z_at_max = scan(local, (m, tj, k, z_at_max))
     grid = state.grid
-    z_at_max = spectral_propagate(state, tj).u.values[k]
     sign = math.copysign(1.0, z_at_max)
     center = (grid.n // 2,) * grid.dim
     shift = tuple(int(ki - ci) for ki, ci in zip(k, center))
     recentred = np.roll(state.ut.values, shift=tuple(-s for s in shift),
                         axis=tuple(range(grid.dim)))
-    datum = ScalarField(grid, sign * recentred / m)
+    datum = ScalarField._own(grid, sign * recentred / m)
     return m, tj, shift, datum
 
 
@@ -526,16 +522,17 @@ def rescaled_family(chi: RadialProfile, R: float, M: float, T: float,
     if chi.support_radius / 1.0 > grid.half_width - 2.0:
         raise ValueError("bump support does not fit the box with margin")
     n = grid.dim
+    grid.wavenumber_magnitude()  # cache |k| first: held between freed temporaries it fragments the heap
     ut_T = chi_field(chi, grid, scale=M, concentration=R)
-    zero = ScalarField(grid, np.zeros(grid.shape))
+    zero = ScalarField._own(grid, np.zeros(grid.shape))
     state_T = WaveState(zero, ut_T, float(T))
     state0 = spectral_propagate(state_T, 0.0)
     ratio = M / R if M > 0 else 1.0
     init_c = (sobolev_norm(state0.u, n / 2.0, False)
               + sobolev_norm(state0.ut, n / 2.0 - 1.0, False)) / ratio
     sup = 0.0
-    for t in np.linspace(0.0, 1.0, n_sup_times):
-        sup = max(sup, float(np.max(np.abs(spectral_propagate(state0, float(t)).u.values))))
+    for ut in _value_sweep(state0, np.linspace(0.0, 1.0, n_sup_times)):
+        sup = max(sup, float(np.max(np.abs(ut.values))))
     kappa = getattr(chi, "kappa", None)
     if kappa is None:
         kappa = math.sqrt(PLANAR_POINT_FACTOR) * l2_radial_measure(

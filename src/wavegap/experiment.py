@@ -19,8 +19,7 @@ from .construct import (choose_R, chi_mean_zero, strip_normalize,
                         focusing_sequence, rescaled_family)
 from .field import ScalarField, TorusGrid
 from .geometry import GeodesicCurve, geodesic_constants, make_preset, moser_ratio
-from .norms import (bump_family, lp_norm,
-                    sobolev_norm)
+from .norms import _bump_fields, _sobolev_norms, bump_family, lp_norm, sobolev_norm
 from .radial import gauss_panel_nodes
 from .wave import energy, spectral_propagate
 
@@ -362,9 +361,15 @@ def product_ratios(f: ScalarField, g: ScalarField, s: float, lam: float):
     returns None for a degenerate pair (zero majorant: both sides vanish and
     the pair is excluded from the statistics)."""
     n = f.grid.dim
-    num = sobolev_norm(f * g, s)
-    den1 = sobolev_norm(f, s) * (lp_norm(g, "inf") + sobolev_norm(g, n / 2.0))
-    den2 = sobolev_norm(f, n / 2.0 + s - lam) * sobolev_norm(g, lam)
+    f_s, f_high = _sobolev_norms(f, [(s, False), (n / 2.0 + s - lam, False)])
+    return _ratios(sobolev_norm(f * g, s), f_s, f_high, lp_norm(g, "inf"),
+                   *_sobolev_norms(g, [(n / 2.0, False), (lam, False)]))
+
+
+def _ratios(num, f_s, f_high, g_sup, g_half, g_lam):
+    """The product ratios from ``|fg|_{H^s}``, the orders ``s`` and
+    ``n/2 + s - lam`` of ``f``, and the sup and orders ``n/2``, ``lam`` of ``g``."""
+    den1, den2 = f_s * (g_sup + g_half), f_high * g_lam
     if den1 <= 0.0 or den2 <= 0.0:
         return None
     return {"multest": num / den1, "multest2": num / den2}
@@ -384,23 +389,26 @@ def appendix_ratio_suite(seed: int = 0, grid: TorusGrid | None = None,
     n = grid.dim
 
     def stats(g: TorusGrid, count):
-        fields = bump_family(g, seed, 2 * count)
-        pairs = list(zip(fields[0::2], fields[1::2]))
+        # pairs of consecutive fields, generated one pair at a time
+        fields = _bump_fields(g, seed, 2 * count)
         mult, mult2 = [], []
         feas = []
-        for f, h in pairs:
-            r = product_ratios(f, h, s, lam)
+        for f, h in zip(fields, fields):
+            f_s, f_high, fdot = _sobolev_norms(
+                f, [(s, False), (n / 2.0 + s - lam, False), (s, True)])
+            h_sup = lp_norm(h, "inf")
+            r = _ratios(sobolev_norm(f * h, s), f_s, f_high, h_sup,
+                        *_sobolev_norms(h, [(n / 2.0, False), (lam, False)]))
             if r is not None:
                 mult.append(r["multest"])
                 mult2.append(r["multest2"])
             # plateau pair for the lower bound: g + constant lift over supp f
-            lift = 2.0 * lp_norm(h, "inf") + 1.0
-            g_plat = ScalarField(f.grid, h.values + lift)
+            lift = 2.0 * h_sup + 1.0
+            g_plat = ScalarField._own(f.grid, h.values + lift)
             c1_bound = float(np.min(np.abs(
                 g_plat.values[np.abs(f.values) > 1e-12 * lp_norm(f, "inf")])))
             lhs = sobolev_norm(f * g_plat, s, homogeneous=True)
-            fdot = sobolev_norm(f, s, homogeneous=True)
-            denom = sobolev_norm(f, s) * sobolev_norm(g_plat, n / 2.0)
+            denom = f_s * sobolev_norm(g_plat, n / 2.0)
             feas.append({"c1": c1_bound, "lhs": lhs, "f_dot": fdot, "denom": denom})
         return {"multest_max": max(mult), "multest2_max": max(mult2),
                 "multest_mean": float(np.mean(mult)),
@@ -415,28 +423,21 @@ def appendix_ratio_suite(seed: int = 0, grid: TorusGrid | None = None,
         needed = [max(0.0, (c * e["c1"] * e["f_dot"] - e["lhs"]) / e["denom"])
                   for e in base["feas"]]
         region[str(c)] = max(needed)
-    out = {"multest_max": base["multest_max"], "multest2_max": base["multest2_max"],
-           "multest_mean": base["multest_mean"], "multest2_mean": base["multest2_mean"],
-           "below2_cprime_by_c": region, "pairs": n_pairs, "s": s, "lam": lam}
+    out = {k: base[k] for k in ("multest_max", "multest2_max", "multest_mean", "multest2_mean")}
+    out.update(below2_cprime_by_c=region, pairs=n_pairs, s=s, lam=lam)
     # composition ratios at fixed sup-norm levels
-    mos = {}
-    for level in (0.5, 1.0):
-        vals = []
-        for f in bump_family(grid, seed + 1, 8):
-            scale = level / max(lp_norm(f, "inf"), 1e-12)
-            fl = ScalarField(grid, f.values * scale)
-            vals.append(moser_ratio(np.sin, fl, n / 2.0))
-        mos[str(level)] = max(vals)
-    out["moser_max_by_level"] = mos
+    family = bump_family(grid, seed + 1, 8)
+    out["moser_max_by_level"] = {
+        str(level): max(moser_ratio(np.sin, f * (level / max(lp_norm(f, "inf"), 1e-12)), n / 2.0)
+                        for f in family)
+        for level in (0.5, 1.0)}
     if refine_check:
         # same family on the doubled grid, so the maxima are comparable
         fine = TorusGrid(grid.dim, grid.half_width, grid.n * 2)
         ref = stats(fine, n_pairs)
-        out["refined"] = {"multest_max": ref["multest_max"],
-                          "multest2_max": ref["multest2_max"]}
-        out["drift"] = {
-            "multest": abs(ref["multest_max"] / base["multest_max"] - 1.0),
-            "multest2": abs(ref["multest2_max"] / base["multest2_max"] - 1.0)}
+        out["refined"] = {k: ref[k] for k in ("multest_max", "multest2_max")}
+        out["drift"] = {k: abs(ref[f"{k}_max"] / base[f"{k}_max"] - 1.0)
+                        for k in ("multest", "multest2")}
     return out
 
 
@@ -467,11 +468,9 @@ def scaling_suite(chi=None, grid: TorusGrid | None = None,
             # both are recorded, the fit runs on the pair
             row[f"pair_{s}"] = energy(st, s)
             row[f"hdot_{s}"] = sobolev_norm(st.u, s, homogeneous=True)
-        e_drift = []
         e0 = energy(fam.state0, 1.0)
-        for t in (0.25, 0.75):
-            e_drift.append(abs(energy(spectral_propagate(fam.state0, t), 1.0) / e0 - 1.0))
-        row["energy_drift"] = max(e_drift)
+        row["energy_drift"] = max(abs(energy(spectral_propagate(fam.state0, t), 1.0) / e0 - 1.0)
+                                  for t in (0.25, 0.75))
         rows.append(row)
     logR = np.log([r["R"] for r in rows])
     fits = {}

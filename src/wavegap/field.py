@@ -8,6 +8,7 @@ after construction; all operations return new objects.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, field as dc_field
@@ -79,54 +80,65 @@ class TorusGrid:
 
     def radius(self) -> np.ndarray:
         """Distance to the origin at each lattice node."""
-        r2 = sum(c * c for c in self.coords())
-        return np.sqrt(r2)
+        return np.sqrt(sum(c * c for c in self.coords()))
 
     def wavenumbers(self) -> tuple:
         """Angular wavenumbers per axis matching ``numpy.fft.fftn`` layout."""
         k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
         return np.meshgrid(*([k] * self.dim), indexing="ij")
 
+    @functools.lru_cache(maxsize=4)
     def wavenumber_magnitude(self) -> np.ndarray:
-        k2 = sum(k * k for k in self.wavenumbers())
-        return np.sqrt(k2)
+        """``|k|`` at every Fourier node, read-only; computed once per grid
+        (the cache is keyed on the frozen grid)."""
+        K = np.sqrt(sum(k * k for k in self.wavenumbers()))
+        K.setflags(write=False)
+        return K
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real scalar field on a :class:`TorusGrid`, row-major values."""
+    """Real scalar field on a :class:`TorusGrid`, row-major values; read-only,
+    validated and (unless built by :meth:`_own`) copied on construction."""
 
     grid: TorusGrid
     values: np.ndarray
     time_stamp: float | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        self._adopt(np.asarray(self.values, dtype=float).copy())
+
+    @classmethod
+    def _own(cls, grid: TorusGrid, values: np.ndarray, time_stamp=None) -> "ScalarField":
+        """Field over a freshly computed float array that nothing else
+        references: shape and finiteness checks, no defensive copy."""
+        f = object.__new__(cls)
+        f.__dict__.update(grid=grid, time_stamp=time_stamp)
+        f._adopt(values)
+        return f
+
+    def _adopt(self, v: np.ndarray) -> None:
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
         if not np.all(np.isfinite(v)):
             bad = np.argwhere(~np.isfinite(v))[0]
             raise ValueError(f"non-finite value at lattice index {tuple(bad)}")
-        v = v.copy()
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def with_values(self, values, time_stamp=None) -> "ScalarField":
-        return ScalarField(self.grid, values, self.time_stamp if time_stamp is None else time_stamp)
+        self.__dict__["values"] = v
 
     def __add__(self, other):
         self._check(other)
-        return ScalarField(self.grid, self.values + other.values, self.time_stamp)
+        return ScalarField._own(self.grid, self.values + other.values, self.time_stamp)
 
     def __sub__(self, other):
         self._check(other)
-        return ScalarField(self.grid, self.values - other.values, self.time_stamp)
+        return ScalarField._own(self.grid, self.values - other.values, self.time_stamp)
 
     def __mul__(self, c):
         if isinstance(c, ScalarField):
             self._check(c)
-            return ScalarField(self.grid, self.values * c.values, self.time_stamp)
-        return ScalarField(self.grid, self.values * float(c), self.time_stamp)
+            return ScalarField._own(self.grid, self.values * c.values, self.time_stamp)
+        return ScalarField._own(self.grid, self.values * float(c), self.time_stamp)
 
     __rmul__ = __mul__
 
@@ -143,7 +155,7 @@ class VectorField:
     components: tuple
 
     def __post_init__(self):
-        comps = tuple(np.asarray(c, dtype=float) for c in self.components)
+        comps = tuple(np.asarray(c, dtype=float).copy() for c in self.components)
         if len(comps) < 2:
             raise ValueError("ambient dimension must be at least 2")
         for c in comps:
@@ -151,8 +163,6 @@ class VectorField:
                 raise ValueError("component shape does not match grid")
             if not np.all(np.isfinite(c)):
                 raise ValueError("non-finite component value")
-        comps = tuple(c.copy() for c in comps)
-        for c in comps:
             c.setflags(write=False)
         object.__setattr__(self, "components", comps)
 
@@ -265,7 +275,7 @@ def remove_lattice_mean(f: ScalarField) -> ScalarField:
     sampling residue (the per-node correction is far below sampling error);
     removing it makes the discrete field satisfy the continuum identity
     exactly, so zero-mode-sensitive norms are well-defined."""
-    return ScalarField(f.grid, f.values - float(np.mean(f.values)), f.time_stamp)
+    return ScalarField._own(f.grid, f.values - float(np.mean(f.values)), f.time_stamp)
 
 
 def lattice_shift(f: ScalarField, j) -> ScalarField:
@@ -277,7 +287,7 @@ def lattice_shift(f: ScalarField, j) -> ScalarField:
     if j.size != f.grid.dim:
         raise ValueError(f"shift vector length {j.size} != dim {f.grid.dim}")
     vals = np.roll(f.values, shift=tuple(-j), axis=tuple(range(f.grid.dim)))
-    return ScalarField(f.grid, vals, f.time_stamp)
+    return ScalarField._own(f.grid, vals, f.time_stamp)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +323,7 @@ def load_field(path) -> ScalarField:
         grid = TorusGrid(int(doc["dim"]), float(doc["half_width"]), int(doc["n"]))
         vals = np.asarray(doc["values"], dtype=float).reshape(grid.shape)
         return ScalarField(grid, vals, doc.get("time_stamp"))
-    raw = path.read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a field container")
-    dim, n, half_width, t = struct.unpack("<4d", raw[4:36])
-    grid = TorusGrid(int(dim), half_width, int(n))
-    count = grid.n ** grid.dim
-    vals = np.frombuffer(raw[36:36 + 8 * count], dtype="<f8").reshape(grid.shape)
+    grid, t, (vals,) = _read_container(path, "field", 1)
     return ScalarField(grid, vals, None if np.isnan(t) else t)
 
 
@@ -334,12 +338,17 @@ def save_state(u: ScalarField, ut: ScalarField, t: float, path) -> None:
 
 
 def load_state(path):
+    grid, t, (u, ut) = _read_container(path, "state", 2)
+    return ScalarField(grid, u, t), ScalarField(grid, ut, t), float(t)
+
+
+def _read_container(path, kind, n_arrays):
+    """Grid, raw time stamp and the value arrays of a binary container."""
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a state container")
+        raise ValueError(f"{path}: not a {kind} container")
     dim, n, half_width, t = struct.unpack("<4d", raw[4:36])
     grid = TorusGrid(int(dim), half_width, int(n))
-    count = grid.n ** grid.dim
-    u = np.frombuffer(raw[36:36 + 8 * count], dtype="<f8").reshape(grid.shape)
-    ut = np.frombuffer(raw[36 + 8 * count:36 + 16 * count], dtype="<f8").reshape(grid.shape)
-    return ScalarField(grid, u, t), ScalarField(grid, ut, t), float(t)
+    size = 8 * grid.n ** grid.dim
+    return grid, t, [np.frombuffer(raw[36 + i * size:36 + (i + 1) * size], dtype="<f8")
+                     .reshape(grid.shape) for i in range(n_arrays)]

@@ -11,7 +11,7 @@ import numpy as np
 
 from .field import ScalarField, VectorField
 from .norms import sobolev_norm
-from .wave import WaveState, spectral_gradient, spectral_laplacian, spectral_propagate
+from .wave import WaveState, _value_sweep, spectral_gradient, spectral_laplacian
 
 __all__ = [
     "GeodesicCurve",
@@ -163,11 +163,10 @@ def compose_dt(curve: GeodesicCurve, state: WaveState) -> VectorField:
 def _box_components(curve: GeodesicCurve, state: WaveState, tau: float):
     """d'Alembertian of u = gamma(v) with a centered 3-point stencil in time
     and spectral space derivatives; returns (box components, u components)."""
-    minus = spectral_propagate(state, state.t - tau)
-    plus = spectral_propagate(state, state.t + tau)
-    u_m = np.asarray(curve.gamma(minus.u.values), dtype=float)
+    minus, plus = _value_sweep(state, (state.t - tau, state.t + tau))
+    u_m = np.asarray(curve.gamma(minus.values), dtype=float)
     u_0 = np.asarray(curve.gamma(state.u.values), dtype=float)
-    u_p = np.asarray(curve.gamma(plus.u.values), dtype=float)
+    u_p = np.asarray(curve.gamma(plus.values), dtype=float)
     utt = (u_p - 2.0 * u_0 + u_m) / tau ** 2
     box = []
     for ell in range(curve.ambient_dim):
@@ -199,7 +198,7 @@ def wavemap_residual(curve: GeodesicCurve, state: WaveState, tau: float = 1e-3,
             if curve.center is None:
                 raise ValueError("residual check needs an embedded preset")
             ut = compose_dt(curve, state)
-            ut2 = sum(c * c for c in (comp.copy() for comp in (np.asarray(x) for x in ut.components)))
+            ut2 = sum(c * c for c in ut.components)
             grad2 = np.zeros(state.grid.shape)
             for ell in range(curve.ambient_dim):
                 for d in spectral_gradient(ScalarField(state.grid, u0[ell])):

@@ -19,7 +19,6 @@ full shell count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -27,7 +26,6 @@ from scipy import ndimage
 from .field import ScalarField, TorusGrid, lattice_shift
 
 __all__ = [
-    "NormSpec",
     "sobolev_norm",
     "lp_norm",
     "difference",
@@ -42,22 +40,6 @@ _ZERO_MODE_TOL = 1e-10
 _MAX_SHELL_SAMPLE = 96
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Bundle of norm parameters used by the CLI and report records."""
-
-    s: float
-    homogeneous: bool = False
-    p: float = 2.0
-    q: float = 2.0
-
-    def __post_init__(self):
-        if not (self.p > 1 or self.p == float("inf")):
-            raise ValueError("p must lie in (1, inf]")
-        if not (self.q > 1 or self.q == float("inf")):
-            raise ValueError("q must lie in (1, inf]")
-
-
 def lp_norm(f: ScalarField, p) -> float:
     """Discrete ``L^p`` norm ``(h^dim sum |f|^p)^(1/p)``; max norm for p=inf."""
     if p == float("inf") or p == "inf":
@@ -69,12 +51,6 @@ def lp_norm(f: ScalarField, p) -> float:
     return float((hd * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
 
 
-def _spectrum(f: ScalarField):
-    F = np.fft.fftn(f.values)
-    K = f.grid.wavenumber_magnitude()
-    return F, K
-
-
 def sobolev_norm(f: ScalarField, s: float, homogeneous: bool = False) -> float:
     """Fourier-multiplier Sobolev norm of order ``s``.
 
@@ -83,26 +59,33 @@ def sobolev_norm(f: ScalarField, s: float, homogeneous: bool = False) -> float:
     norms require the zero Fourier mode to vanish (relative to the L2 norm),
     otherwise the function is not in the homogeneous space at all.
     """
-    F, K = _spectrum(f)
+    return _sobolev_norms(f, [(s, homogeneous)])[0]
+
+
+def _sobolev_norms(f: ScalarField, orders) -> list:
+    """:func:`sobolev_norm` for each ``(s, homogeneous)`` in ``orders``,
+    all from one spectrum of ``f``."""
     grid = f.grid
+    F = np.fft.fftn(f.values)
+    power = F.real ** 2 + F.imag ** 2
+    K = grid.wavenumber_magnitude()
     scale = grid.spacing ** grid.dim / grid.n ** grid.dim
-    if homogeneous:
-        zero_amp = math.sqrt(scale) * abs(F.flat[0])
-        if s < 0:
-            l2 = lp_norm(f, 2)
-            if zero_amp > _ZERO_MODE_TOL * max(l2, 1e-300):
-                raise ValueError(
-                    f"not in homogeneous H^{s}: zero mode {zero_amp:.3e} "
-                    f"exceeds {_ZERO_MODE_TOL:.0e} * L2")
-        if s == 0.0:
+    out = []
+    for s, homogeneous in orders:
+        if not homogeneous:
+            w2 = (1.0 + K * K) ** s
+        elif s == 0.0:
             w2 = np.ones_like(K)  # |xi|^0 = 1 including the zero mode: plain L2
         else:
-            w2 = np.zeros_like(K)
-            nz = K > 0
-            w2[nz] = K[nz] ** (2.0 * s)
-    else:
-        w2 = (1.0 + K * K) ** s
-    return float(math.sqrt(scale * np.sum(w2 * np.abs(F) ** 2)))
+            zero_amp = math.sqrt(scale) * abs(F.flat[0])
+            if s < 0 and zero_amp > _ZERO_MODE_TOL * max(lp_norm(f, 2), 1e-300):
+                raise ValueError(f"not in homogeneous H^{s}: zero mode {zero_amp:.3e} "
+                                 f"exceeds {_ZERO_MODE_TOL:.0e} * L2")
+            with np.errstate(divide="ignore"):
+                w2 = K ** (2.0 * s)
+            w2.flat[0] = 0.0  # K vanishes only at the zero mode
+        out.append(math.sqrt(scale * float(np.vdot(w2, power))))
+    return out
 
 
 def difference(f: ScalarField, h_vec, order: int = 1) -> ScalarField:
@@ -134,7 +117,7 @@ def leibniz_expand(f: ScalarField, g: ScalarField, h_vec, k: int) -> ScalarField
         term = fm if ell == 0 else difference(fm, h_vec, ell)
         gterm = g if m == 0 else difference(g, h_vec, m)
         acc = acc + math.comb(k, ell) * term.values * gterm.values
-    return ScalarField(f.grid, acc, f.time_stamp)
+    return ScalarField._own(f.grid, acc, f.time_stamp)
 
 
 def _lattice_shells(grid: TorusGrid):
@@ -262,25 +245,32 @@ def rescale(f: ScalarField, lam: float) -> ScalarField:
         shape[axis] = n
         mask_in &= inside.reshape(shape)
     vals = np.where(mask_in, vals, 0.0)
-    return ScalarField(grid, vals, f.time_stamp)
+    return ScalarField._own(grid, vals, f.time_stamp)
 
 
 def bump_family(grid: TorusGrid, seed: int, count: int = 1, n_bumps: int = 10):
     """Reproducible smooth test family: superpositions of Gaussian bumps
     with widths in [0.5, 2] and centers in the ball B(0, 6)."""
+    return list(_bump_fields(grid, seed, count, n_bumps))
+
+
+def _bump_fields(grid: TorusGrid, seed: int, count: int, n_bumps: int = 10):
+    """The fields of :func:`bump_family`, one at a time: each Gaussian factors
+    over the axes, so a field is one contraction of per-axis 1-d Gaussians."""
     rng = np.random.default_rng(seed)
-    coords = grid.coords()
-    out = []
+    x = grid.axis()
+    ax = "ijk"[:grid.dim]
     for _ in range(count):
-        vals = np.zeros(grid.shape)
+        draws = []
         for _ in range(n_bumps):
             width = rng.uniform(0.5, 2.0)
             while True:
                 c = rng.uniform(-6.0, 6.0, size=grid.dim)
                 if np.sum(c * c) <= 36.0:
                     break
-            amp = rng.uniform(-1.0, 1.0)
-            r2 = sum((x - ci) ** 2 for x, ci in zip(coords, c))
-            vals += amp * np.exp(-r2 / (2.0 * width ** 2))
-        out.append(ScalarField(grid, vals))
-    return out
+            draws.append((width, c, rng.uniform(-1.0, 1.0)))
+        widths, centers, amps = (np.array(v) for v in zip(*draws))
+        factors = np.exp(-(x[:, None] - centers.T[:, None, :]) ** 2 / (2.0 * widths ** 2))
+        vals = np.einsum(f"b,{','.join(a + 'b' for a in ax)}->{ax}", amps, *factors,
+                         optimize=True)
+        yield ScalarField._own(grid, vals)

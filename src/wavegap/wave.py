@@ -29,7 +29,6 @@ __all__ = [
     "energy",
     "spectral_laplacian",
     "spectral_gradient",
-    "spectral_dt_of_solution",
     "kernel_solution_2d",
     "radial_even_representation",
     "kirchhoff_3d_origin",
@@ -60,13 +59,14 @@ class WaveState:
         return self.u.grid
 
 
-def _multipliers(grid, tau):
-    K = grid.wavenumber_magnitude()
+def _evolve(U0, V0, K, tau):
+    """Exact free-wave multiplier step on spectra: ``(U0, V0)`` of
+    ``(u, u_t)`` to the spectra ``(U, V)`` a time ``tau`` later."""
     ck = np.cos(tau * K)
     sk = np.sin(tau * K)
     with np.errstate(divide="ignore", invalid="ignore"):
         sinc = np.where(K > 0, sk / np.where(K > 0, K, 1.0), tau)
-    return K, ck, sk, sinc
+    return ck * U0 + sinc * V0, -K * sk * U0 + ck * V0
 
 
 def spectral_propagate(state: WaveState, t_target: float) -> WaveState:
@@ -78,16 +78,27 @@ def spectral_propagate(state: WaveState, t_target: float) -> WaveState:
 
     with the zero mode evolving linearly, ``uhat0 + tau vhat0``.
     """
-    tau = float(t_target) - state.t
     grid = state.grid
-    K, ck, sk, sinc = _multipliers(grid, tau)
+    K = grid.wavenumber_magnitude()
+    U, V = _evolve(np.fft.fftn(state.u.values), np.fft.fftn(state.ut.values), K,
+                   float(t_target) - state.t)
+    # the real parts are copied out: a view would keep each complex array alive
+    u = ScalarField._own(grid, np.fft.ifftn(U).real.copy(), t_target)
+    ut = ScalarField._own(grid, np.fft.ifftn(V).real.copy(), t_target)
+    return WaveState(u, ut, float(t_target))
+
+
+def _value_sweep(state: WaveState, times):
+    """The value field ``u`` of the free wave at each of ``times``, as
+    :func:`spectral_propagate` gives it: one transform of the state, then
+    one inverse transform per time."""
+    grid = state.grid
+    K = grid.wavenumber_magnitude()
     U0 = np.fft.fftn(state.u.values)
     V0 = np.fft.fftn(state.ut.values)
-    U = ck * U0 + sinc * V0
-    V = -K * sk * U0 + ck * V0
-    u = ScalarField(grid, np.fft.ifftn(U).real, t_target)
-    ut = ScalarField(grid, np.fft.ifftn(V).real, t_target)
-    return WaveState(u, ut, float(t_target))
+    for t in times:
+        u = np.fft.ifftn(_evolve(U0, V0, K, float(t) - state.t)[0]).real.copy()
+        yield ScalarField._own(grid, u, float(t))
 
 
 def energy(state: WaveState, s: float) -> float:
@@ -102,21 +113,13 @@ def energy(state: WaveState, s: float) -> float:
 def spectral_laplacian(f: ScalarField) -> ScalarField:
     K = f.grid.wavenumber_magnitude()
     vals = np.fft.ifftn(-(K * K) * np.fft.fftn(f.values)).real
-    return ScalarField(f.grid, vals, f.time_stamp)
+    return ScalarField._own(f.grid, vals, f.time_stamp)
 
 
 def spectral_gradient(f: ScalarField):
     F = np.fft.fftn(f.values)
-    out = []
-    for k_axis in f.grid.wavenumbers():
-        out.append(ScalarField(f.grid, np.fft.ifftn(1j * k_axis * F).real, f.time_stamp))
-    return tuple(out)
-
-
-def spectral_dt_of_solution(state: WaveState) -> ScalarField:
-    """Exact second derivative in time of the evolved solution at the
-    state's own time (= Laplacian of u for a free wave)."""
-    return spectral_laplacian(state.u)
+    return tuple(ScalarField._own(f.grid, np.fft.ifftn(1j * k * F).real, f.time_stamp)
+                 for k in f.grid.wavenumbers())
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +221,12 @@ def _even_moment(profile, nu, n, breakpoints=()):
 
 
 def _load_constants():
-    if _CALIBRATION_FILE.exists():
-        return {int(k): v for k, v in json.loads(_CALIBRATION_FILE.read_text()).items()}
-    return calibrate_representation_constants(write=True)
+    """Read the shipped calibration; a missing file is an error (calibrating
+    is the explicit ``calibrate_representation_constants(write=True)``)."""
+    if not _CALIBRATION_FILE.exists():
+        raise RuntimeError(f"calibration file {_CALIBRATION_FILE} is missing; create it "
+                           "with calibrate_representation_constants(write=True)")
+    return {int(k): v for k, v in json.loads(_CALIBRATION_FILE.read_text()).items()}
 
 
 _constants_cache: dict = {}
@@ -250,25 +256,13 @@ def calibrate_representation_constants(write: bool = False) -> dict:
     the oracle rather than transcribed.
     """
     out = {}
-    for n in (2, 4):
-        nus = list(range((n - 2) // 2 + 1))
-        rows, rhs = [], []
-        for a in _CALIBRATION_GAUSSIANS:
-            prof = _gaussian_profile(a)
-            rows.append([_even_moment(prof, nu, n) for nu in nus])
-            rhs.append(gaussian_origin_value(a, 1.0, n))
-        A, b = np.asarray(rows), np.asarray(rhs)
-        coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-        resid = float(np.max(np.abs(A @ coef - b)) / np.max(np.abs(b)))
-        out[n] = {"coefficients": list(map(float, coef)), "residual": resid,
-                  "oracle": "gaussian-fourier", "gaussians": list(_CALIBRATION_GAUSSIANS)}
-    for n in (3, 5):
-        nus = list(range((n - 3) // 2 + 1))
-        rows, rhs = [], []
-        for a in _CALIBRATION_GAUSSIANS:
-            rows.append([_gaussian_boundary_derivative(a, nu) for nu in nus])
-            rhs.append(gaussian_origin_value(a, 1.0, n))
-        A, b = np.asarray(rows), np.asarray(rhs)
+    for n in (2, 4, 3, 5):
+        # even n: moments of d_r^nu phi; odd n: boundary derivatives d_r^nu phi(1)
+        A = np.asarray([[_even_moment(_gaussian_profile(a), nu, n) if n % 2 == 0
+                         else _gaussian_boundary_derivative(a, nu)
+                         for nu in range((n - 2) // 2 + 1)]
+                        for a in _CALIBRATION_GAUSSIANS])
+        b = np.asarray([gaussian_origin_value(a, 1.0, n) for a in _CALIBRATION_GAUSSIANS])
         coef, *_ = np.linalg.lstsq(A, b, rcond=None)
         resid = float(np.max(np.abs(A @ coef - b)) / np.max(np.abs(b)))
         out[n] = {"coefficients": list(map(float, coef)), "residual": resid,

@@ -131,3 +131,41 @@ def test_report_schema_mismatch(tmp_path, capsys):
     code, _, err = run(capsys, "report", "--inputs", str(p),
                        "--out-dir", str(tmp_path / "m"))
     assert code == 1 and "schema" in err
+
+
+def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nkind = gap\ndeltas = 0.3\nbogus = 1\n")
+    out = tmp_path / "r.json"
+    code, lines, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert code == 1 and lines == [] and not out.exists()
+    assert err.startswith("error:") and "bogus" in err and len(err.strip().splitlines()) == 1
+
+
+def test_sweep_rejects_unknown_kind(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nkind = gapp\ndeltas = 0.3\n")
+    out = tmp_path / "r.json"
+    code, lines, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert code == 1 and lines == [] and not out.exists()
+    assert err.startswith("error:") and "gapp" in err and len(err.strip().splitlines()) == 1
+
+
+def test_report_requires_equal_delta_lists(tmp_path, capsys):
+    def report(name, deltas):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps({"rows": [{"delta": d, "data_distance": 1.0, "gap": 1.0}
+                                          for d in deltas]}))
+        return str(p)
+
+    base = report("a", [0.3, 0.1])
+    for other in (report("fewer", [0.3]), report("moved", [0.3, 0.03])):
+        out_dir = tmp_path / "m"
+        code, lines, err = run(capsys, "report", "--inputs", base, other,
+                               "--out-dir", str(out_dir))
+        assert code == 1 and lines == [] and not out_dir.exists()
+        assert err.startswith("error:") and "delta" in err
+        assert len(err.strip().splitlines()) == 1
+    code, _, _ = run(capsys, "report", "--inputs", base, report("same", [0.3, 0.1]),
+                     "--out-dir", str(tmp_path / "ok"))
+    assert code == 0

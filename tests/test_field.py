@@ -166,3 +166,39 @@ def test_scalar_field_guards(grid2):
         _ = f + other
     with pytest.raises(ValueError):
         f.values[0, 0] = 1.0  # immutable
+
+
+def test_wavenumber_magnitude_cached_read_only():
+    g = TorusGrid(2, 16.0, 64)
+    K = g.wavenumber_magnitude()
+    assert K is TorusGrid(2, 16.0, 64).wavenumber_magnitude()
+    assert not K.flags.writeable
+    assert np.array_equal(K, np.sqrt(sum(k * k for k in g.wavenumbers())))
+
+
+def test_derived_fields_own_fresh_read_only_values(grid2):
+    rng = np.random.default_rng(3)
+    f = ScalarField(grid2, rng.standard_normal(grid2.shape))
+    g = ScalarField(grid2, rng.standard_normal(grid2.shape))
+    for h in (f + g, f - g, f * g, f * 2.0, 2.0 * f, lattice_shift(f, (1, -2)),
+              lattice_shift(f, (0, 0))):
+        assert not h.values.flags.writeable
+        assert not np.shares_memory(h.values, f.values)
+        assert not np.shares_memory(h.values, g.values)
+    assert np.array_equal((f * g).values, f.values * g.values)
+
+
+def test_derived_fields_refuse_overflow(grid2):
+    big = ScalarField(grid2, np.full(grid2.shape, 1e308))
+    with np.errstate(over="ignore"):
+        for make in (lambda: big + big, lambda: big - (-1.0 * big),
+                     lambda: big * big, lambda: big * 10.0):
+            with pytest.raises(ValueError, match="non-finite"):
+                make()
+
+
+def test_outside_values_are_copied(grid2):
+    raw = np.zeros(grid2.shape)
+    f = ScalarField(grid2, raw)
+    raw[0, 0] = 1.0
+    assert f.values[0, 0] == 0.0 and raw.flags.writeable

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate as sint
 
-from wavegap.field import ScalarField, TorusGrid, lattice_shift, sample
-from wavegap.norms import (NormSpec, besov_norm, bump_family, difference,
+from wavegap.field import ScalarField, TorusGrid, lattice_shift, remove_lattice_mean, sample
+from wavegap.norms import (_sobolev_norms, besov_norm, bump_family, difference,
                            fractional_integral_seminorm, leibniz_expand,
                            lp_norm, rescale, sobolev_norm)
 
@@ -172,8 +172,63 @@ def test_triangle_inequality(grid, seed):
         assert norm(f + g) <= norm(f) + norm(g) + 1e-10 * (norm(f) + norm(g))
 
 
-def test_normspec_validation():
-    with pytest.raises(ValueError):
-        NormSpec(0.5, p=1.0)
-    spec = NormSpec(0.5, homogeneous=True)
-    assert spec.q == 2.0
+def _reference_sobolev_norm(f, s, homogeneous):
+    """The norm from its definition: one transform, |F|^2 weighted mode by
+    mode, the zero mode masked out of the homogeneous weight."""
+    F = np.fft.fftn(f.values)
+    K = np.sqrt(sum(k * k for k in f.grid.wavenumbers()))
+    scale = f.grid.spacing ** f.grid.dim / f.grid.n ** f.grid.dim
+    if not homogeneous:
+        w2 = (1.0 + K * K) ** s
+    elif s == 0.0:
+        w2 = np.ones_like(K)
+    else:
+        w2 = np.zeros_like(K)
+        w2[K > 0] = K[K > 0] ** (2.0 * s)
+    return math.sqrt(scale * np.sum(w2 * np.abs(F) ** 2))
+
+
+def test_sobolev_norms_share_one_spectrum(grid):
+    f = remove_lattice_mean(bump_family(grid, 5, 1)[0])
+    orders = [(0.5, False), (1.0, True), (-0.5, True), (0.0, True), (0.0, False),
+              (1.5, False), (-1.0, False), (0.75, True)]
+    got = _sobolev_norms(f, orders)
+    assert got == [sobolev_norm(f, s, h) for s, h in orders]
+    for val, (s, h) in zip(got, orders):
+        assert val == pytest.approx(_reference_sobolev_norm(f, s, h), rel=1e-13)
+
+
+def test_sobolev_norms_refuse_zero_mode_at_negative_homogeneous_order(grid):
+    f = ScalarField(grid, bump_family(grid, 5, 1)[0].values + 0.1)
+    with pytest.raises(ValueError, match="zero mode"):
+        _sobolev_norms(f, [(0.5, False), (-0.5, True)])
+
+
+def _reference_bump_family(grid, seed, count, n_bumps=10):
+    """Full-grid Gaussian sums with the family's draw order: width,
+    rejection-sampled center, amplitude, per bump."""
+    rng = np.random.default_rng(seed)
+    coords = grid.coords()
+    out = []
+    for _ in range(count):
+        vals = np.zeros(grid.shape)
+        for _ in range(n_bumps):
+            width = rng.uniform(0.5, 2.0)
+            while True:
+                c = rng.uniform(-6.0, 6.0, size=grid.dim)
+                if np.sum(c * c) <= 36.0:
+                    break
+            amp = rng.uniform(-1.0, 1.0)
+            r2 = sum((x - ci) ** 2 for x, ci in zip(coords, c))
+            vals += amp * np.exp(-r2 / (2.0 * width ** 2))
+        out.append(vals)
+    return out
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 128), (3, 32)])
+def test_separable_bump_family_matches_full_grid_sums(dim, n):
+    g = TorusGrid(dim, 12.0, n)
+    fields = bump_family(g, 11, 3)
+    for f, ref in zip(fields, _reference_bump_family(g, 11, 3), strict=True):
+        assert f.values.shape == g.shape and not f.values.flags.writeable
+        assert np.max(np.abs(f.values - ref)) <= 1e-13 * np.max(np.abs(ref))

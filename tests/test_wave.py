@@ -7,7 +7,8 @@ from wavegap.construct import delta_family, psi_smooth
 from wavegap.field import RadialProfile, ScalarField, TorusGrid, radial_embed, sample
 from wavegap.norms import lp_norm
 from wavegap.radial import gaussian_origin_value
-from wavegap.wave import (WaveState, calibrate_representation_constants,
+from wavegap import wave
+from wavegap.wave import (WaveState, _value_sweep, calibrate_representation_constants,
                           energy, kernel_solution_2d, kirchhoff_3d_origin,
                           odd_n_boundary_value, radial_even_representation,
                           representation_constants, spectral_propagate)
@@ -194,6 +195,22 @@ def test_odd_boundary_values():
         p = RadialProfile.from_callable(lambda r, a=a: np.exp(-a * np.asarray(r) ** 2),
                                         r_max=12.0, dim_hint=3)
         assert abs(odd_n_boundary_value(p, 5) - gaussian_origin_value(a, 1.0, 5)) < 1e-4
+
+
+def test_missing_calibration_file_is_an_error_and_nothing_is_written(tmp_path, monkeypatch):
+    missing = tmp_path / "_calibration.json"
+    monkeypatch.setattr(wave, "_CALIBRATION_FILE", missing)
+    monkeypatch.setattr(wave, "_constants_cache", {})
+    with pytest.raises(RuntimeError, match="calibration file"):
+        representation_constants(2)
+    assert not missing.exists() and list(tmp_path.iterdir()) == []
+
+
+def test_value_sweep_matches_spectral_propagate(bump_state):
+    times = [0.0, 0.3, 1.0, -0.5]
+    for t, u in zip(times, _value_sweep(bump_state, times), strict=True):
+        assert np.array_equal(u.values, spectral_propagate(bump_state, t).u.values)
+        assert not u.values.flags.writeable
 
 
 def test_representation_constants_guard():
