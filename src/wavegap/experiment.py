@@ -19,7 +19,7 @@ from .construct import (choose_R, chi_mean_zero, strip_normalize,
                         focusing_sequence, rescaled_family)
 from .field import ScalarField, TorusGrid
 from .geometry import GeodesicCurve, geodesic_constants, make_preset, moser_ratio
-from .norms import _bump_fields, _sobolev_norms, bump_family, lp_norm, sobolev_norm
+from .norms import _bump_fields, _sobolev_norms, _spectrum_norms, bump_family, lp_norm
 from .radial import gauss_panel_nodes
 from .wave import energy, spectral_propagate
 
@@ -40,7 +40,11 @@ GAP_RATIO_MIN = 0.5
 
 @dataclass
 class GapRunConfig:
-    """Configuration of a data-distance vs solution-gap run."""
+    """Configuration of a data-distance vs solution-gap run.
+
+    ``seed`` only labels the run in the manifest: gap and certified runs
+    are deterministic and draw no random numbers.
+    """
 
     n: int = 2
     target: str = "sphere_great_circle"
@@ -161,19 +165,15 @@ def _gap_terms(curve, consts, t_eval, chi, R, M, mu, z_at, dt_z_at,
 
 def _gap_run_one_delta(args):
     """Per-element pipeline (top level so worker pools can run it)."""
-    delta, t_step, target, target_params, negative_control, mu, lam = args
+    delta, t_step, target, target_params, consts, mu, lam = args
     curve = make_preset(target, **target_params)
-    if curve.flat:
-        c0, c1, jc = math.inf, 0.0, 1
-    else:
-        c0, c1, jc = geodesic_constants(curve)
     chi = chi_mean_zero(2)
     datum = focusing_sequence(2, [delta])[0]
     nz = strip_normalize(datum, t_step=t_step)
     R = choose_R(nz)
     M = lam * R
     dtz_global = nz.wave.l2_planar(nz.t_j, derivative=True) / nz.m_raw
-    terms = _gap_terms(curve, (c0, c1, jc), nz.t_j, chi, R, M, mu,
+    terms = _gap_terms(curve, consts, nz.t_j, chi, R, M, mu,
                        nz.z_at, nz.dt_z_at, dtz_global)
     dd = mu * nz.datum_l2_planar()
     return {
@@ -228,19 +228,16 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
         if not ref["sup_constant"] * cfg.lam < c0 / 2.0:
             raise ValueError("range admissibility failed: sup-constant * lam >= c0/2")
 
+    args = [(d, cfg.t_step, cfg.target, dict(cfg.target_params), (c0, c1, jc),
+             mu, cfg.lam) for d in cfg.deltas]
     if cfg.jobs > 1:
         # per-element pipelines are independent; results are assembled in
         # list order, so the report is identical across worker counts
         import concurrent.futures as cf
-        args = [(d, cfg.t_step, cfg.target, dict(cfg.target_params),
-                 cfg.negative_control, mu, cfg.lam) for d in cfg.deltas]
         with cf.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(_gap_run_one_delta, args))
     else:
-        rows = [_gap_run_one_delta((d, cfg.t_step, cfg.target,
-                                     dict(cfg.target_params),
-                                     cfg.negative_control, mu, cfg.lam))
-                for d in cfg.deltas]
+        rows = [_gap_run_one_delta(a) for a in args]
     verdict, detail = report_verdict(rows)
     constants = {"c0": c0, "c1": c1, "component": jc, "mu": mu, "lam": cfg.lam,
                  "kappa": kappa, "r0": cfg.r0,
@@ -360,19 +357,54 @@ def product_ratios(f: ScalarField, g: ScalarField, s: float, lam: float):
     """Measured ratios of the product norm against its two majorants;
     returns None for a degenerate pair (zero majorant: both sides vanish and
     the pair is excluded from the statistics)."""
-    n = f.grid.dim
-    f_s, f_high = _sobolev_norms(f, [(s, False), (n / 2.0 + s - lam, False)])
-    return _ratios(sobolev_norm(f * g, s), f_s, f_high, lp_norm(g, "inf"),
-                   *_sobolev_norms(g, [(n / 2.0, False), (lam, False)]))
+    return _pair_measures(f, g, s, lam)[0]
 
 
-def _ratios(num, f_s, f_high, g_sup, g_half, g_lam):
-    """The product ratios from ``|fg|_{H^s}``, the orders ``s`` and
-    ``n/2 + s - lam`` of ``f``, and the sup and orders ``n/2``, ``lam`` of ``g``."""
+def _pair_spectra(f: ScalarField, g: ScalarField, f_sup: float, g_sup: float):
+    """Spectra of two nonzero real fields from one ``fftn(f + i c g)``.
+
+    ``c`` is the power of two that brings ``g`` to the size of ``f``
+    (exact), so the roundoff the split leaves in either spectrum is set by
+    that spectrum's own size; ``Z(-k)*`` pairs the two by Hermitian symmetry.
+    """
+    e = math.frexp(f_sup)[1] - math.frexp(g_sup)[1]
+    Z = np.fft.fftn(f.values + 1j * np.ldexp(g.values, e))
+    axes = tuple(range(f.grid.dim))
+    Zr = np.conjugate(np.roll(np.flip(Z, axes), 1, axes))  # Z(-k)*
+    F = 0.5 * (Z + Zr)
+    Z -= Zr
+    Z *= -0.5j * 2.0 ** -e
+    return F, Z
+
+
+def _pair_measures(f: ScalarField, g: ScalarField, s: float, lam: float):
+    """Product ratios and lower-bound feasibility entry of one pair, from
+    two transforms: the spectra of ``f`` and ``g`` together, and that of
+    ``f g``.  The plateau ``g + lift`` and the product ``f (g + lift)`` are
+    formed on the spectra.  Both parts are ``None`` when ``f`` or ``g``
+    vanishes, which is decided in real space (the split leaves roundoff
+    where a spectrum is zero)."""
+    grid = f.grid
+    n = grid.dim
+    f_sup, g_sup = lp_norm(f, "inf"), lp_norm(g, "inf")
+    if f_sup == 0.0 or g_sup == 0.0:
+        return None, None
+    F, G = _pair_spectra(f, g, f_sup, g_sup)
+    FG = np.fft.fftn(f.values * g.values)
+    f_s, f_high, f_dot = _spectrum_norms(
+        grid, F, [(s, False), (n / 2.0 + s - lam, False), (s, True)])
+    g_half, g_lam = _spectrum_norms(grid, G, [(n / 2.0, False), (lam, False)])
+    num = _spectrum_norms(grid, FG, [(s, False)])[0]
     den1, den2 = f_s * (g_sup + g_half), f_high * g_lam
-    if den1 <= 0.0 or den2 <= 0.0:
-        return None
-    return {"multest": num / den1, "multest2": num / den2}
+    ratios = (None if den1 <= 0.0 or den2 <= 0.0
+              else {"multest": num / den1, "multest2": num / den2})
+    # plateau pair for the lower bound: g + constant lift over supp f
+    lift = 2.0 * g_sup + 1.0
+    G.flat[0] += lift * grid.n ** n
+    c1_bound = float(np.min(np.abs(g.values + lift)[np.abs(f.values) > 1e-12 * f_sup]))
+    feas = {"c1": c1_bound, "lhs": _spectrum_norms(grid, FG + lift * F, [(s, True)])[0],
+            "f_dot": f_dot, "denom": f_s * _spectrum_norms(grid, G, [(n / 2.0, False)])[0]}
+    return ratios, feas
 
 
 def appendix_ratio_suite(seed: int = 0, grid: TorusGrid | None = None,
@@ -394,22 +426,12 @@ def appendix_ratio_suite(seed: int = 0, grid: TorusGrid | None = None,
         mult, mult2 = [], []
         feas = []
         for f, h in zip(fields, fields):
-            f_s, f_high, fdot = _sobolev_norms(
-                f, [(s, False), (n / 2.0 + s - lam, False), (s, True)])
-            h_sup = lp_norm(h, "inf")
-            r = _ratios(sobolev_norm(f * h, s), f_s, f_high, h_sup,
-                        *_sobolev_norms(h, [(n / 2.0, False), (lam, False)]))
+            r, entry = _pair_measures(f, h, s, lam)
             if r is not None:
                 mult.append(r["multest"])
                 mult2.append(r["multest2"])
-            # plateau pair for the lower bound: g + constant lift over supp f
-            lift = 2.0 * h_sup + 1.0
-            g_plat = ScalarField._own(f.grid, h.values + lift)
-            c1_bound = float(np.min(np.abs(
-                g_plat.values[np.abs(f.values) > 1e-12 * lp_norm(f, "inf")])))
-            lhs = sobolev_norm(f * g_plat, s, homogeneous=True)
-            denom = f_s * sobolev_norm(g_plat, n / 2.0)
-            feas.append({"c1": c1_bound, "lhs": lhs, "f_dot": fdot, "denom": denom})
+            if entry is not None:
+                feas.append(entry)
         return {"multest_max": max(mult), "multest2_max": max(mult2),
                 "multest_mean": float(np.mean(mult)),
                 "multest2_mean": float(np.mean(mult2)), "feas": feas}
@@ -460,14 +482,18 @@ def scaling_suite(chi=None, grid: TorusGrid | None = None,
         st = spectral_propagate(fam.state0, t_eval)
         row = {"R": R, "sup_constant": fam.sup_constant,
                "init_constant": fam.init_constant}
-        for s in (0.5, 1.0):
-            # the rescaling law bounds the order-s pair
-            # |v(t)|_{Hdot^s} + |v_t(t)|_{Hdot^(s-1)}; the pair is exactly
-            # phase-free (conserved), while the value norm alone carries a
-            # free-wave phase factor that has not averaged out at small R --
-            # both are recorded, the fit runs on the pair
-            row[f"pair_{s}"] = energy(st, s)
-            row[f"hdot_{s}"] = sobolev_norm(st.u, s, homogeneous=True)
+        # the rescaling law bounds the order-s pair
+        # |v(t)|_{Hdot^s} + |v_t(t)|_{Hdot^(s-1)} (wave.energy at order s);
+        # the pair is exactly phase-free (conserved), while the value norm
+        # alone carries a free-wave phase factor that has not averaged out at
+        # small R -- both are recorded, the fit runs on the pair.  One
+        # spectrum of each field serves both orders.
+        orders = (0.5, 1.0)
+        hdot = _sobolev_norms(st.u, [(s, True) for s in orders])
+        hdot_t = _sobolev_norms(st.ut, [(s - 1.0, True) for s in orders])
+        for s, a, b in zip(orders, hdot, hdot_t):
+            row[f"pair_{s}"] = math.hypot(a, b)
+            row[f"hdot_{s}"] = a
         e0 = energy(fam.state0, 1.0)
         row["energy_drift"] = max(abs(energy(spectral_propagate(fam.state0, t), 1.0) / e0 - 1.0)
                                   for t in (0.25, 0.75))

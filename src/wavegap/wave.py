@@ -59,14 +59,26 @@ class WaveState:
         return self.u.grid
 
 
-def _evolve(U0, V0, K, tau):
-    """Exact free-wave multiplier step on spectra: ``(U0, V0)`` of
-    ``(u, u_t)`` to the spectra ``(U, V)`` a time ``tau`` later."""
+def _multipliers(K, tau):
+    """``cos(tau K)``, ``sin(tau K)`` and ``sin(tau K)/K`` (``tau`` at ``K = 0``)."""
     ck = np.cos(tau * K)
     sk = np.sin(tau * K)
     with np.errstate(divide="ignore", invalid="ignore"):
         sinc = np.where(K > 0, sk / np.where(K > 0, K, 1.0), tau)
+    return ck, sk, sinc
+
+
+def _evolve(U0, V0, K, tau):
+    """Exact free-wave multiplier step on spectra: ``(U0, V0)`` of
+    ``(u, u_t)`` to the spectra ``(U, V)`` a time ``tau`` later."""
+    ck, sk, sinc = _multipliers(K, tau)
     return ck * U0 + sinc * V0, -K * sk * U0 + ck * V0
+
+
+def _evolve_value(U0, V0, K, tau):
+    """The ``U`` of :func:`_evolve` alone."""
+    ck, _, sinc = _multipliers(K, tau)
+    return ck * U0 + sinc * V0
 
 
 def spectral_propagate(state: WaveState, t_target: float) -> WaveState:
@@ -91,13 +103,13 @@ def spectral_propagate(state: WaveState, t_target: float) -> WaveState:
 def _value_sweep(state: WaveState, times):
     """The value field ``u`` of the free wave at each of ``times``, as
     :func:`spectral_propagate` gives it: one transform of the state, then
-    one inverse transform per time."""
+    per time the value multiplier alone and one inverse transform."""
     grid = state.grid
     K = grid.wavenumber_magnitude()
     U0 = np.fft.fftn(state.u.values)
     V0 = np.fft.fftn(state.ut.values)
     for t in times:
-        u = np.fft.ifftn(_evolve(U0, V0, K, float(t) - state.t)[0]).real.copy()
+        u = np.fft.ifftn(_evolve_value(U0, V0, K, float(t) - state.t)).real.copy()
         yield ScalarField._own(grid, u, float(t))
 
 

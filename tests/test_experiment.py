@@ -1,14 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavegap.experiment import (GapRunConfig, appendix_ratio_suite,
-                                product_ratios, certified_radial_run,
-                                report_verdict, scaling_suite,
+from wavegap import experiment
+from wavegap.experiment import (GapRunConfig, _pair_measures, _pair_spectra,
+                                appendix_ratio_suite, product_ratios,
+                                certified_radial_run, report_verdict, scaling_suite,
                                 gap_run)
 from wavegap.field import ScalarField, TorusGrid
-from wavegap.norms import bump_family
+from wavegap.geometry import geodesic_constants
+from wavegap.norms import bump_family, lp_norm, sobolev_norm
 
 
 @pytest.fixture(scope="module")
@@ -115,13 +118,39 @@ def test_certified_run_rejects_mu_override():
                                       negative_control=True))
 
 
-def test_scaling_suite_slopes():
-    rep = scaling_suite()  # default grid resolves the sharpest bump in the sweep
+@pytest.fixture(scope="module")
+def scaling_report():
+    return scaling_suite()  # default grid resolves the sharpest bump in the sweep
+
+
+def test_scaling_suite_slopes(scaling_report):
+    rep = scaling_report
     for s, fit in rep["slopes"].items():
         assert fit["error"] < 0.05
     assert rep["sup_constant_spread"] < 0.15
     for row in rep["rows"]:
         assert row["energy_drift"] < 1e-12
+
+
+def test_scaling_suite_matches_recorded_values(scaling_report):
+    # recorded by running scaling_suite() at commit 0f3d69b, where the pair
+    # and value norms of each row took their own transforms through
+    # wave.energy and sobolev_norm; the arithmetic per norm is unchanged,
+    # so the result is compared bit for bit
+    recorded = json.loads((Path(__file__).parent / "scaling_suite_recorded.json").read_text())
+    assert json.loads(json.dumps(scaling_report)) == recorded
+
+
+def test_gap_run_computes_geodesic_constants_once(monkeypatch):
+    calls = []
+
+    def counting(curve):
+        calls.append(curve)
+        return geodesic_constants(curve)
+
+    monkeypatch.setattr(experiment, "geodesic_constants", counting)
+    gap_run(GapRunConfig(deltas=(0.3, 0.1)))
+    assert len(calls) == 1
 
 
 def test_worker_count_invariance(sphere_report):
@@ -139,8 +168,53 @@ def test_product_ratios_degenerate_pair():
     f = bump_family(g, 31, 1)[0]
     zero = ScalarField(g, np.zeros(g.shape))
     assert product_ratios(f, zero, 0.5, 0.75) is None
+    assert product_ratios(zero, f, 0.5, 0.75) is None
     r = product_ratios(f, f, 0.5, 0.75)
     assert r is not None and np.isfinite(r["multest"]) and np.isfinite(r["multest2"])
+
+
+def _reference_pair_measures(f, g, s, lam):
+    """Product ratios and feasibility entry of a pair, each norm from its
+    own transform of a field formed in real space."""
+    n = f.grid.dim
+    num = sobolev_norm(f * g, s)
+    f_s = sobolev_norm(f, s)
+    g_sup = lp_norm(g, "inf")
+    ratios = {"multest": num / (f_s * (g_sup + sobolev_norm(g, n / 2.0))),
+              "multest2": num / (sobolev_norm(f, n / 2.0 + s - lam) * sobolev_norm(g, lam))}
+    lift = 2.0 * g_sup + 1.0
+    g_plat = ScalarField(f.grid, g.values + lift)
+    support = np.abs(f.values) > 1e-12 * lp_norm(f, "inf")
+    feas = {"c1": float(np.min(np.abs(g_plat.values[support]))),
+            "lhs": sobolev_norm(f * g_plat, s, homogeneous=True),
+            "f_dot": sobolev_norm(f, s, homogeneous=True),
+            "denom": f_s * sobolev_norm(g_plat, n / 2.0)}
+    return ratios, feas
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e6])
+def test_pair_measures_match_separate_transforms(scale):
+    # the second field is rescaled too, so the split must keep each
+    # spectrum accurate relative to its own size
+    g = TorusGrid(2, 16.0, 128)
+    f, h = bump_family(g, 41, 2)
+    h = h * scale
+    got = _pair_measures(f, h, 0.5, 0.75)
+    ref = _reference_pair_measures(f, h, 0.5, 0.75)
+    assert got[0] == pytest.approx(ref[0], rel=1e-13)
+    assert got[1] == pytest.approx(ref[1], rel=1e-13)
+    assert product_ratios(f, h, 0.5, 0.75) == got[0]
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 64), (3, 16)])
+def test_pair_spectra_split_matches_separate_transforms(dim, n):
+    g = TorusGrid(dim, 12.0, n)
+    f, h = bump_family(g, 43, 2)
+    F, H = _pair_spectra(f, h, lp_norm(f, "inf"), lp_norm(h, "inf"))
+    Z = np.fft.fftn(f.values + 1j * h.values)
+    tol = 1e-13 * np.max(np.abs(Z))
+    assert np.max(np.abs(F - np.fft.fftn(f.values))) <= tol
+    assert np.max(np.abs(H - np.fft.fftn(h.values))) <= tol
 
 
 def test_appendix_suite_smoke():

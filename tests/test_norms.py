@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate as sint
 
 from wavegap.field import ScalarField, TorusGrid, lattice_shift, remove_lattice_mean, sample
-from wavegap.norms import (_sobolev_norms, besov_norm, bump_family, difference,
-                           fractional_integral_seminorm, leibniz_expand,
+from wavegap.norms import (_lattice_shells, _sobolev_norms, besov_norm, bump_family,
+                           difference, fractional_integral_seminorm, leibniz_expand,
                            lp_norm, rescale, sobolev_norm)
 
 
@@ -117,6 +117,47 @@ def test_fractional_seminorm_zero_and_errors(grid):
         fractional_integral_seminorm(z, 1.0)
     with pytest.raises(ValueError):
         fractional_integral_seminorm(z, -0.5)
+
+
+def _reference_shell_sum(f, s, p, q):
+    """The shell sum of the difference seminorms as a loop over
+    ``lp_norm(difference(f, v, l), p)``, with the same shells."""
+    ell = int(math.floor(s)) + 1
+    grid = f.grid
+    cell = grid.spacing ** grid.dim
+    total, per_shell = 0.0, []
+    for _, _, vecs, full in _lattice_shells(grid):
+        acc = 0.0
+        for v in vecs:
+            dist = math.sqrt(float(np.sum((v * grid.spacing) ** 2)))
+            acc += cell * lp_norm(difference(f, v, ell), p) ** q / dist ** (grid.dim + s * q)
+        acc *= full / len(vecs)
+        per_shell.append(acc)
+        total += acc
+    return total ** (1.0 / q), per_shell
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("s", [0.5, 1.5])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_shell_sum_matches_difference_loop(dim, n, s, p):
+    f = bump_family(TorusGrid(dim, 12.0, n), 21, 1)[0]
+    val, shells = fractional_integral_seminorm(f, s, p, return_shells=True)
+    ref, ref_shells = _reference_shell_sum(f, s, p, p)
+    assert val == pytest.approx(ref, rel=1e-13)
+    assert [e["contribution"] for e in shells] == pytest.approx(ref_shells, rel=1e-13)
+    besov = besov_norm(f, s, p, 2.0) - lp_norm(f, p)
+    assert besov == pytest.approx(_reference_shell_sum(f, s, p, 2.0)[0], rel=1e-13)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5])
+def test_seminorms_refuse_overflowing_differences(grid, s):
+    i, j = np.indices(grid.shape)
+    f = ScalarField(grid, np.where((i + j) % 2, -1e308, 1e308))
+    with pytest.raises(ValueError):
+        fractional_integral_seminorm(f, s)
+    with pytest.raises(ValueError):
+        besov_norm(f, s, 3.0, 2.0)
 
 
 def test_equivalence_ratio_window(gaussian, family):
