@@ -401,9 +401,8 @@ def choose_R(normalized: NormalizedZ, level: float = 0.5) -> float:
     """
     wave = normalized.wave
     z_fn = lambda t, r: np.asarray(normalized.z_at(t, r))
-    r_star = _half_level_radius(z_fn, normalized.t_j, level,
-                                r_top=wave.support + normalized.t_j,
-                                fine=wave.fine_scale)
+    r_star = _level_window(z_fn, normalized.t_j, level, np.inf,
+                           r_top=wave.support + normalized.t_j, fine=wave.fine_scale)
     if r_star < 2.0 * wave.fine_scale:
         raise ValueError(
             f"level window radius {r_star:.3e} below twice the fine scale "
@@ -411,29 +410,29 @@ def choose_R(normalized: NormalizedZ, level: float = 0.5) -> float:
     return 2.0 / r_star
 
 
-def _half_level_radius(z_fn, t, level, r_top, fine):
-    """First crossing of ``z(t, .)`` below ``level``, by geometric descent
-    from the top scale followed by bisection."""
-    # geometric bracket: find some radius where the level fails
-    r_hi = None
-    r = max(fine, r_top * 1e-12)
-    probes = np.geomspace(r, r_top, 200)
-    vals = z_fn(t, probes)
-    below = np.nonzero(vals < level)[0]
-    if below.size == 0:
+def _level_window(z_fn, t, lo, hi, r_top, fine):
+    """Radius where ``z(t, .)`` first leaves ``[lo, hi]``, by geometric
+    descent from the top scale followed by bisection; ``r_top`` if it never
+    does on the probes."""
+    def inside(v):
+        return (v >= lo) & (v <= hi)
+
+    probes = np.geomspace(max(fine, r_top * 1e-12), r_top, 200)
+    out = np.nonzero(~inside(z_fn(t, probes)))[0]
+    if out.size == 0:
         return float(r_top)
-    i = below[0]
-    lo = probes[i - 1] if i > 0 else 0.0
-    hi = probes[i]
+    i = out[0]
+    a = probes[i - 1] if i > 0 else 0.0
+    b = probes[i]
     for _ in range(80):
-        if hi - lo <= max(1e-3 * fine, 1e-16 * r_top):
+        if b - a <= max(1e-3 * fine, 1e-16 * r_top):
             break
-        mid = 0.5 * (lo + hi)
-        if z_fn(t, mid) >= level:
-            lo = mid
+        mid = 0.5 * (a + b)
+        if inside(z_fn(t, mid)):
+            a = mid
         else:
-            hi = mid
-    return float(lo)
+            b = mid
+    return float(a)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .construct import (choose_R, chi_mean_zero, strip_normalize,
+from .construct import (_level_window, choose_R, chi_mean_zero, strip_normalize,
                         focusing_sequence, rescaled_family)
 from .field import ScalarField, TorusGrid
 from .geometry import GeodesicCurve, geodesic_constants, make_preset, moser_ratio
@@ -288,9 +288,7 @@ def certified_radial_run(cfg: GapRunConfig) -> GapReport:
             return np.asarray(_w.dt_value(t, r)) / _z
 
         # unit-time window 1/2 < z_j < 2 around the focus
-        r_lo = _first_level_crossing(z_at, 1.0, 0.5, wave)
-        r_hi = _first_level_crossing(z_at, 1.0, 2.0, wave, upper=True)
-        r_win = min(r_lo, r_hi)
+        r_win = _level_window(z_at, 1.0, 0.5, 2.0, wave.support + 1.0, wave.fine_scale)
         if r_win < 2.0 * wave.fine_scale:
             raise ValueError("unit-time window below resolution; refine tables")
         R = 1.0 / r_win
@@ -322,31 +320,6 @@ def certified_radial_run(cfg: GapRunConfig) -> GapReport:
     verdict = "pass" if all_hold else "fail"
     detail = {"certificate_margins": [r["certificate"]["margin"] for r in rows]}
     return GapReport(cfg.echo(), rows, constants, verdict, detail)
-
-
-def _first_level_crossing(z_at, t, level, wave, upper=False):
-    """Radius where z(t, .) first crosses the level (bisection from the
-    origin); returns the top scan radius if it never does."""
-    r_top = wave.support + t
-    probes = np.geomspace(max(wave.fine_scale * 0.5, 1e-13), r_top, 240)
-    vals = np.asarray(z_at(t, probes))
-    bad = vals > level if upper else vals < level
-    idx = np.nonzero(bad)[0]
-    if idx.size == 0:
-        return float(r_top)
-    i = idx[0]
-    lo = probes[i - 1] if i > 0 else 0.0
-    hi = probes[i]
-    for _ in range(70):
-        if hi - lo <= 1e-3 * max(wave.fine_scale, 1e-14):
-            break
-        mid = 0.5 * (lo + hi)
-        v = float(np.asarray(z_at(t, mid)))
-        if (v > level) if upper else (v < level):
-            hi = mid
-        else:
-            lo = mid
-    return float(lo)
 
 
 # ---------------------------------------------------------------------------

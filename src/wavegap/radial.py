@@ -23,7 +23,9 @@ assembly, in chunks of about ``_NODE_BUDGET`` Gauss nodes; the strip scan
 and the ray-transform table are evaluated the same way.
 
 For odd dimensions the classical exact reductions are used instead
-(``r z`` solves the 1-d wave equation when n = 3).
+(``r z`` solves the 1-d wave equation when n = 3).  The angle-reduced
+H^(1/2)(R^3) Gagliardo integral is computed in ``r`` and in log-distance
+by one pair rule over panels (``_gagliardo_square``) with one far tail.
 """
 
 from __future__ import annotations
@@ -462,6 +464,86 @@ def l2_sq_radial_3d(u, edges, order=16) -> float:
     return 4.0 * math.pi * float(np.sum(w * v * v * r * r))
 
 
+def _blocked_sum(wx, wy, kernel):
+    """``sum_ij wx_i wy_j K_ij`` with the rows ``K[a:b] = kernel(a, b)``
+    formed in blocks of about ``_NODE_BUDGET`` entries."""
+    step = max(1, _NODE_BUDGET // wy.size)
+    total = 0.0
+    for a in range(0, wx.size, step):
+        b = min(a + step, wx.size)
+        total += float(wx[a:b] @ kernel(a, b) @ wy)
+    return total
+
+
+def _gagliardo_square(edges, order, profile, density, limit, eps):
+    """``int int density`` over ``[edges[0], edges[-1]]^2`` by Gauss rules of
+    ``order`` on pairs of the panels between ``edges`` (strictly increasing).
+
+    ``density(x, fx, y, fy)`` is given the profile values ``fx = profile(x)``
+    and ``fy = profile(y)``; it is singular only on the removable diagonal,
+    where it tends to ``limit(x)``.  Pairs of panels more than one apart are
+    a masked tensor contraction.  For touching pairs every Gauss node ``x_k``
+    integrates its own and its neighbouring panels in ``w = y - x_k`` on the
+    geometric ladder ``near, 4 near, ..., far`` on each side of the
+    diagonal; the strip ``|w| < eps(x_k, span)``, span the larger distance
+    from ``x_k`` to the neighbour's ends, adds ``limit(x_k)`` times its
+    measure.
+    """
+    x, wx = gauss_panel_nodes(edges, order)
+    fx = np.asarray(profile(x), dtype=float)
+    panel = np.repeat(np.arange(edges.size - 1), order)
+
+    def separated(a, b):
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the diagonal
+            dens = density(x[a:b, None], fx[a:b, None], x, fx)
+        return np.where(np.abs(panel[a:b, None] - panel) > 1, dens, 0.0)
+
+    total = _blocked_sum(wx, wx, separated)
+    # touching pairs: one row per node k and panel j with |panel(k) - j| <= 1;
+    # w > 0 on side 0 of each row, w < 0 on side 1
+    k, j = np.divmod(np.arange(3 * x.size), 3)
+    j += panel[k] - 1
+    keep = (j >= 0) & (j < edges.size - 1)
+    k, j = k[keep], j[keep]
+    lo, hi = edges[j] - x[k], edges[j + 1] - x[k]
+    e = eps(x[k], np.maximum(np.abs(lo), np.abs(hi)))
+    near = np.stack([np.maximum(lo, 0.0), np.maximum(-hi, 0.0)])
+    far = np.stack([hi, -lo])
+    live = far > near
+    cut = live & (near < e)
+    strip = np.sum(np.where(cut, np.minimum(e, far) - near, 0.0), axis=0)
+    total += float(np.sum(wx[k] * np.asarray(limit(x), dtype=float)[k] * strip))
+    near = np.where(cut, e, near)
+    live &= far > near
+    ratio = np.max(far[live] / near[live], initial=1.0)
+    m = np.arange(int(math.ceil(math.log(ratio, 4.0))) + 2)  # 4^m near reaches every far
+    step = max(1, _NODE_BUDGET // (2 * m.size + 1))
+    for c in range(0, k.size, step):
+        # ladder edges -far .. -near, NaN, near .. far; NaN past a ladder's end
+        n, f = near[:, c:c + step, None], far[:, c:c + step, None]
+        ok = live[:, c:c + step, None] & (n * 4.0 ** (m - 1) < f)
+        rung = np.where(ok, np.minimum(n * 4.0 ** m, f), np.nan)
+        rows = np.concatenate([-rung[1, :, ::-1], np.full((rung.shape[1], 1), np.nan), rung[0]],
+                              axis=1)
+        kc = k[c:c + step]
+        for a, b, w, wt, own in _ragged_gauss(rows, np.full(kc.size, np.inf), order):
+            xk = x[kc[a:b]][own]
+            y = xk + w
+            dens = density(xk, fx[kc[a:b]][own], y, np.asarray(profile(y), dtype=float))
+            total += float(wx[kc[a:b]] @ np.bincount(own, wt * dens, minlength=b - a))
+    return total
+
+
+def _far_tail(r, R):
+    """``T(r, R) = int_R^inf rho^2 / (r^2 - rho^2)^2 drho`` for ``r < R``
+    in closed form, ``R/(2 (R^2-r^2)) - log((R-r)/(R+r))/(4 r)``.  The
+    kernel decays only like ``rho^-2``, so the pairs with one point beyond
+    ``R``, where the profile vanishes, still carry ``2 int u^2 r^2 T dr``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_term = (np.log1p(-r / R) - np.log1p(r / R)) / (4.0 * r)
+    return R / (2.0 * (R * R - r * r)) - log_term
+
+
 def h_half_sq_radial_3d(u, edges, order=12, u_prime=None, diag_eps=1e-7) -> float:
     """Squared homogeneous H^(1/2)(R^3) seminorm of a radial function by the
     double-integral (Gagliardo) representation reduced over angles:
@@ -476,83 +558,30 @@ def h_half_sq_radial_3d(u, edges, order=12, u_prime=None, diag_eps=1e-7) -> floa
     is not given on a fine table).
     """
     edges = np.unique(np.asarray(edges, dtype=float))
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    panels = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a > 0:
-            panels.append((a, b, 0.5 * (b - a) * xg + 0.5 * (a + b), 0.5 * (b - a) * wg))
-    total = 0.0
-    # separated pairs: plain tensor quadrature
-    for i, (a1, b1, r1, w1) in enumerate(panels):
-        v1 = np.asarray(u(r1), dtype=float)
-        for j, (a2, b2, r2, w2) in enumerate(panels):
-            if abs(i - j) <= 1:
-                continue
-            v2 = np.asarray(u(r2), dtype=float)
-            du = v1[:, None] - v2[None, :]
-            denom = (r1[:, None] ** 2 - r2[None, :] ** 2) ** 2
-            ker = du * du * (r1[:, None] ** 2) * (r2[None, :] ** 2) / denom
-            total += float(np.sum(w1[:, None] * w2[None, :] * ker))
-    # touching pairs (i == j or adjacent): integrate in w = rho - r with
-    # geometric grading toward w = 0; a strip |w| < eps around the removable
-    # diagonal uses the analytic limit u'(r)^2 r^2 / 4
-    for i, (a1, b1, r1, w1) in enumerate(panels):
-        for j in (i - 1, i, i + 1):
-            if j < 0 or j >= len(panels):
-                continue
-            a2, b2, _, _ = panels[j]
-            v1 = np.asarray(u(r1), dtype=float)
-            for k, rk in enumerate(r1):
-                lo, hi = a2 - rk, b2 - rk
-                span = max(abs(lo), abs(hi))
-                if span <= 0 or hi <= lo:
-                    continue
-                eps = diag_eps * max(rk, span)
-                portions = []  # (near_mag, far_mag, sign) with 0 <= near < far
-                if hi > 0:
-                    portions.append((max(lo, 0.0), hi, 1.0))
-                if lo < 0:
-                    portions.append((max(-hi, 0.0), -lo, -1.0))
-                contrib = 0.0
-                strip_measure = 0.0
-                for near, far, sgn in portions:
-                    if far <= near:
-                        continue
-                    if near < eps:
-                        strip_measure += min(eps, far) - near
-                        near = eps
-                    if far <= near:
-                        continue
-                    ladder = [near]
-                    while ladder[-1] < far:
-                        ladder.append(min(ladder[-1] * 4.0, far))
-                    ww, wwt = gauss_panel_nodes(np.sort(sgn * np.asarray(ladder)), order)
-                    if ww.size == 0:
-                        continue
-                    rho = rk + ww
-                    mrho = rho > 0
-                    if not np.any(mrho):
-                        continue
-                    rho, wwt2 = rho[mrho], wwt[mrho]
-                    du = float(v1[k]) - np.asarray(u(rho), dtype=float)
-                    ker = du * du * rk * rk * rho * rho / ((rk * rk - rho * rho) ** 2)
-                    contrib += float(np.sum(wwt2 * ker))
-                if strip_measure > 0 and u_prime is not None:
-                    up = float(np.asarray(u_prime(np.asarray([rk])))[0])
-                    contrib += up * up * rk * rk / 4.0 * strip_measure
-                total += w1[k] * contrib
-    # analytic far tail: the kernel decays only like rho^{-2}, so pairs with
-    # one point beyond the last edge (where u vanishes) still carry
-    # ``2 * int u(r)^2 r^2 T(r, R) dr`` with the closed-form remainder
-    # T(r, R) = R/(2 (R^2-r^2)) - log((R-r)/(R+r))/(4 r).
-    R = float(edges[-1])
-    r_all, w_all = gauss_panel_nodes(edges, order)
-    v_all = np.asarray(u(r_all), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_term = (np.log1p(-r_all / R) - np.log1p(r_all / R)) / (4.0 * r_all)
-    tail_T = R / (2.0 * (R * R - r_all * r_all)) - log_term
-    total += 2.0 * float(np.sum(w_all * v_all * v_all * r_all * r_all * tail_T))
+
+    def density(r, ur, rho, urho):
+        du = ur - urho
+        return np.where(rho > 0, du * du * r * r * rho * rho / (r * r - rho * rho) ** 2, 0.0)
+
+    def limit(r):
+        if u_prime is None:
+            return np.zeros_like(r)
+        return np.asarray(u_prime(r), dtype=float) ** 2 * r * r / 4.0
+
+    total = _gagliardo_square(edges, order, u, density, limit,
+                              lambda r, span: diag_eps * np.maximum(r, span))
+    r, w = gauss_panel_nodes(edges, order)
+    v = np.asarray(u(r), dtype=float)
+    total += 2.0 * float(np.sum(w * v * v * r * r * _far_tail(r, edges[-1])))
     return 8.0 * total
+
+
+def _shell_panels(l_lo, d_out, panel_dl):
+    """Log-distance panel edges of the shell routes: from ``l_lo - 6`` (T is
+    1 below) to ``log d_out``, panels at most ``panel_dl`` wide, at least 8."""
+    l_hi = math.log(d_out)
+    n_panels = max(8, int(math.ceil((l_hi - (l_lo - 6.0)) / panel_dl)))
+    return np.linspace(l_lo - 6.0, l_hi, n_panels + 1)
 
 
 def h_half_sq_shell_3d(T_logd, dT_logd, l_lo: float, d_out: float = 0.75,
@@ -569,149 +598,69 @@ def h_half_sq_shell_3d(T_logd, dT_logd, l_lo: float, d_out: float = 0.75,
     the sphere, evaluated in ``l`` with the distance differences formed
     without cancellation), shell-far pairs, and the analytic far tail.
     """
-    l_hi = math.log(d_out)
-    n_panels = max(8, int(math.ceil((l_hi - (l_lo - 6.0)) / panel_dl)))
-    edges_l = np.linspace(l_lo - 6.0, l_hi, n_panels + 1)
-    xg, wg = _leggauss(order)
-    panels = []
-    for a, b in zip(edges_l[:-1], edges_l[1:]):
-        panels.append((a, b, 0.5 * (b - a) * xg + 0.5 * (a + b), 0.5 * (b - a) * wg))
+    edges = _shell_panels(l_lo, d_out, panel_dl)
+    sides = (-1.0, 1.0)
 
-    def vals(larr):
-        return np.asarray(T_logd(larr), dtype=float)
+    def same_side(l, t, lp, tp):
+        # r = 1 + s d and rho = 1 + s d' on both sides s; r - rho = s (d - d')
+        # and the measure dr drho = d d' dl dl'
+        d, dp = np.exp(l), np.exp(lp)
+        q = (t - tp) ** 2 / (d - dp) ** 2 * d * dp
+        return q * sum(((1.0 + s * d) * (1.0 + s * dp)) ** 2 / (2.0 + s * (d + dp)) ** 2
+                       for s in sides)
 
-    total = 0.0
-    # --- same-side pairs (factor 2: inside and outside mirror each other up
-    #     to the (1 -+ d) geometry, handled per side) ---
-    for side in (-1.0, 1.0):
-        # separated panel pairs
-        for i, (a1, b1, l1, w1) in enumerate(panels):
-            d1 = np.exp(l1)
-            t1 = vals(l1)
-            r1 = 1.0 + side * d1
-            for j, (a2, b2, l2, w2) in enumerate(panels):
-                if abs(i - j) <= 1:
-                    continue
-                d2 = np.exp(l2)
-                t2 = vals(l2)
-                r2 = 1.0 + side * d2
-                du = t1[:, None] - t2[None, :]
-                diff = d1[:, None] - d2[None, :]
-                s_ = 2.0 + side * (d1[:, None] + d2[None, :])
-                ker = du * du * (r1[:, None] * r2[None, :]) ** 2 / (diff * diff * s_ * s_)
-                # measure: dd dd' = d d' dl dl'
-                total += float(np.sum((w1 * d1)[:, None] * (w2 * d2)[None, :] * ker))
-            # touching pairs in w = l' - l with grading and analytic strip
-            for j in (i - 1, i, i + 1):
-                if j < 0 or j >= len(panels):
-                    continue
-                a2, b2, _, _ = panels[j]
-                for k, lk in enumerate(l1):
-                    dk = d1[k]
-                    tk = t1[k]
-                    rk = r1[k]
-                    lo, hi = a2 - lk, b2 - lk
-                    if hi <= lo:
-                        continue
-                    eps = 1e-7
-                    portions = []
-                    if hi > 0:
-                        portions.append((max(lo, 0.0), hi, 1.0))
-                    if lo < 0:
-                        portions.append((max(-hi, 0.0), -lo, -1.0))
-                    contrib = 0.0
-                    strip = 0.0
-                    for near, far, sgn in portions:
-                        if far <= near:
-                            continue
-                        if near < eps:
-                            strip += min(eps, far) - near
-                            near = eps
-                        if far <= near:
-                            continue
-                        ladder = [near]
-                        while ladder[-1] < far:
-                            ladder.append(min(ladder[-1] * 4.0, far))
-                        ww, wwt = gauss_panel_nodes(np.sort(sgn * np.asarray(ladder)), order)
-                        if ww.size == 0:
-                            continue
-                        lp = lk + ww
-                        dp = np.exp(lp)
-                        tp = vals(lp)
-                        rp = 1.0 + side * dp
-                        du = tk - tp
-                        diff = dk - dp  # = dk (1 - e^w): no cancellation issue
-                        s_ = 2.0 + side * (dk + dp)
-                        ker = du * du * (rk * rp) ** 2 / (diff * diff * s_ * s_)
-                        contrib += float(np.sum(wwt * ker * dp))
-                    if strip > 0:
-                        # limit of the integrand at l' -> l:
-                        # (T(d)-T(d'))^2/(d-d')^2 -> (dT/dd)^2 = (dT/dl / d)^2
-                        dT = float(np.asarray(dT_logd(np.asarray([lk])))[0])
-                        ker0 = (dT / dk) ** 2 * rk ** 4 / (2.0 + side * 2.0 * dk) ** 2
-                        contrib += ker0 * dk * dk * strip  # d d' dl' measure, d'~d
-                    total += (w1[k] * dk) * contrib
-    # --- opposite-side pairs (inside vs outside; both orderings -> 2x) ---
-    for i, (a1, b1, l1, w1) in enumerate(panels):
-        d1 = np.exp(l1)
-        t1 = vals(l1)
-        for j, (a2, b2, l2, w2) in enumerate(panels):
-            d2 = np.exp(l2)
-            t2 = vals(l2)
-            du = t1[:, None] - t2[None, :]
-            ssum = d1[:, None] + d2[None, :]
-            s_ = 2.0 + (d2[None, :] - d1[:, None])  # r=1-d1, rho=1+d2
-            r1r2 = (1.0 - d1)[:, None] * (1.0 + d2)[None, :]
-            ker = du * du * r1r2 ** 2 / (ssum * ssum * s_ * s_)
-            total += 2.0 * float(np.sum((w1 * d1)[:, None] * (w2 * d2)[None, :] * ker))
-    # --- shell-far pairs: far radii in [0, 1-d_out] and [1+d_out, far_edge]
-    #     (two disjoint intervals, never bridged); T vanishes there, the
-    #     distances are O(d_out) so plain coordinates are safe (both
-    #     orderings -> 2x) ---
-    rf_parts, wf_parts = [], []
-    for seg in (np.linspace(1e-9, 1.0 - d_out, 25),
-                np.linspace(1.0 + d_out, far_edge, 40)):
-        r_seg, w_seg = gauss_panel_nodes(seg, order)
-        rf_parts.append(r_seg)
-        wf_parts.append(w_seg)
-    rf = np.concatenate(rf_parts)
-    wf = np.concatenate(wf_parts)
+    def limit(l):
+        # the r route's u'(r)^2 r^2 / 4 with u' = T'(l) / d, times the d d'
+        # of the measure at d' = d, on both sides
+        d = np.exp(l)
+        dT = np.asarray(dT_logd(l), dtype=float)
+        return dT * dT * sum((1.0 + s * d) ** 2 for s in sides) / 4.0
+
+    total = _gagliardo_square(edges, order, T_logd, same_side, limit, lambda l, span: 1e-7)
+    l, wl = gauss_panel_nodes(edges, order)
+    d = np.exp(l)
+    t = np.asarray(T_logd(l), dtype=float)
+
+    def opposite(a, b):
+        # r = 1 - d inside, rho = 1 + d' outside (both orderings -> 2x)
+        da, ta = d[a:b, None], t[a:b, None]
+        return ((ta - t) ** 2 * ((1.0 - da) * (1.0 + d)) ** 2
+                / ((da + d) ** 2 * (2.0 + d - da) ** 2) * da * d)
+
+    total += 2.0 * _blocked_sum(wl, wl, opposite)
+    # shell-far pairs: far radii in [0, 1-d_out] and [1+d_out, far_edge]
+    # (two disjoint intervals, never bridged); T vanishes there, the
+    # distances are O(d_out) so plain coordinates are safe (both
+    # orderings -> 2x)
+    far = [gauss_panel_nodes(seg, order) for seg in
+           (np.linspace(1e-9, 1.0 - d_out, 25), np.linspace(1.0 + d_out, far_edge, 40))]
+    rf = np.concatenate([p[0] for p in far])
+    wf = np.concatenate([p[1] for p in far])
     one_minus = 1.0 - rf  # exact in these ranges
-    for side in (-1.0, 1.0):
-        for (a1, b1, l1, w1) in panels:
-            d1 = np.exp(l1)
-            t1 = vals(l1)
-            gap = one_minus[None, :] + side * d1[:, None]  # r_shell - rho
-            ssum = 2.0 - one_minus[None, :] + side * d1[:, None]
-            r1 = (1.0 + side * d1)
-            ker = (t1[:, None] ** 2) * (r1[:, None] * rf[None, :]) ** 2 / (gap * gap * ssum * ssum)
-            total += 2.0 * float(np.sum((w1 * d1)[:, None] * wf[None, :] * ker))
-    # --- analytic tail beyond far_edge ---
-    R = far_edge
-    for side in (-1.0, 1.0):
-        for (a1, b1, l1, w1) in panels:
-            d1 = np.exp(l1)
-            t1 = vals(l1)
-            r1 = 1.0 + side * d1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_term = (np.log1p(-r1 / R) - np.log1p(r1 / R)) / (4.0 * r1)
-            tail_T = R / (2.0 * (R * R - r1 * r1)) - log_term
-            total += 2.0 * float(np.sum(w1 * d1 * t1 * t1 * r1 * r1 * tail_T))
+
+    def shell_far(a, b):
+        da, ta = d[a:b, None], t[a:b, None]
+        return ta * ta * da * sum(((1.0 + s * da) * rf) ** 2
+                                  / ((one_minus + s * da) * (2.0 - one_minus + s * da)) ** 2
+                                  for s in sides)
+
+    total += 2.0 * _blocked_sum(wl, wf, shell_far)
+    r = 1.0 + np.multiply.outer(sides, d)
+    total += 2.0 * float(np.sum(wl * d * t * t * r * r * _far_tail(r, far_edge)))
     return 8.0 * total
 
 
 def l2_sq_shell_3d(T_logd, l_lo: float, d_out: float = 0.75, order: int = 12,
                    panel_dl: float = 0.5) -> float:
     """``int_{R^3} u^2`` for a sphere-shell profile in log-distance form."""
-    l_hi = math.log(d_out)
-    n_panels = max(8, int(math.ceil((l_hi - (l_lo - 6.0)) / panel_dl)))
-    ll, wl = gauss_panel_nodes(np.linspace(l_lo - 6.0, l_hi, n_panels + 1), order)
+    edges = _shell_panels(l_lo, d_out, panel_dl)
+    ll, wl = gauss_panel_nodes(edges, order)
     d = np.exp(ll)
     t = np.asarray(T_logd(ll), dtype=float)
     both = (1.0 - d) ** 2 + (1.0 + d) ** 2
     inner = float(np.sum(wl * d * t * t * both))
     # plateau core d < e^{l_lo - 6}: T = 1 exactly
-    d0 = math.exp(l_lo - 6.0)
+    d0 = math.exp(edges[0])
     core = ((1.0 + d0) ** 3 - (1.0 - d0) ** 3) / 3.0
     return 4.0 * math.pi * (inner + core)
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy import integrate as sint
 from scipy.special import j0
 
-from wavegap.construct import (LogCutoffAtom, delta_family, focusing_sequence,
-                               shell_wave, strip_normalize)
+from wavegap.construct import (LogCutoffAtom, chi_mean_zero, delta_family,
+                               focusing_sequence, shell_wave, strip_normalize)
 from wavegap.field import TorusGrid
 from wavegap.radial import (RadialWave2D, fourier_hs_sq_radial_3d,
                             gauss_panel_nodes, gaussian_origin_value,
@@ -225,6 +225,51 @@ def test_shell_gagliardo_matches_plain_coordinates():
     assert abs(l2_shell / l2_plain - 1.0) < 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gagliardo_matches_recorded_values():
+    # recorded by running both H^(1/2)(R^3) routes at commit c376e38, where
+    # each had its own per-node ladder loop; the r-route values only change
+    # in summation order, the log-distance route also by its strip measure
+    # (d' = d counted once, not twice: 2.0-2.3e-8 relative)
+    ref = json.loads((Path(__file__).parent / "gagliardo_recorded.json").read_text())
+    u = lambda r: np.exp(-np.asarray(r, float) ** 2)
+    up = lambda r: -2 * np.asarray(r, float) * np.exp(-np.asarray(r, float) ** 2)
+    atom = LogCutoffAtom(0)
+    radial_route = {
+        "gaussian_radial": h_half_sq_radial_3d(u, np.linspace(1e-9, 8, 80), u_prime=up),
+        "chi3_kappa": chi_mean_zero(3).kappa,
+        "atom0_plain": h_half_sq_radial_3d(atom, atom.radial_panel_edges(),
+                                           u_prime=atom.derivative),
+    }
+    for key, got in radial_route.items():
+        assert got == pytest.approx(ref[key], rel=1e-12), key
+    atoms = [LogCutoffAtom(j) for j in range(5)]
+    shell = [h_half_sq_shell_3d(a.T_logd, a.dT_logd, a.l_plateau) for a in atoms]
+    assert shell == pytest.approx(ref["shell"], rel=5e-8)
+    assert [a.h_half_norm() for a in atoms] == pytest.approx(ref["h_half_norm"], rel=5e-8)
+
+
+def test_touching_rule_strip_in_the_ladder_measure():
+    # u(d) = d^2 in l = log d: the density (u - u')^2 / (d - d')^2 times the
+    # Jacobian d d' tends to u'(d)^2 d^2 = 4 e^{4l} on the diagonal, and its
+    # integral over [A, B]^2 in d is int int (d + d')^2
+    from wavegap.radial import _gagliardo_square
+    edges = np.linspace(-2.0, 1.0, 7)
+    a, b = math.exp(edges[0]), math.exp(edges[-1])
+    exact = 2.0 * (b - a) * (b ** 3 - a ** 3) / 3.0 + (b * b - a * a) ** 2 / 2.0
+
+    def density(l, f, lp, fp):
+        return (f - fp) ** 2 / (np.exp(l) - np.exp(lp)) ** 2 * np.exp(l + lp)
+
+    fine, wide = (_gagliardo_square(edges, 12, lambda l: np.exp(2.0 * l), density,
+                                    lambda l: 4.0 * np.exp(4.0 * l), lambda l, span: eps)
+                  for eps in (1e-7, 1e-5))
+    # the strip holds 2 eps of each row's measure: counting the Jacobian
+    # twice there moves the wide-strip result by 2e-5 relative
+    assert abs(wide / fine - 1.0) < 1e-12
+    assert abs(fine / exact - 1.0) < 1e-12
+
+
 def test_strip_max_finds_synthetic_peak(gauss_wave):
     m, tj, rj = gauss_wave.strip_max(t_step=1.0 / 64.0)
     # brute scan oracle on a fine grid
@@ -236,13 +281,15 @@ def test_strip_max_finds_synthetic_peak(gauss_wave):
 
 
 def test_half_level_radius_cosine():
-    class Fake:
-        pass
+    from wavegap.construct import _level_window
     # z(t, r) = cos(r): level 1/2 crossed exactly at pi/3
-    from wavegap.construct import _half_level_radius
-    r = _half_level_radius(lambda t, rr: np.cos(np.asarray(rr)), 0.5, 0.5,
-                           r_top=3.0, fine=1e-6)
+    r = _level_window(lambda t, rr: np.cos(np.asarray(rr)), 0.5, 0.5, np.inf,
+                      r_top=3.0, fine=1e-6)
     assert abs(r - math.pi / 3.0) < 1e-6
+    # z(t, r) = 1 + r leaves the band (1/2, 2) upward at r = 1
+    r = _level_window(lambda t, rr: 1.0 + np.asarray(rr), 0.5, 0.5, 2.0,
+                      r_top=3.0, fine=1e-6)
+    assert abs(r - 1.0) < 1e-6
 
 
 def test_shell_wave_delta_0p3_matches_recorded_values():
