@@ -48,7 +48,6 @@ __all__ = [
     "focusing_sequence",
     "NormalizedZ",
     "strip_normalize",
-    "strip_normalize_grid",
     "choose_R",
     "chi_mean_zero",
     "chi_field",
@@ -56,12 +55,14 @@ __all__ = [
     "RescaledWave",
     "rescaled_family",
     "LogCutoffAtom",
-    "log_cutoff_sequence",
 ]
 
 # L2(R^2)^2 of a radial profile = 2*pi * (its r dr norm)^2, and the planar
 # point value of the solution is 2*pi times the radial-measure closed form.
 PLANAR_POINT_FACTOR = 2.0 * math.pi
+
+# sample count of the annulus profiles' tables (their exact callables are kept)
+_ANNULUS_SAMPLES = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ def _psi_mag_of_u(u):
     return out
 
 
-def psi_exact(fam: DeltaFamily, n_samples: int = 8192) -> RadialProfile:
+def psi_exact(fam: DeltaFamily) -> RadialProfile:
     """Sharp-indicator annulus datum ``-I_{p<=r<=q} / (sqrt(1-r^2) log(1-r^2))``,
     positive on its support."""
     p, q = fam.p, fam.q
@@ -129,7 +130,7 @@ def psi_exact(fam: DeltaFamily, n_samples: int = 8192) -> RadialProfile:
         vals = _psi_mag_of_u(u)
         return np.where((r >= p) & (r <= q), vals, 0.0)
 
-    return RadialProfile.from_callable(f, r_max=1.0, n_samples=n_samples, dim_hint=2)
+    return RadialProfile.from_callable(f, r_max=1.0, n_samples=_ANNULUS_SAMPLES, dim_hint=2)
 
 
 class _ShellCutoff:
@@ -178,37 +179,38 @@ class _ShellCutoff:
         return float(np.sum(w * self.c(s) ** power_c * s ** power_s))
 
 
-def psi_smooth(fam: DeltaFamily, n_samples: int = 8192) -> RadialProfile:
+def psi_smooth(fam: DeltaFamily) -> RadialProfile:
     """Smooth annulus datum: the sharp profile times a C-infinity radial
     cutoff squeezed between the indicators of [p, q] and [p1, q1]."""
     cut = _ShellCutoff(fam.delta)
-    prof = RadialProfile.from_callable(cut.psi, r_max=1.0, n_samples=n_samples, dim_hint=2)
+    prof = RadialProfile.from_callable(cut.psi, r_max=1.0, n_samples=_ANNULUS_SAMPLES,
+                                       dim_hint=2)
     object.__setattr__(prof, "_cutoff", cut)
     return prof
 
 
-def _shell_s_table(fam: DeltaFamily, n_shell: int = 16384, n_mid: int = 4096,
-                   n_coarse: int = 2048):
+def _shell_s_table(fam: DeltaFamily):
     # the ray transform keeps delta-scale structure well below the inner
     # shell radius (chords clipping the annulus): log-dense inside the shell
-    # scales, moderately dense in the mid zone up to u = 1/2, coarse below
+    # scales (16384 nodes), moderately dense in the mid zone up to u = 1/2
+    # (4096), coarse below (2048)
     d = fam.delta
-    u_shell = np.exp(np.linspace(math.log(d ** 4), math.log(d), n_shell))
-    u_mid = np.exp(np.linspace(math.log(d), math.log(0.5), n_mid))
+    u_shell = np.exp(np.linspace(math.log(d ** 4), math.log(d), 16384))
+    u_mid = np.exp(np.linspace(math.log(d), math.log(0.5), 4096))
     s_nodes = np.sqrt(1.0 - np.concatenate([u_shell, u_mid]))
-    s_coarse = np.linspace(0.0, float(s_nodes.min()), n_coarse, endpoint=False)
+    s_coarse = np.linspace(0.0, float(s_nodes.min()), 2048, endpoint=False)
     return np.unique(np.concatenate([s_coarse, s_nodes, [fam.q1]]))
 
 
 _SHELL_WAVE_CACHE: dict = {}
 
 
-def shell_wave(fam: DeltaFamily, smooth: bool = True, n_shell: int = 16384) -> RadialWave2D:
+def shell_wave(fam: DeltaFamily, smooth: bool = True) -> RadialWave2D:
     """Planar radial wave evaluator for the annulus datum, with the ray
     table clustered logarithmically inside the shell.  Evaluators are
     stateless after construction and shared through a cache (the table
     build is the expensive step)."""
-    key = (fam.delta, smooth, n_shell)
+    key = (fam.delta, smooth)
     if key in _SHELL_WAVE_CACHE:
         return _SHELL_WAVE_CACHE[key]
     if smooth:
@@ -225,9 +227,8 @@ def shell_wave(fam: DeltaFamily, smooth: bool = True, n_shell: int = 16384) -> R
     # structure of the annulus (the derivative profile needs them to cancel)
     u_sub = np.geomspace(fam.delta ** 4, 0.5, 48)
     tau_edges = np.sqrt(1.0 - u_sub)
-    wave = RadialWave2D(psi, support, breakpoints=breaks,
-                        s_table=_shell_s_table(fam, n_shell), psi_prime=psi_p,
-                        tau_edges=tau_edges)
+    wave = RadialWave2D(psi, support, s_table=_shell_s_table(fam), breakpoints=breaks,
+                        psi_prime=psi_p, tau_edges=tau_edges)
     _SHELL_WAVE_CACHE[key] = wave
     return wave
 
@@ -276,16 +277,16 @@ def focusing_sequence(n: int, delta_list) -> list:
             def phi_fn(r, _c=cut, _z=z10):
                 return _c.psi(r) / _z
 
-            prof = RadialProfile.from_callable(phi_fn, r_max=1.0, n_samples=8192, dim_hint=2)
+            prof = RadialProfile.from_callable(phi_fn, r_max=1.0, n_samples=_ANNULUS_SAMPLES,
+                                               dim_hint=2)
             out.append(FocusingDatum(prof, d, z10, norm_planar / z10, 2, wave))
         norms = [d.norm for d in out]
         if any(b >= a for a, b in zip(norms[:-1], norms[1:])):
             raise ValueError("data norms failed to decay along the sequence")
         return out
     if n == 3:
-        atoms = log_cutoff_sequence(levels=[int(v) for v in deltas])
         out = []
-        for atom in atoms:
+        for atom in (LogCutoffAtom(int(v)) for v in deltas):
             prof = RadialProfile.from_callable(atom, r_max=2.0, n_samples=8192, dim_hint=3)
             out.append(FocusingDatum(prof, atom.eps, 1.0, atom.h_half_norm(), 3, atom))
         norms = [d.norm for d in out]
@@ -363,35 +364,6 @@ def strip_normalize(datum: FocusingDatum, t_step: float = 1.0 / 256.0) -> Normal
                              "refine": "local, 3 rounds of 8x"})
 
 
-def strip_normalize_grid(state: WaveState, t_step: float = 1.0 / 256.0,
-                              refine: int = 8):
-    """Grid-field variant of the strip normalization (for resolvable data):
-    scans the propagated field on the uniform time grid, refines once
-    locally, and returns ``(m, t_j, shift_index, normalized_datum_field)``
-    with the datum recentered so the maximum sits at the origin."""
-    def scan(times, best):
-        for t, zt in zip(times, _value_sweep(state, times)):
-            v = zt.values
-            kk = np.unravel_index(int(np.argmax(np.abs(v))), v.shape)
-            if abs(v[kk]) > best[0]:
-                best = (float(abs(v[kk])), float(t), kk, float(v[kk]))
-        return best
-
-    times = np.arange(t_step, 1.0 + 1e-12, t_step)
-    m, tj, k, z_at_max = scan(times, (0.0, times[0], None, 0.0))
-    fine = t_step / refine
-    local = [t for t in tj + fine * np.arange(-refine + 1, refine) if 0.0 < t <= 1.0]
-    m, tj, k, z_at_max = scan(local, (m, tj, k, z_at_max))
-    grid = state.grid
-    sign = math.copysign(1.0, z_at_max)
-    center = (grid.n // 2,) * grid.dim
-    shift = tuple(int(ki - ci) for ki, ci in zip(k, center))
-    recentred = np.roll(state.ut.values, shift=tuple(-s for s in shift),
-                        axis=tuple(range(grid.dim)))
-    datum = ScalarField._own(grid, sign * recentred / m)
-    return m, tj, shift, datum
-
-
 def choose_R(normalized: NormalizedZ, level: float = 0.5) -> float:
     """Concentration radius for the rescaled bump: the largest ``r*`` with
     ``z~(t_j, r) >= level`` on the sampled ball, returned as ``R = 2/r*``.
@@ -447,7 +419,7 @@ def _base_bump(r):
     return out
 
 
-def chi_mean_zero(n: int, n_samples: int = 4096) -> RadialProfile:
+def chi_mean_zero(n: int) -> RadialProfile:
     """Reference mean-zero bump ``chi(r) = B(r) - 2^{-n} B(r/2)`` with B the
     standard smooth bump: the n-dimensional volume integral vanishes exactly
     by scaling, the support is {r <= 2}, and the relevant homogeneous norm
@@ -459,7 +431,7 @@ def chi_mean_zero(n: int, n_samples: int = 4096) -> RadialProfile:
     def chi(r):
         return _base_bump(r) - b * _base_bump(np.asarray(r, dtype=float) / 2.0)
 
-    prof = RadialProfile.from_callable(chi, r_max=2.0, n_samples=n_samples, dim_hint=n)
+    prof = RadialProfile.from_callable(chi, r_max=2.0, dim_hint=n)
     # volume integral should vanish to quadrature precision
     rr, w = gauss_panel_nodes(np.linspace(0, 2, 33), 24)
     vol = float(np.sum(w * chi(rr) * rr ** (n - 1)))
@@ -512,10 +484,11 @@ class RescaledWave:
 
 
 def rescaled_family(chi: RadialProfile, R: float, M: float, T: float,
-                    grid: TorusGrid, n_sup_times: int = 17) -> RescaledWave:
+                    grid: TorusGrid) -> RescaledWave:
     """Build the rescaled-bump wave on a grid: embed ``M chi(R .)`` as the
     velocity at t = T, back-propagate spectrally to t = 0, and record the
-    measured trace and sup constants (per unit M/R)."""
+    measured trace and sup constants (per unit M/R; the sup over 17 times
+    evenly spaced in [0, 1])."""
     if R < 1.0 or M < 0.0 or not 0.0 <= T <= 1.0:
         raise ValueError("require R >= 1, M >= 0, T in [0, 1]")
     if chi.support_radius / 1.0 > grid.half_width - 2.0:
@@ -530,7 +503,7 @@ def rescaled_family(chi: RadialProfile, R: float, M: float, T: float,
     init_c = (sobolev_norm(state0.u, n / 2.0, False)
               + sobolev_norm(state0.ut, n / 2.0 - 1.0, False)) / ratio
     sup = 0.0
-    for ut in _value_sweep(state0, np.linspace(0.0, 1.0, n_sup_times)):
+    for ut in _value_sweep(state0, np.linspace(0.0, 1.0, 17)):
         sup = max(sup, float(np.max(np.abs(ut.values))))
     kappa = getattr(chi, "kappa", None)
     if kappa is None:
@@ -549,7 +522,7 @@ class LogCutoffAtom:
     descending to 0 through a logarithmic ramp.
 
     Level ``j`` ramps over the log-distance interval of length
-    ``Lam_j = lam0 * 2^j`` below the fixed outer width ``d_out``: the
+    ``Lam_j = 8 * 2^j`` below the fixed outer width ``d_out = 1/4``: the
     plateau half-width is ``d_out * exp(-Lam_j)``.  Each level doubles the
     ramp's logarithmic length, which halves its capacity measure and drives
     the fractional norm down by ``~ 1/sqrt(2)`` per level (a fixed-ratio
@@ -558,15 +531,16 @@ class LogCutoffAtom:
     all norm quadrature therefore runs natively in ``l = log(distance)``.
     """
 
-    def __init__(self, level: int, lam0: float = 8.0, d_out: float = 0.25):
+    d_out = 0.25
+
+    def __init__(self, level: int):
         if not 0 <= level <= 5:
             raise ValueError("level must lie in [0, 5]")
         self.level = level
-        self.lam = lam0 * 2.0 ** level
-        self.d_out = d_out
-        self.l_out = math.log(d_out)
+        self.lam = 8.0 * 2.0 ** level
+        self.l_out = math.log(self.d_out)
         self.l_plateau = self.l_out - self.lam
-        self.eps = d_out * math.exp(-self.lam)  # plateau half-width (may round to 0)
+        self.eps = self.d_out * math.exp(-self.lam)  # plateau half-width (may round to 0)
 
     # -- log-distance form (exact at any depth) --
 
@@ -609,7 +583,3 @@ class LogCutoffAtom:
         l2sq = l2_sq_shell_3d(self.T_logd, self.l_plateau)
         hsq = h_half_sq_shell_3d(self.T_logd, self.dT_logd, self.l_plateau)
         return math.sqrt(l2sq + hsq)
-
-
-def log_cutoff_sequence(levels=(0, 1, 2, 3, 4)) -> list:
-    return [LogCutoffAtom(j) for j in levels]

@@ -326,13 +326,6 @@ def certified_radial_run(cfg: GapRunConfig) -> GapReport:
 # measured-constant suites
 # ---------------------------------------------------------------------------
 
-def product_ratios(f: ScalarField, g: ScalarField, s: float, lam: float):
-    """Measured ratios of the product norm against its two majorants;
-    returns None for a degenerate pair (zero majorant: both sides vanish and
-    the pair is excluded from the statistics)."""
-    return _pair_measures(f, g, s, lam)[0]
-
-
 def _pair_spectra(f: ScalarField, g: ScalarField, f_sup: float, g_sup: float):
     """Spectra of two nonzero real fields from one ``fftn(f + i c g)``.
 

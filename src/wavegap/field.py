@@ -320,8 +320,11 @@ def load_field(path) -> ScalarField:
     path = Path(path)
     if path.suffix == ".json":
         doc = json.loads(path.read_text())
-        grid = TorusGrid(int(doc["dim"]), float(doc["half_width"]), int(doc["n"]))
-        vals = np.asarray(doc["values"], dtype=float).reshape(grid.shape)
+        try:
+            grid = TorusGrid(int(doc["dim"]), float(doc["half_width"]), int(doc["n"]))
+            vals = np.asarray(doc["values"], dtype=float).reshape(grid.shape)
+        except (KeyError, TypeError) as e:  # not an object, or a key missing or mistyped
+            raise ValueError(f"{path}: not a field document: {e!r}") from e
         return ScalarField(grid, vals, doc.get("time_stamp"))
     grid, t, (vals,) = _read_container(path, "field", 1)
     return ScalarField(grid, vals, None if np.isnan(t) else t)
@@ -347,8 +350,15 @@ def _read_container(path, kind, n_arrays):
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a {kind} container")
+    if len(raw) < 36:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the 36-byte {kind} header")
     dim, n, half_width, t = struct.unpack("<4d", raw[4:36])
+    if not np.all(np.isfinite([dim, n, half_width])):
+        raise ValueError(f"{path}: non-finite grid in the {kind} header")
     grid = TorusGrid(int(dim), half_width, int(n))
     size = 8 * grid.n ** grid.dim
+    if len(raw) < 36 + n_arrays * size:
+        raise ValueError(f"{path}: payload of {len(raw) - 36} bytes, a {kind} on this grid "
+                         f"needs {n_arrays} x {grid.n}^{grid.dim} f64 values")
     return grid, t, [np.frombuffer(raw[36 + i * size:36 + (i + 1) * size], dtype="<f8")
                      .reshape(grid.shape) for i in range(n_arrays)]

@@ -101,11 +101,12 @@ def make_preset(name: str, **params) -> GeodesicCurve:
     raise ValueError(f"unknown preset {name!r}")
 
 
-def geodesic_constants(curve: GeodesicCurve, n_sample: int = 4096):
+def geodesic_constants(curve: GeodesicCurve):
     """Quantitative non-flatness of the target: picks the component ``j``
     (1-based) with the largest |gamma''_j(0)|, sets ``c1`` to half that peak,
     and finds by bisection the largest half-width ``c0`` (capped by the
-    curve's domain) on which ``|gamma''_j| >= c1`` throughout.
+    curve's domain) on which ``|gamma''_j| >= c1`` throughout (checked on
+    4096 evenly spaced points).
 
     Raises for a flat curve: the non-degeneracy assumption fails at 0.
     """
@@ -116,7 +117,7 @@ def geodesic_constants(curve: GeodesicCurve, n_sample: int = 4096):
     c1 = float(abs(gpp0[j]) / 2.0)
 
     def ok(half):
-        s = np.linspace(-half, half, n_sample)
+        s = np.linspace(-half, half, 4096)
         vals = np.abs(np.asarray(curve.gamma_pp(s), dtype=float)[j])
         return bool(np.min(vals) >= c1)
 

@@ -109,6 +109,9 @@ def gauss_panel_nodes(edges, order=24):
 # took 7.5-8.2 s and 350 MB, 4M was slower still; 32k gained nothing.
 _NODE_BUDGET = 1 << 16
 
+# Gauss order of the inverse-Abel panels
+_ABEL_ORDER = 24
+
 
 def _ragged_gauss(edges, max_len, order):
     """Gauss-Legendre rules on the panels between consecutive entries of each
@@ -174,20 +177,20 @@ class RadialWave2D:
         Vectorized radial profile of the velocity datum.
     support : float
         Radius beyond which ``psi`` vanishes.
+    s_table : array
+        Nodes for the ray-transform table, clustered where the structure of
+        the profile lives; its smallest spacing is the ``fine_scale``.
     breakpoints : sequence of float
         Radii where ``psi`` loses smoothness (panel edges are aligned with
         every crossing of these circles).
-    s_table : array, optional
-        Nodes for the ray-transform table; defaults to a uniform grid.
-        Callers with multi-scale profiles should pass nodes clustered where
-        the structure lives.
     psi_prime : callable, optional
         Radial derivative of ``psi``; required for time-derivative values
         (falls back to differentiating the table).
+    tau_edges : sequence of float, optional
+        Extra radii that split the ray-transform quadrature only.
     """
 
-    def __init__(self, psi, support, breakpoints=(), s_table=None,
-                 psi_prime=None, panel_order=24, fine_scale=None,
+    def __init__(self, psi, support, s_table, breakpoints=(), psi_prime=None,
                  tau_edges=None):
         self.psi = psi
         self.psi_prime = psi_prime
@@ -202,9 +205,6 @@ class RadialWave2D:
             te = np.asarray(sorted(set(float(b) for b in tau_edges)), dtype=float)
             self._tau_extra = te[(te > 0.0) & (te < self.support)]
         self._all_radial_edges = np.unique(np.concatenate([self.breaks, self._tau_extra]))
-        self.panel_order = panel_order
-        if s_table is None:
-            s_table = np.linspace(0.0, self.support, 4096)
         s_table = np.unique(np.clip(np.concatenate(
             [np.asarray(s_table, dtype=float), self.breaks, [0.0, self.support]]),
             0.0, self.support))
@@ -213,12 +213,11 @@ class RadialWave2D:
         if psi_prime is None:
             self._gp = np.gradient(self._g, self._s)
         # smallest table spacing: proxy for the finest resolved feature
-        self.fine_scale = fine_scale if fine_scale is not None else float(
-            np.min(np.diff(s_table)))
+        self.fine_scale = float(np.min(np.diff(s_table)))
 
     # -- ray (line-integral) transform of the datum --------------------------
 
-    def _ray_transforms(self, s_arr, order=16):
+    def _ray_transforms(self, s_arr):
         """Tabulate the ray transform g(s) = 2 int psi(sqrt(s^2 + tau^2)) dtau
         and (when the derivative profile is available) its s-derivative.  The
         tau panels end where the ray crosses a radial edge and, for entries
@@ -234,7 +233,7 @@ class RadialWave2D:
         edges = np.sort(np.concatenate([np.zeros((s.size, 1)), tau], axis=1), axis=1)
         n_edges = 1 + np.sum(np.diff(edges, axis=1) > 0, axis=1)
         max_len = np.where(n_edges > 24, np.inf, self.support / 12.0)
-        for lo, hi, tt, wt, own in _ragged_gauss(edges, max_len, order):
+        for lo, hi, tt, wt, own in _ragged_gauss(edges, max_len, 16):
             sk = s[lo:hi][own]
             radii = np.sqrt(sk * sk + tt * tt)
             wts = 2.0 * wt
@@ -284,7 +283,7 @@ class RadialWave2D:
         edges = np.sort(np.concatenate(
             [np.zeros((t.size, 1)), sig_max[:, None], cross, bend], axis=1), axis=1)
         g = self.g_prime if derivative else self.g
-        for lo, hi, sig, w, own in _ragged_gauss(edges, top / 12.0, self.panel_order):
+        for lo, hi, sig, w, own in _ragged_gauss(edges, top / 12.0, _ABEL_ORDER):
             rk, tk = r[lo:hi][own], t[lo:hi][own]
             s = np.sqrt(rk * rk + sig * sig)
             low = s == 0  # both squares underflow when r < 1e-162
@@ -334,22 +333,21 @@ class RadialWave2D:
             edges.add(float(v))
         return np.unique(np.asarray(sorted(edges)))
 
-    def l2_planar(self, t, derivative=False, order=16):
+    def l2_planar(self, t, derivative=False):
         """``L2(R^2)`` norm of z(t, .) (or z_t with ``derivative=True``) by
         front-refined radial quadrature."""
-        rr, w = gauss_panel_nodes(self._front_panels(t), order)
+        rr, w = gauss_panel_nodes(self._front_panels(t), 16)
         vals = self.dt_value(t, rr) if derivative else self.value(t, rr)
         return math.sqrt(TWO_PI * float(np.sum(w * vals * vals * rr)))
 
-    def datum_l2_planar(self, order=48):
+    def datum_l2_planar(self):
         """``L2(R^2)`` norm of the velocity datum itself."""
         edges = np.unique(np.concatenate([[0.0], self.breaks]))
-        return planar_l2_from_radial(self.psi, edges, order)
+        return planar_l2_from_radial(self.psi, edges, 48)
 
     # -- strip scan ----------------------------------------------------------
 
-    def strip_max(self, t_step=1.0 / 256.0, extra_times=(), r_candidates=None,
-                  refine_rounds=3):
+    def strip_max(self, t_step=1.0 / 256.0, extra_times=()):
         """Largest |z| over the sampled strip [0,1] x {radii}.
 
         Scans a uniform time grid (plus caller-supplied structure-aware
@@ -368,13 +366,12 @@ class RadialWave2D:
             k = int(np.argmax(z))
             return (float(z[k]), float(ts[k]), float(rs[k])) if z[k] > best[0] else best
 
-        radii = [np.asarray(self._scan_radii(t) if r_candidates is None
-                            else r_candidates(t), dtype=float) for t in times]
+        radii = [self._scan_radii(t) for t in times]
         m, tj, rj = scan(np.repeat(times, [rs.size for rs in radii]),
                          np.concatenate(radii), (0.0, float(times[0]), 0.0))
         dt = t_step
         dr = None
-        for _ in range(refine_rounds):
+        for _ in range(3):
             dt /= 8.0
             ts = tj + dt * np.arange(-8, 9)
             ts = ts[(ts > 0) & (ts <= 1.0)]
@@ -413,7 +410,7 @@ class RadialWave2D:
 # origin values in general dimension (oracle for representation formulas)
 # ---------------------------------------------------------------------------
 
-def gaussian_origin_value(a: float, t: float, n: int, k_max=None, n_nodes=4000) -> float:
+def gaussian_origin_value(a: float, t: float, n: int) -> float:
     """z(t, 0) for the free wave equation in R^n with data
     ``(0, exp(-a r^2))``, via the closed-form radial Fourier transform:
 
@@ -423,8 +420,7 @@ def gaussian_origin_value(a: float, t: float, n: int, k_max=None, n_nodes=4000) 
     Serves as an independent oracle for dimension-specific representation
     formulas.
     """
-    if k_max is None:
-        k_max = 12.0 * math.sqrt(a) + 40.0 / max(t, 0.25)
+    k_max = 12.0 * math.sqrt(a) + 40.0 / max(t, 0.25)
     edges = np.linspace(0.0, k_max, max(16, int(k_max * max(t, 1.0) * 3)))
     k, w = gauss_panel_nodes(edges, 12)
     amp = (math.pi / a) ** (n / 2.0) * np.exp(-k * k / (4.0 * a))

@@ -1,6 +1,7 @@
 """Linear wave propagation: exact spectral evolution on the torus, the
 planar singular-kernel point value, and the dimension-specific radial
-representation formulas with calibrated constants.
+representation formulas (Poisson in even n, Kirchhoff in odd n) with their
+exact coefficients.
 
 Point-value conventions: every evaluator in this module returns the value of
 the solution of the Cauchy problem ``z_tt = Laplace z, z(0) = 0,
@@ -12,16 +13,14 @@ stated in the bare radial measure (without the angular factor) live in
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .field import RadialProfile, ScalarField
 from .norms import sobolev_norm
-from .radial import gauss_panel_nodes, gaussian_origin_value
+from .radial import gauss_panel_nodes
 
 __all__ = [
     "WaveState",
@@ -33,13 +32,7 @@ __all__ = [
     "radial_even_representation",
     "kirchhoff_3d_origin",
     "odd_n_boundary_value",
-    "representation_constants",
-    "calibrate_representation_constants",
 ]
-
-_CALIBRATION_FILE = Path(__file__).with_name("_calibration.json")
-_CALIBRATION_GAUSSIANS = (0.5, 0.8, 1.2, 1.8, 2.5)
-_RESIDUAL_LIMITS = {2: 1e-6, 3: 1e-6, 4: 1e-4, 5: 1e-4}
 
 
 @dataclass(frozen=True)
@@ -198,12 +191,24 @@ def kernel_solution_2d(psi, t: float, x=0.0, tol: float = 1e-8,
 
 
 # ---------------------------------------------------------------------------
-# radial representation formulas with calibrated constants
+# radial representation formulas
 # ---------------------------------------------------------------------------
 
+# Coefficients c_nu of the moments int_0^1 d_r^nu phi (1-r^2)^(-1/2) r^(nu+n-1) dr
+# in z(1, 0), from Poisson's u(t, 0) = (1/gamma_n) (t^-1 d_t)^((n-2)/2) (t^n
+# mean over B_t of phi / sqrt(t^2 - |y|^2)) with gamma_2 = 2, gamma_4 = 8; for
+# n = 4 the bracket is 4 t^3 int_0^1 phi(t rho) rho^3 (1-rho^2)^(-1/2) drho.
+_EVEN_COEFFICIENTS = {2: (1,), 4: (3 / 2, 1 / 2)}
+# Coefficients b_nu of d_r^nu phi(1) in z(1, 0), from Kirchhoff's u(t, 0) =
+# (1/gamma_n) (t^-1 d_t)^((n-3)/2) (t^(n-2) phi(t)) with gamma_3 = 1, gamma_5 = 3:
+# t phi(t) for n = 3 and t phi(t) + t^2 phi'(t)/3 for n = 5.
+_ODD_COEFFICIENTS = {3: (1,), 5: (1, 1 / 3)}
+
+
 def _derivative_of(profile, order):
-    """Radial derivative of a profile as a callable (analytic when the
-    profile carries one, else a centered stencil on the exact callable)."""
+    """Radial derivative of a profile as a callable: ``order`` nested
+    centered stencils of step 1e-5 (one-sided at r = 0) on the profile's
+    callable."""
     if order == 0:
         return profile if callable(profile) else profile.__call__
     base = _derivative_of(profile, order - 1)
@@ -232,85 +237,16 @@ def _even_moment(profile, nu, n, breakpoints=()):
     return float(np.sum(w * np.asarray(d(s)) * s ** (nu + n - 1)))
 
 
-def _load_constants():
-    """Read the shipped calibration; a missing file is an error (calibrating
-    is the explicit ``calibrate_representation_constants(write=True)``)."""
-    if not _CALIBRATION_FILE.exists():
-        raise RuntimeError(f"calibration file {_CALIBRATION_FILE} is missing; create it "
-                           "with calibrate_representation_constants(write=True)")
-    return {int(k): v for k, v in json.loads(_CALIBRATION_FILE.read_text()).items()}
-
-
-_constants_cache: dict = {}
-
-
-def representation_constants(n: int):
-    """Calibrated coefficients of the dimension-``n`` origin-value formula,
-    with the recorded calibration residual."""
-    if not _constants_cache:
-        _constants_cache.update(_load_constants())
-    if n not in _constants_cache:
-        raise ValueError(f"no representation constants for n={n}")
-    entry = _constants_cache[n]
-    if entry["residual"] > _RESIDUAL_LIMITS[n]:
-        raise RuntimeError(
-            f"calibration residual {entry['residual']:.2e} for n={n} exceeds "
-            f"{_RESIDUAL_LIMITS[n]:.0e}")
-    return entry
-
-
-def calibrate_representation_constants(write: bool = False) -> dict:
-    """Fit the unspecified constants of the radial origin-value formulas by
-    least squares against the Gaussian Fourier oracle, for n in {2, 3, 4, 5}.
-
-    The fitted values are rationally simple (1 for n in {2, 3}; the n = 5
-    boundary formula is ``phi(1) + phi'(1)/3``) but are always derived from
-    the oracle rather than transcribed.
-    """
-    out = {}
-    for n in (2, 4, 3, 5):
-        # even n: moments of d_r^nu phi; odd n: boundary derivatives d_r^nu phi(1)
-        A = np.asarray([[_even_moment(_gaussian_profile(a), nu, n) if n % 2 == 0
-                         else _gaussian_boundary_derivative(a, nu)
-                         for nu in range((n - 2) // 2 + 1)]
-                        for a in _CALIBRATION_GAUSSIANS])
-        b = np.asarray([gaussian_origin_value(a, 1.0, n) for a in _CALIBRATION_GAUSSIANS])
-        coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-        resid = float(np.max(np.abs(A @ coef - b)) / np.max(np.abs(b)))
-        out[n] = {"coefficients": list(map(float, coef)), "residual": resid,
-                  "oracle": "gaussian-fourier", "gaussians": list(_CALIBRATION_GAUSSIANS)}
-    if write:
-        _CALIBRATION_FILE.write_text(json.dumps(out, indent=1))
-    return out
-
-
-def _gaussian_profile(a):
-    return lambda r: np.exp(-a * np.asarray(r, dtype=float) ** 2)
-
-
-def _gaussian_boundary_derivative(a, nu):
-    """nu-th radial derivative of exp(-a r^2) at r = 1 (analytic)."""
-    if nu == 0:
-        return math.exp(-a)
-    if nu == 1:
-        return -2.0 * a * math.exp(-a)
-    if nu == 2:
-        return (4.0 * a * a - 2.0 * a) * math.exp(-a)
-    raise ValueError("nu too large")
-
-
 def radial_even_representation(profile, n: int, breakpoints=()) -> float:
     """Origin value z(1, 0) in even dimension n from the radial moment
     formula ``sum_nu c_nu int_0^1 d_r^nu phi (1-r^2)^(-1/2) r^(nu+n-1) dr``
-    with calibrated ``c_nu``."""
-    if n not in (2, 4):
+    with the exact ``c_nu`` of :data:`_EVEN_COEFFICIENTS`."""
+    if n not in _EVEN_COEFFICIENTS:
         raise ValueError("even representation implemented for n in {2, 4}")
-    entry = representation_constants(n)
     if isinstance(profile, RadialProfile) and not breakpoints:
         breakpoints = (profile.support_radius,)
-    coef = entry["coefficients"]
     return float(sum(c * _even_moment(profile, nu, n, breakpoints)
-                     for nu, c in enumerate(coef)))
+                     for nu, c in enumerate(_EVEN_COEFFICIENTS[n])))
 
 
 def kirchhoff_3d_origin(profile) -> float:
@@ -327,14 +263,12 @@ def kirchhoff_3d_origin(profile) -> float:
 
 def odd_n_boundary_value(profile, n: int) -> float:
     """Origin value z(1, 0) in odd dimension n from boundary derivatives:
-    ``sum_nu b_nu d_r^nu phi(1)`` with calibrated ``b_nu`` (Kirchhoff for
-    n = 3)."""
-    if n not in (3, 5):
+    ``sum_nu b_nu d_r^nu phi(1)`` with the exact ``b_nu`` of
+    :data:`_ODD_COEFFICIENTS`."""
+    if n not in _ODD_COEFFICIENTS:
         raise ValueError("odd boundary formula implemented for n in {3, 5}")
-    entry = representation_constants(n)
-    coef = entry["coefficients"]
     total = 0.0
-    for nu, c in enumerate(coef):
+    for nu, c in enumerate(_ODD_COEFFICIENTS[n]):
         d = _derivative_of(profile, nu)
         total += c * float(np.asarray(d(np.asarray([1.0])))[0])
     return float(total)

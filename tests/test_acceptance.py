@@ -5,8 +5,9 @@ Two sub-clauses of criterion 6 are asserted exactly as stated but marked as
 expected failures (strict): over the pinned concentration list the measured
 data-distance ratio has a mathematical floor above the stated bound, and the
 curvature term cannot dominate the linear term at float-representable
-concentrations.  The quantitative analysis lives in the decisions ledger;
-the assertions stay faithful so any change in behavior is flagged.
+concentrations.  The quantitative analysis lives in the "Decisions"
+section of README.md; the assertions stay faithful so any change in behavior
+is flagged.
 """
 
 import math
@@ -68,7 +69,8 @@ def test_criterion_2_point_value_oracle():
     prof = psi_exact(fam)
     val = kernel_solution_2d(prof.exact, 1.0, 0.0, breakpoints=(fam.p, fam.q))
     # the closed form is stated in the radial measure r dr; the planar
-    # solution carries the angular factor 2*pi (exact identity, see ledger)
+    # solution carries the angular factor 2*pi (exact identity, see the
+    # numerical conventions in README.md)
     radial_val = val / PLANAR_POINT_FACTOR
     closed = annulus_point_value_radial(fam)
     assert abs(closed - math.log(1.5) / (4 * math.pi)) < 1e-15
@@ -164,7 +166,7 @@ def test_criterion_6a_data_distance_decrease_and_rate(flagship):
     "final/initial data-distance over the pinned list has the mathematical "
     "floor sqrt(log 0.3 / log 0.01) = 0.511 > 0.5 even for exactly "
     "log-rate-decaying data; measured ~0.66 with the strip-max drift. "
-    "See decisions ledger."))
+    "See Decisions in README.md."))
 def test_criterion_6b_halving_clause(flagship):
     rep, _ = flagship
     dd = [r["data_distance"] for r in rep.rows]
@@ -188,7 +190,7 @@ def test_criterion_6c_gap_uniformity(flagship):
     "main >= 2*(commutator+energy) at the final element needs the energy "
     "term below the admissibility-capped curvature term, which requires "
     "|log delta| in the thousands (not float-representable); measured "
-    "main/energy ~ 0.01. See decisions ledger."))
+    "main/energy ~ 0.01. See Decisions in README.md."))
 def test_criterion_6d_term_domination(flagship):
     rep, _ = flagship
     t = rep.rows[-1]["terms"]

@@ -122,7 +122,28 @@ def test_error_paths(tmp_path, capsys):
     code, _, _ = run(capsys, "report", "--inputs", "--out-dir", str(tmp_path))
     assert code == 1
     # unknown flag
-    assert main(["norms", "--nonsense"]) == 1
+    assert run(capsys, "norms", "--nonsense")[0] == 1
+    # malformed containers and field documents: one error line naming the file
+    short = tmp_path / "short.field"
+    short.write_bytes(b"WGF1abc")
+    truncated = tmp_path / "truncated.state"
+    save_state(*(ScalarField(TorusGrid(2, 4.0, 8), np.zeros((8, 8))),) * 2, 0.0, truncated)
+    truncated.write_bytes(truncated.read_bytes()[:-8])
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1,2]")
+    mistyped = tmp_path / "mistyped.json"
+    mistyped.write_text(json.dumps({"dim": [2], "n": 8, "half_width": 1.0, "values": []}))
+    for argv, path in ((["norms", "--in", str(short), "--s", "0.5"], short),
+                       (["propagate", "--in", str(short), "--t", "0.5",
+                         "--out", str(tmp_path / "o.state")], short),
+                       (["propagate", "--in", str(truncated), "--t", "0.5",
+                         "--out", str(tmp_path / "o.state")], truncated),
+                       (["norms", "--in", str(not_object), "--s", "0.5"], not_object),
+                       (["norms", "--in", str(mistyped), "--s", "0.5"], mistyped)):
+        code, lines, err = run(capsys, *argv)
+        assert code == 1 and lines == []
+        assert err.startswith("error:") and str(path) in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_report_schema_mismatch(tmp_path, capsys):

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from wavegap.construct import (PLANAR_POINT_FACTOR, LogCutoffAtom,
                                annulus_l2sq_radial, annulus_point_value_radial,
-                               chi_field, chi_hat_planar, chi_mean_zero,
-                               strip_normalize, strip_normalize_grid,
+                               chi_field, chi_hat_planar, chi_mean_zero, strip_normalize,
                                choose_R, delta_family, focusing_sequence,
                                psi_exact, psi_smooth, rescaled_family,
                                shell_wave)
-from wavegap.field import TorusGrid, sample
+from wavegap.field import TorusGrid
 from wavegap.radial import l2_radial_measure
-from wavegap.wave import WaveState, spectral_propagate
+from wavegap.wave import spectral_propagate
 
 
 def test_delta_family_values():
@@ -159,20 +158,6 @@ def test_strip_normalize_properties():
     for t in np.linspace(0.05, 1.0, 20):
         worst = max(worst, float(np.max(np.abs(nz.z_at(t, np.linspace(0, 2.2, 200))))))
     assert worst <= 1.0 + 1e-10
-
-
-def test_strip_normalize_grid_recenters_and_idempotent():
-    g = TorusGrid(2, 16.0, 128)
-    # off-center smooth datum, fully resolvable
-    ut0 = sample(lambda x, y: np.exp(-((x - 1.5) ** 2 + (y + 2.0) ** 2)), g)
-    state = WaveState(sample(lambda x, y: 0 * x, g), ut0, 0.0)
-    m, tj, shift, datum = strip_normalize_grid(state, t_step=1.0 / 64.0)
-    assert m > 0 and 0 < tj <= 1.0
-    state2 = WaveState(sample(lambda x, y: 0 * x, g), datum, 0.0)
-    m2, tj2, shift2, _ = strip_normalize_grid(state2, t_step=1.0 / 64.0)
-    assert abs(m2 - 1.0) < 1e-9
-    assert shift2 == (0, 0)
-    assert abs(tj2 - tj) < 1e-9
 
 
 def test_choose_r_defining_relation_and_consistency():

@@ -7,11 +7,10 @@ from wavegap.construct import delta_family, psi_smooth
 from wavegap.field import RadialProfile, ScalarField, TorusGrid, radial_embed, sample
 from wavegap.norms import lp_norm
 from wavegap.radial import gaussian_origin_value
-from wavegap import wave
-from wavegap.wave import (WaveState, _value_sweep, calibrate_representation_constants,
-                          energy, kernel_solution_2d, kirchhoff_3d_origin,
+from wavegap.wave import (_EVEN_COEFFICIENTS, _ODD_COEFFICIENTS, WaveState, _even_moment,
+                          _value_sweep, energy, kernel_solution_2d, kirchhoff_3d_origin,
                           odd_n_boundary_value, radial_even_representation,
-                          representation_constants, spectral_propagate)
+                          spectral_propagate)
 
 
 @pytest.fixture(scope="module")
@@ -130,14 +129,25 @@ def test_kernel_offaxis_matches_shifted_read(grid):
     assert abs(val - st.u.values[i0 + 4, i0]) < 1e-3
 
 
+def _gaussian_boundary_derivative(a, nu):
+    """nu-th radial derivative of exp(-a r^2) at r = 1 (analytic)."""
+    return [1.0, -2.0 * a, 4.0 * a * a - 2.0 * a][nu] * math.exp(-a)
+
+
 def test_calibration_constants_rational():
-    cal = calibrate_representation_constants()
-    assert abs(cal[2]["coefficients"][0] - 1.0) < 1e-9
-    assert abs(cal[3]["coefficients"][0] - 1.0) < 1e-9
-    assert np.allclose(cal[4]["coefficients"], [1.5, 0.5], atol=1e-7)
-    assert np.allclose(cal[5]["coefficients"], [1.0, 1.0 / 3.0], atol=1e-9)
-    for n in (2, 3, 4, 5):
-        assert cal[n]["residual"] < {2: 1e-6, 3: 1e-6, 4: 1e-4, 5: 1e-4}[n]
+    # second route to the exact Poisson/Kirchhoff coefficients: fit them by
+    # least squares against the Gaussian Fourier oracle; even n fits the
+    # moments of d_r^nu phi, odd n the boundary derivatives d_r^nu phi(1)
+    gaussians = (0.5, 0.8, 1.2, 1.8, 2.5)
+    b = {n: np.asarray([gaussian_origin_value(a, 1.0, n) for a in gaussians])
+         for n in (2, 3, 4, 5)}
+    for n, exact in {**_EVEN_COEFFICIENTS, **_ODD_COEFFICIENTS}.items():
+        A = np.asarray([[_even_moment(lambda r, a=a: np.exp(-a * np.asarray(r) ** 2), nu, n)
+                         if n % 2 == 0 else _gaussian_boundary_derivative(a, nu)
+                         for nu in range(len(exact))] for a in gaussians])
+        fit, *_ = np.linalg.lstsq(A, b[n], rcond=None)
+        assert fit == pytest.approx(exact, abs=1e-9), n
+        assert np.max(np.abs(A @ np.asarray(exact) - b[n])) <= 1e-9 * np.max(np.abs(b[n])), n
 
 
 def test_even_representation_agrees_with_kernel():
@@ -197,15 +207,6 @@ def test_odd_boundary_values():
         assert abs(odd_n_boundary_value(p, 5) - gaussian_origin_value(a, 1.0, 5)) < 1e-4
 
 
-def test_missing_calibration_file_is_an_error_and_nothing_is_written(tmp_path, monkeypatch):
-    missing = tmp_path / "_calibration.json"
-    monkeypatch.setattr(wave, "_CALIBRATION_FILE", missing)
-    monkeypatch.setattr(wave, "_constants_cache", {})
-    with pytest.raises(RuntimeError, match="calibration file"):
-        representation_constants(2)
-    assert not missing.exists() and list(tmp_path.iterdir()) == []
-
-
 def test_value_sweep_matches_spectral_propagate(bump_state):
     times = [0.0, 0.3, 1.0, -0.5]
     for t, u in zip(times, _value_sweep(bump_state, times), strict=True):
@@ -214,8 +215,11 @@ def test_value_sweep_matches_spectral_propagate(bump_state):
 
 
 def test_representation_constants_guard():
+    prof = RadialProfile.from_callable(lambda r: np.exp(-np.asarray(r) ** 2), r_max=12.0)
     with pytest.raises(ValueError):
-        representation_constants(7)
+        radial_even_representation(prof, 6)
+    with pytest.raises(ValueError):
+        odd_n_boundary_value(prof, 7)
 
 
 def test_cross_representation_agreement(grid):
