@@ -32,7 +32,8 @@ import numpy as np
 from .field import (RadialProfile, ScalarField, TorusGrid, radial_embed, remove_lattice_mean)
 from .norms import sobolev_norm
 from .radial import (RadialWave2D, gauss_panel_nodes, h_half_sq_radial_3d,
-                     h_half_sq_shell_3d, l2_radial_measure, l2_sq_shell_3d, smooth_step, smooth_step_d)
+                     h_half_sq_shell_3d, l2_radial_measure, l2_sq_shell_3d, smooth_step,
+                     smooth_step_and_d, smooth_step_d)
 from .wave import WaveState, _value_sweep, spectral_propagate
 
 __all__ = [
@@ -157,21 +158,27 @@ class _ShellCutoff:
         out[m] = -self.c(lg / self.logd) / (np.sqrt(um) * lg)
         return out
 
-    def psi_prime(self, r):
+    def psi_and_prime(self, r):
+        """``(psi(r), psi'(r))`` from one pass over ``u``, ``log u`` and the
+        two smooth steps; ``psi`` equals :meth:`psi` bit for bit."""
         r = np.asarray(r, dtype=float)
         u = 1.0 - r * r
         out = np.zeros_like(u)
+        out_p = np.zeros_like(u)
         m = (u > 0.0) & (u < 1.0)
         um = u[m]
         lg = np.log(um)
         sig = lg / self.logd
-        rise, fall = smooth_step(sig - 1.0), smooth_step(4.0 - sig)
+        rise, d_rise = smooth_step_and_d(sig - 1.0)
+        fall, d_fall = smooth_step_and_d(4.0 - sig)
         c = rise * fall
-        cp = smooth_step_d(sig - 1.0) * fall - rise * smooth_step_d(4.0 - sig)
+        out[m] = -c / (np.sqrt(um) * lg)
+        cp = d_rise * fall - rise * d_fall
+        u32 = um ** -1.5
         dpsi_du = -(cp / (um * self.logd) * um ** -0.5 / lg
-                    + c * (-0.5 * um ** -1.5 / lg - um ** -1.5 / lg ** 2))
-        out[m] = dpsi_du * (-2.0 * r[m])
-        return out
+                    + c * (-0.5 * u32 / lg - u32 / lg ** 2))
+        out_p[m] = dpsi_du * (-2.0 * r[m])
+        return out, out_p
 
     def sigma_integral(self, power_c, power_s, order=48):
         """``int_1^4 c(sigma)^power_c sigma^power_s dsigma`` (delta-free)."""
@@ -215,7 +222,7 @@ def shell_wave(fam: DeltaFamily, smooth: bool = True) -> RadialWave2D:
         return _SHELL_WAVE_CACHE[key]
     if smooth:
         cut = _ShellCutoff(fam.delta)
-        psi, psi_p = cut.psi, cut.psi_prime
+        psi, psi_p = cut.psi, cut.psi_and_prime
         breaks = (fam.p1, fam.p, fam.q, fam.q1)
         support = fam.q1
     else:
@@ -228,7 +235,7 @@ def shell_wave(fam: DeltaFamily, smooth: bool = True) -> RadialWave2D:
     u_sub = np.geomspace(fam.delta ** 4, 0.5, 48)
     tau_edges = np.sqrt(1.0 - u_sub)
     wave = RadialWave2D(psi, support, s_table=_shell_s_table(fam), breakpoints=breaks,
-                        psi_prime=psi_p, tau_edges=tau_edges)
+                        psi_and_prime=psi_p, tau_edges=tau_edges)
     _SHELL_WAVE_CACHE[key] = wave
     return wave
 

@@ -20,7 +20,7 @@ from .construct import (_level_window, choose_R, chi_mean_zero, strip_normalize,
 from .field import ScalarField, TorusGrid
 from .geometry import GeodesicCurve, geodesic_constants, make_preset, moser_ratio
 from .norms import _bump_fields, _sobolev_norms, _spectrum_norms, bump_family, lp_norm
-from .radial import gauss_panel_nodes
+from .radial import _cpus, _set_width, gauss_panel_nodes
 from .wave import energy, spectral_propagate
 
 __all__ = [
@@ -232,9 +232,11 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
              mu, cfg.lam) for d in cfg.deltas]
     if cfg.jobs > 1:
         # per-element pipelines are independent; results are assembled in
-        # list order, so the report is identical across worker counts
+        # list order, so the report is identical across worker counts.  The
+        # workers share the CPUs among their planar-engine threads.
         import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with cf.ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_set_width,
+                                    initargs=(max(1, _cpus() // cfg.jobs),)) as pool:
             rows = list(pool.map(_gap_run_one_delta, args))
     else:
         rows = [_gap_run_one_delta(a) for a in args]

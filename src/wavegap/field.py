@@ -9,6 +9,7 @@ after construction; all operations return new objects.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field as dc_field
@@ -109,18 +110,20 @@ class ScalarField:
         self._adopt(np.asarray(self.values, dtype=float).copy())
 
     @classmethod
-    def _own(cls, grid: TorusGrid, values: np.ndarray, time_stamp=None) -> "ScalarField":
+    def _own(cls, grid: TorusGrid, values: np.ndarray, time_stamp=None,
+             finite: bool = False) -> "ScalarField":
         """Field over a freshly computed float array that nothing else
-        references: shape and finiteness checks, no defensive copy."""
+        references: shape check and, unless ``finite`` vouches for the
+        values, finiteness check; no defensive copy."""
         f = object.__new__(cls)
         f.__dict__.update(grid=grid, time_stamp=time_stamp)
-        f._adopt(values)
+        f._adopt(values, finite)
         return f
 
-    def _adopt(self, v: np.ndarray) -> None:
+    def _adopt(self, v: np.ndarray, finite: bool = False) -> None:
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
+        if not finite and not np.all(np.isfinite(v)):
             bad = np.argwhere(~np.isfinite(v))[0]
             raise ValueError(f"non-finite value at lattice index {tuple(bad)}")
         v.setflags(write=False)
@@ -281,13 +284,22 @@ def remove_lattice_mean(f: ScalarField) -> ScalarField:
 def lattice_shift(f: ScalarField, j) -> ScalarField:
     """Periodic shift by an integer lattice vector: ``g(x) = f(x + j*h)``.
 
-    Exactly invertible: shifting by ``-j`` restores the field bit for bit.
+    Exactly invertible: shifting by ``-j`` restores the field bit for bit
+    (values are only moved, by one slice copy per orthant of the shift).
+    The shift of a field is as finite as the field, so it is not scanned.
     """
     j = np.atleast_1d(np.asarray(j, dtype=int))
     if j.size != f.grid.dim:
         raise ValueError(f"shift vector length {j.size} != dim {f.grid.dim}")
-    vals = np.roll(f.values, shift=tuple(-j), axis=tuple(range(f.grid.dim)))
-    return ScalarField._own(f.grid, vals, f.time_stamp)
+    src = f.values
+    vals = np.empty_like(src)
+    # per axis with k = j mod n: g[:n-k] = f[k:] and g[n-k:] = f[:k]
+    halves = [((slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k)))
+              for n, k in zip(src.shape, (j % np.array(src.shape)).tolist())]
+    for pieces in itertools.product(*halves):
+        dst, orig = zip(*pieces)
+        vals[dst] = src[orig]
+    return ScalarField._own(f.grid, vals, f.time_stamp, finite=True)
 
 
 # ---------------------------------------------------------------------------

@@ -185,9 +185,11 @@ def _difference_shell_sum(f: ScalarField, s: float, p: float, q: float):
         acc = 0.0
         for v in vecs:
             dist = math.sqrt(float(np.sum((v * grid.spacing) ** 2)))
-            prev = f if ell == 1 else difference(f, v, ell - 1)
-            d = lattice_shift(prev, v).values - prev.values
-            power_sum = float(np.vdot(d, d)) if p == 2.0 else float(np.sum(np.abs(d) ** p))
+            # an overflowing difference is refused by the finiteness checks
+            with np.errstate(over="ignore"):
+                prev = f if ell == 1 else difference(f, v, ell - 1)
+                d = lattice_shift(prev, v).values - prev.values
+                power_sum = float(np.vdot(d, d)) if p == 2.0 else float(np.sum(np.abs(d) ** p))
             if not math.isfinite(power_sum):
                 raise ValueError(f"difference along {tuple(v)} overflows the L^{p} sum")
             acc += cell * (cell * power_sum) ** (q / p) / dist ** (grid.dim + s * q)

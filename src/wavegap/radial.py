@@ -17,10 +17,16 @@ structure sits far below any uniform grid resolution (thin annuli near the
 unit circle) stay computable: panels are aligned with the profile's
 breakpoints and the tables are dense exactly where the structure lives.
 
-One inverse-Abel evaluator serves ``value`` and ``dt_value``: it builds the
-panels of a whole ``(t, r)`` batch with ragged ``repeat``/``bincount``
-assembly, in chunks of about ``_NODE_BUDGET`` Gauss nodes; the strip scan
-and the ray-transform table are evaluated the same way.
+One inverse-Abel evaluator serves ``value`` and ``dt_value``, the strip
+scan and the front-refined L2 norms.  It streams a ``(t, r)`` batch in
+blocks of ``_ABEL_BLOCK`` pairs (the ray-transform table in blocks of
+``_TABLE_BLOCK`` rows): each block builds its own panel edges, integrates
+them with ragged ``repeat``/``bincount`` Gauss rules in chunks of about
+``_NODE_BUDGET`` nodes and writes its own slice of the result.  The blocks
+run on a thread pool as wide as the CPUs the process may use (NumPy
+releases the GIL in ``interp`` and the ufuncs).  A pair's panels, nodes
+and summation order do not depend on its block or thread, so the values
+do not depend on the block size or the pool width either.
 
 For odd dimensions the classical exact reductions are used instead
 (``r z`` solves the 1-d wave equation when n = 3).  The angle-reduced
@@ -31,6 +37,7 @@ by one pair rule over panels (``_gagliardo_square``) with one far tail.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -52,9 +59,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-def smooth_step(x):
-    """C-infinity transition: 0 for x <= 0, 1 for x >= 1, strictly monotone
-    between, built from exp(-1/x)."""
+def _step_exps(x):
+    """``x`` clipped to [0, 1] and the two exponentials of :func:`smooth_step`."""
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     a = np.zeros_like(x)
     b = np.zeros_like(x)
@@ -62,21 +68,32 @@ def smooth_step(x):
     a[m] = np.exp(-1.0 / x[m])
     m = x < 1
     b[m] = np.exp(-1.0 / (1.0 - x[m]))
+    return x, a, b
+
+
+def smooth_step(x):
+    """C-infinity transition: 0 for x <= 0, 1 for x >= 1, strictly monotone
+    between, built from exp(-1/x)."""
+    _, a, b = _step_exps(x)
     return a / (a + b)
 
 
-def smooth_step_d(x):
-    """Derivative of :func:`smooth_step` (vanishes to all orders at 0, 1)."""
-    x = np.asarray(x, dtype=float)
+def smooth_step_and_d(x):
+    """:func:`smooth_step` and its derivative (which vanishes to all orders
+    at 0 and 1) from one pair of exponentials."""
+    x, a, b = _step_exps(x)
     out = np.zeros_like(x)
     m = (x > 0) & (x < 1)
-    xm = x[m]
-    a = np.exp(-1.0 / xm)
-    b = np.exp(-1.0 / (1.0 - xm))
-    da = a / xm ** 2
-    db = -b / (1.0 - xm) ** 2
-    out[m] = (da * b - a * db) / (a + b) ** 2
-    return out
+    xm, am, bm = x[m], a[m], b[m]
+    da = am / xm ** 2
+    db = -bm / (1.0 - xm) ** 2
+    out[m] = (da * bm - am * db) / (am + bm) ** 2
+    return a / (a + b), out
+
+
+def smooth_step_d(x):
+    """Derivative of :func:`smooth_step`."""
+    return smooth_step_and_d(x)[1]
 
 
 _LEGGAUSS_CACHE: dict = {}
@@ -104,27 +121,68 @@ def gauss_panel_nodes(edges, order=24):
 
 
 # Gauss nodes evaluated at once by the batched quadratures below.  Chunk
-# arrays of 0.5 MB stay in cache: for the delta-0.01 table build plus strip
-# scan (2-vCPU x86 host) 64k nodes took 6.2-6.7 s and 243 MB peak RSS, 1M
-# took 7.5-8.2 s and 350 MB, 4M was slower still; 32k gained nothing.
-_NODE_BUDGET = 1 << 16
+# arrays of 256 kB stay in cache, and one chunk's temporaries (about 5 MB)
+# stay below the heap trim threshold that glibc's default malloc reaches in a
+# gap run.  On a 2-vCPU x86 host a single-threaded delta-0.01 gap run took
+# 9.7-10.3 s and 0.41 M minor page faults with 64k nodes, 8.0-8.3 s and
+# 0.1 M with 32k (with malloc tuned never to trim, 64k was 5 % faster).
+_NODE_BUDGET = 1 << 15
+
+# (t, r) pairs and ray-table rows per streamed block.  Only one block's
+# panel edges exist per thread; assembling them for the whole delta-0.01
+# strip scan at once held 129 MB.
+_ABEL_BLOCK = 2048
+_TABLE_BLOCK = 1024
 
 # Gauss order of the inverse-Abel panels
 _ABEL_ORDER = 24
 
+# Threads of one engine call; None: every CPU the process may run on.  The
+# worker processes of a parallel gap run each take their share.
+_WIDTH = None
 
-def _ragged_gauss(edges, max_len, order):
+
+def _cpus():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _set_width(width):
+    """Threads of each later engine call in this process (None: all CPUs)."""
+    global _WIDTH
+    _WIDTH = width
+
+
+def _streamed(n, block, work):
+    """``work(lo, hi)`` for the consecutive blocks ``lo:hi`` of ``range(n)``
+    of ``block`` items, on a thread pool made for this call (so no thread
+    outlives it).  A single block, or a width of 1, runs inline."""
+    bounds = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
+    width = min(_WIDTH or _cpus(), len(bounds))
+    if width <= 1:
+        for lo, hi in bounds:
+            work(lo, hi)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(width) as pool:
+        list(pool.map(lambda b: work(*b), bounds))
+
+
+def _ragged_gauss(edges, max_len, order, budget=_NODE_BUDGET):
     """Gauss-Legendre rules on the panels between consecutive entries of each
     row of sorted ``edges`` (rows padded with NaN).  A panel wider than its
     row's ``max_len`` is split in ``n = ceil(width / max_len)`` pieces at
     ``a + k (b - a) / n``, the last edge ``b``, as ``np.linspace`` places them.
     Yields ``(lo, hi, nodes, weights, owner)`` for runs of rows ``lo:hi`` of
-    about ``_NODE_BUDGET`` nodes, nodes row by row in increasing order."""
+    about ``budget`` nodes, nodes row by row in increasing order."""
     width = np.diff(edges, axis=1)
     counts = np.where(width > 0, np.maximum(np.ceil(width / max_len[:, None]), 1.0),
                       0.0).astype(np.int64)
     ends = np.cumsum(counts.sum(axis=1) * order)
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(ends // _NODE_BUDGET)) + 1,
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(ends // budget)) + 1,
                              [ends.size]]).tolist()
     xg, wg = _leggauss(order)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -183,17 +241,17 @@ class RadialWave2D:
     breakpoints : sequence of float
         Radii where ``psi`` loses smoothness (panel edges are aligned with
         every crossing of these circles).
-    psi_prime : callable, optional
-        Radial derivative of ``psi``; required for time-derivative values
-        (falls back to differentiating the table).
+    psi_and_prime : callable, optional
+        ``r -> (psi(r), psi'(r))`` from one pass over ``r``; required for
+        time-derivative values (without it the table is differentiated).
     tau_edges : sequence of float, optional
         Extra radii that split the ray-transform quadrature only.
     """
 
-    def __init__(self, psi, support, s_table, breakpoints=(), psi_prime=None,
+    def __init__(self, psi, support, s_table, breakpoints=(), psi_and_prime=None,
                  tau_edges=None):
         self.psi = psi
-        self.psi_prime = psi_prime
+        self.psi_and_prime = psi_and_prime
         self.support = float(support)
         bks = sorted(set(float(b) for b in breakpoints) | {self.support})
         self.breaks = np.array([b for b in bks if 0.0 < b <= self.support])
@@ -210,7 +268,7 @@ class RadialWave2D:
             0.0, self.support))
         self._s = s_table
         self._g, self._gp = self._ray_transforms(s_table)
-        if psi_prime is None:
+        if psi_and_prime is None:
             self._gp = np.gradient(self._g, self._s)
         # smallest table spacing: proxy for the finest resolved feature
         self.fine_scale = float(np.min(np.diff(s_table)))
@@ -219,14 +277,26 @@ class RadialWave2D:
 
     def _ray_transforms(self, s_arr):
         """Tabulate the ray transform g(s) = 2 int psi(sqrt(s^2 + tau^2)) dtau
-        and (when the derivative profile is available) its s-derivative.  The
-        tau panels end where the ray crosses a radial edge and, for entries
-        with at most 24 edges, are capped at ``support / 12``."""
+        and (when the derivative profile is available) its s-derivative, in
+        streamed blocks of table rows (:meth:`_ray_block`)."""
         g = np.zeros_like(s_arr)
         gp = np.zeros_like(s_arr)
         s = np.abs(s_arr)
         rows = np.flatnonzero(s < self.support)
-        s = s[rows]
+
+        def work(lo, hi):
+            g[rows[lo:hi]], gp[rows[lo:hi]] = self._ray_block(s[rows[lo:hi]])
+
+        _streamed(rows.size, _TABLE_BLOCK, work)
+        return g, gp
+
+    def _ray_block(self, s):
+        """``(g, g')`` at the radii ``0 <= s < support`` (``g'`` is zero
+        without ``psi_and_prime``).  The tau panels end where the ray crosses
+        a radial edge and, for entries with at most 24 edges, are capped at
+        ``support / 12``."""
+        g = np.zeros_like(s)
+        gp = np.zeros_like(s)
         bb = self._all_radial_edges
         crossed = bb[None, :] > s[:, None]
         tau = np.sqrt(np.where(crossed, bb * bb - (s * s)[:, None], np.nan))
@@ -237,14 +307,14 @@ class RadialWave2D:
             sk = s[lo:hi][own]
             radii = np.sqrt(sk * sk + tt * tt)
             wts = 2.0 * wt
-            g[rows[lo:hi]] = np.bincount(
-                own, wts * np.asarray(self.psi(radii), dtype=float), minlength=hi - lo)
-            if self.psi_prime is not None:
-                vals = np.zeros_like(radii)
-                pos = radii > 0
-                vals[pos] = (np.asarray(self.psi_prime(radii[pos]), dtype=float)
-                             * sk[pos] / radii[pos])
-                gp[rows[lo:hi]] = np.bincount(own, wts * vals, minlength=hi - lo)
+            if self.psi_and_prime is None:
+                g[lo:hi] = np.bincount(
+                    own, wts * np.asarray(self.psi(radii), dtype=float), minlength=hi - lo)
+                continue
+            f, fp = (np.asarray(v, dtype=float) for v in self.psi_and_prime(radii))
+            g[lo:hi] = np.bincount(own, wts * f, minlength=hi - lo)
+            vals = np.divide(fp * sk, radii, out=np.zeros_like(radii), where=radii > 0)
+            gp[lo:hi] = np.bincount(own, wts * vals, minlength=hi - lo)
         return g, gp
 
     def g(self, s):
@@ -259,14 +329,26 @@ class RadialWave2D:
 
     def _abel(self, t, r, derivative):
         """Inverse Abel integral z (or z_t with ``derivative``) at every pair
-        of the broadcast ``(t, r)`` batch, in sigma with s' = sqrt(r^2 +
-        sigma^2) up to s' = support + t.  Panel edges sit where s' -+ t crosses
-        a breakpoint, where s' - t changes sign and at ``0.25 r``, ``r``,
-        ``4 r`` (s'(sigma) bends there); panels are capped at (support + t)/12."""
+        of the broadcast ``(t, r)`` batch, in streamed blocks of pairs
+        (:meth:`_abel_block`)."""
         t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
                                    np.abs(np.asarray(r, dtype=float)))
         shape = t.shape
         t, r = t.ravel(), r.ravel()
+        out = np.zeros(t.size)
+
+        def work(lo, hi):
+            out[lo:hi] = self._abel_block(t[lo:hi], r[lo:hi], derivative)
+
+        _streamed(t.size, _ABEL_BLOCK, work)
+        return out.reshape(shape)
+
+    def _abel_block(self, t, r, derivative):
+        """:meth:`_abel` at the pairs of 1-d arrays ``t`` and ``r >= 0``, in
+        sigma with s' = sqrt(r^2 + sigma^2) up to s' = support + t.  Panel
+        edges sit where s' -+ t crosses a breakpoint, where s' - t changes
+        sign and at ``0.25 r``, ``r``, ``4 r`` (s'(sigma) bends there);
+        panels are capped at (support + t)/12."""
         out = np.zeros(t.size)
         top = self.support + t
         lim2 = top * top - r * r
@@ -291,7 +373,7 @@ class RadialWave2D:
             ahead, behind = g(s + tk), g(s - tk)
             f = ahead + behind if derivative else ahead - behind
             out[live[lo:hi]] = -np.bincount(own, w * f / s, minlength=hi - lo) / TWO_PI
-        return out.reshape(shape)
+        return out
 
     def value(self, t, r):
         """Point value z(t, r), vectorized over broadcast arrays of t and r
@@ -471,6 +553,13 @@ def _blocked_sum(wx, wy, kernel):
     return total
 
 
+# Ladder entries and Gauss nodes per touching-pair block of
+# ``_gagliardo_square``.  Each node holds about 20 float temporaries: under
+# tracemalloc the level-4 shell norm peaks at 2.4 MB (3.5 MB at 2^14, 10.8 MB
+# at 2^16), in no more time.
+_TOUCH_BUDGET = 1 << 13
+
+
 def _gagliardo_square(edges, order, profile, density, limit, eps):
     """``int int density`` over ``[edges[0], edges[-1]]^2`` by Gauss rules of
     ``order`` on pairs of the panels between ``edges`` (strictly increasing).
@@ -513,7 +602,7 @@ def _gagliardo_square(edges, order, profile, density, limit, eps):
     live &= far > near
     ratio = np.max(far[live] / near[live], initial=1.0)
     m = np.arange(int(math.ceil(math.log(ratio, 4.0))) + 2)  # 4^m near reaches every far
-    step = max(1, _NODE_BUDGET // (2 * m.size + 1))
+    step = max(1, _TOUCH_BUDGET // (2 * m.size + 1))
     for c in range(0, k.size, step):
         # ladder edges -far .. -near, NaN, near .. far; NaN past a ladder's end
         n, f = near[:, c:c + step, None], far[:, c:c + step, None]
@@ -522,7 +611,8 @@ def _gagliardo_square(edges, order, profile, density, limit, eps):
         rows = np.concatenate([-rung[1, :, ::-1], np.full((rung.shape[1], 1), np.nan), rung[0]],
                               axis=1)
         kc = k[c:c + step]
-        for a, b, w, wt, own in _ragged_gauss(rows, np.full(kc.size, np.inf), order):
+        for a, b, w, wt, own in _ragged_gauss(rows, np.full(kc.size, np.inf), order,
+                                              _TOUCH_BUDGET):
             xk = x[kc[a:b]][own]
             y = xk + w
             dens = density(xk, fx[kc[a:b]][own], y, np.asarray(profile(y), dtype=float))

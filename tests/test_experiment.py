@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavegap import experiment
+from wavegap import experiment, radial
+from wavegap.construct import delta_family, shell_wave
 from wavegap.experiment import (GapRunConfig, _pair_measures, _pair_spectra,
                                 appendix_ratio_suite,
                                 certified_radial_run, report_verdict, scaling_suite,
@@ -153,14 +154,15 @@ def test_gap_run_computes_geodesic_constants_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_worker_count_invariance(sphere_report):
-    # same report regardless of parallelism degree
+def test_worker_count_invariance(monkeypatch, sphere_report):
+    # same report regardless of parallelism degree, also when the process
+    # pool forks after a threaded engine call: that call's threads are gone
+    monkeypatch.setattr(radial, "_WIDTH", 2)
+    n = 3 * radial._ABEL_BLOCK
+    shell_wave(delta_family(0.3)).value(np.full(n, 0.5), np.linspace(0.0, 1.0, n))
     rep2 = gap_run(GapRunConfig(deltas=(0.3, 0.1), jobs=2))
     assert rep2.config == sphere_report.config
-    for a, b in zip(sphere_report.rows, rep2.rows):
-        assert abs(a["gap"] - b["gap"]) <= 1e-14 * max(1.0, a["gap"])
-        assert abs(a["data_distance"] - b["data_distance"]) <= 1e-14
-        assert a["t_j"] == b["t_j"]
+    assert rep2.rows == sphere_report.rows
 
 
 def test_product_ratios_degenerate_pair():

@@ -130,6 +130,15 @@ def test_lattice_shift_group_property(j):
     assert abs(integrate(lattice_shift(f, j)) - integrate(f)) < 1e-12
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.lists(st.integers(-40, 40), min_size=3, max_size=3))
+def test_lattice_shift_matches_roll(dim, j):
+    g = TorusGrid(dim, 4.0, 8)
+    f = ScalarField(g, np.random.default_rng(dim).standard_normal(g.shape))
+    shifted = lattice_shift(f, j[:dim]).values
+    assert np.array_equal(shifted, np.roll(f.values, [-v for v in j[:dim]], tuple(range(dim))))
+
+
 def test_field_serialization_roundtrip(tmp_path, grid2):
     rng = np.random.default_rng(3)
     f = ScalarField(grid2, rng.standard_normal(grid2.shape), time_stamp=0.25)

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.special import j0
 
 from wavegap.construct import (LogCutoffAtom, _ShellCutoff, chi_mean_zero, delta_family,
                                focusing_sequence, shell_wave, strip_normalize)
+from wavegap import radial
 from wavegap.field import TorusGrid
 from wavegap.radial import (_ABEL_ORDER, RadialWave2D, fourier_hs_sq_radial_3d,
                             gauss_panel_nodes, gaussian_origin_value,
@@ -43,12 +45,58 @@ def test_sphere_area_values():
     assert abs(sphere_area(3) - 4 * math.pi) < 1e-14
 
 
+def _gauss_wave(n_table):
+    return RadialWave2D(lambda r: np.exp(-r * r), support=10.0,
+                        s_table=np.linspace(0, 10, n_table),
+                        psi_and_prime=lambda r: (np.exp(-r * r), -2 * r * np.exp(-r * r)))
+
+
 @pytest.fixture(scope="module")
 def gauss_wave():
     # table interpolation error falls quadratically with node spacing
-    return RadialWave2D(lambda r: np.exp(-r * r), support=10.0,
-                        s_table=np.linspace(0, 10, 20000),
-                        psi_prime=lambda r: -2 * r * np.exp(-r * r))
+    return _gauss_wave(20000)
+
+
+def _engine_outputs(wave):
+    rng = np.random.default_rng(5)
+    t = rng.uniform(0.01, 1.5, 3 * radial._ABEL_BLOCK + 17)
+    r = rng.uniform(0.0, 12.0, t.size)
+    return (wave._g, wave._gp, wave.value(t, r), wave.dt_value(t, r),
+            np.array(wave.strip_max(t_step=1.0 / 64.0)))
+
+
+def test_engine_is_bit_identical_at_every_width(monkeypatch):
+    # several blocks of table rows and of pairs, run inline and on 2 and 5
+    # threads (more than most hosts' cores), switching threads often
+    outputs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for width in (1, 2, 5):
+            monkeypatch.setattr(radial, "_WIDTH", width)
+            outputs[width] = _engine_outputs(_gauss_wave(3 * radial._TABLE_BLOCK + 5))
+    finally:
+        sys.setswitchinterval(interval)
+    for width in (2, 5):
+        for one, other in zip(outputs[1], outputs[width]):
+            assert np.array_equal(one, other)
+
+
+def test_one_block_equals_a_split_into_blocks(gauss_wave):
+    # the batches fit in one block; the block helpers split them by hand
+    rng = np.random.default_rng(6)
+    t = rng.uniform(0.01, 1.5, 300)
+    r = rng.uniform(0.0, 12.0, t.size)
+    cuts = [0, 1, 40, 41, 175, t.size]
+    for derivative in (False, True):
+        split = np.concatenate([gauss_wave._abel_block(t[a:b], r[a:b], derivative)
+                                for a, b in zip(cuts[:-1], cuts[1:])])
+        assert np.array_equal(gauss_wave._abel(t, r, derivative), split)
+    s = np.linspace(0.0, 9.99, t.size)
+    whole = gauss_wave._ray_transforms(s)
+    split = [gauss_wave._ray_block(s[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    for k in (0, 1):
+        assert np.array_equal(whole[k], np.concatenate([part[k] for part in split]))
 
 
 def test_wave2d_against_hankel_oracle(gauss_wave):
