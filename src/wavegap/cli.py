@@ -164,9 +164,12 @@ def cmd_lemma1(args):
         outputs.append(path)
         row = {"delta": datum.delta, "norm": datum.norm,
                "z10": datum.z_value_at_10, "dimension": datum.dimension}
-        if args.n == 2 and args.normalize:
-            nz = construct.strip_normalize(datum)
-            row.update({"t_j": nz.t_j, "m_j": nz.m_j})
+        if args.n == 2:
+            # how much of the datum the fixed grid resolves
+            row["sampled_l2_ratio"] = norms.lp_norm(emb, 2) / datum.norm
+            if args.normalize:
+                nz = construct.strip_normalize(datum)
+                row.update({"t_j": nz.t_j, "m_j": nz.m_j})
         rows.append(row)
     man_path = out_dir / "lemma1.json"
     man_path.write_text(json.dumps(rows, indent=1))
@@ -366,10 +369,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:  # argparse errors carry their own code
         return 1 if e.code not in (0, None) else 0
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError, KeyError, json.JSONDecodeError) as e:
+    except (FileNotFoundError, ValueError, RuntimeError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -138,29 +138,18 @@ class _ShellCutoff:
     """Smooth cutoff in the self-similar coordinate sigma = log(u)/log(delta)."""
 
     def __init__(self, delta):
-        self.delta = delta
         self.logd = math.log(delta)
-
-    def sigma(self, u):
-        return np.log(u) / self.logd
 
     def c(self, sig):
         sig = np.asarray(sig, dtype=float)
         return smooth_step(sig - 1.0) * smooth_step(4.0 - sig)
 
     def psi(self, r):
-        r = np.asarray(r, dtype=float)
-        u = 1.0 - r * r
-        out = np.zeros_like(u)
-        m = (u > 0.0) & (u < 1.0)
-        um = u[m]
-        lg = np.log(um)
-        out[m] = -self.c(lg / self.logd) / (np.sqrt(um) * lg)
-        return out
+        return self.psi_and_prime(r)[0]
 
     def psi_and_prime(self, r):
         """``(psi(r), psi'(r))`` from one pass over ``u``, ``log u`` and the
-        two smooth steps; ``psi`` equals :meth:`psi` bit for bit."""
+        two smooth steps."""
         r = np.asarray(r, dtype=float)
         u = 1.0 - r * r
         out = np.zeros_like(u)
@@ -189,11 +178,8 @@ class _ShellCutoff:
 def psi_smooth(fam: DeltaFamily) -> RadialProfile:
     """Smooth annulus datum: the sharp profile times a C-infinity radial
     cutoff squeezed between the indicators of [p, q] and [p1, q1]."""
-    cut = _ShellCutoff(fam.delta)
-    prof = RadialProfile.from_callable(cut.psi, r_max=1.0, n_samples=_ANNULUS_SAMPLES,
-                                       dim_hint=2)
-    object.__setattr__(prof, "_cutoff", cut)
-    return prof
+    return RadialProfile.from_callable(_ShellCutoff(fam.delta).psi, r_max=1.0,
+                                       n_samples=_ANNULUS_SAMPLES, dim_hint=2)
 
 
 def _shell_s_table(fam: DeltaFamily):
@@ -287,36 +273,34 @@ def focusing_sequence(n: int, delta_list) -> list:
             prof = RadialProfile.from_callable(phi_fn, r_max=1.0, n_samples=_ANNULUS_SAMPLES,
                                                dim_hint=2)
             out.append(FocusingDatum(prof, d, z10, norm_planar / z10, 2, wave))
-        norms = [d.norm for d in out]
-        if any(b >= a for a, b in zip(norms[:-1], norms[1:])):
-            raise ValueError("data norms failed to decay along the sequence")
-        return out
-    if n == 3:
+    elif n == 3:
         out = []
         for atom in (LogCutoffAtom(int(v)) for v in deltas):
             prof = RadialProfile.from_callable(atom, r_max=2.0, n_samples=8192, dim_hint=3)
             out.append(FocusingDatum(prof, atom.eps, 1.0, atom.h_half_norm(), 3, atom))
-        norms = [d.norm for d in out]
-        if any(b >= a for a, b in zip(norms[:-1], norms[1:])):
-            raise ValueError("data norms failed to decay along the sequence")
-        return out
-    raise ValueError("focusing_sequence supports n in {2, 3}")
+    else:
+        raise ValueError("focusing_sequence supports n in {2, 3}")
+    norms = [d.norm for d in out]
+    if any(b >= a for a, b in zip(norms[:-1], norms[1:])):
+        raise ValueError("data norms failed to decay along the sequence")
+    return out
 
 
 @dataclass(frozen=True)
 class NormalizedZ:
-    """Strip-max normalized solution handle: ``z~(t, x) = z(t, x - x_j)/m``
-    with the sampled maximum m attained at (t_j, x_j); here the maximum of
-    the focusing family always lands on the axis, so x_j = 0."""
+    """Normalized planar solution handle ``z~(t, r) = sign * z(t, r) / m_raw``
+    at the time ``t_j``.
 
-    datum: object              # callable: normalized velocity datum profile
+    The gap run normalizes by the sampled strip maximum, attained on the
+    axis at ``t_j`` (:func:`strip_normalize`); the certified run by the
+    focus value, ``t_j = 1``, ``m_raw = z(1, 0)``, ``sign = 1``.
+    """
+
+    wave: RadialWave2D = dc_field(compare=False, repr=False)
     t_j: float
-    x_j: tuple
-    m_j: float                 # strip max relative to the unit-focus datum
+    m_raw: float               # normalizing value of the raw annulus solution
     sign: float
-    delta: float
-    wave: RadialWave2D = dc_field(compare=False, repr=False, default=None)
-    m_raw: float = 0.0         # strip max of the raw annulus solution
+    m_j: float                 # m_raw relative to the unit-focus datum
     scan: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     def z_at(self, t, r):
@@ -325,7 +309,27 @@ class NormalizedZ:
     def dt_z_at(self, t, r):
         return self.sign * np.asarray(self.wave.dt_value(t, r)) / self.m_raw
 
+    def window(self, lo, hi):
+        """Radius where ``z~(t_j, .)`` first leaves ``[lo, hi]``
+        (:func:`_level_window`).
+
+        Errors out when the window collapses below a couple of fine-scale
+        cells (the evaluator cannot certify the level set there).
+        """
+        fine = self.wave.fine_scale
+        r = _level_window(self.z_at, self.t_j, lo, hi, r_top=self.wave.support + self.t_j,
+                          fine=fine)
+        if r < 2.0 * fine:
+            raise ValueError(f"level window radius {r:.3e} below twice the fine scale "
+                             f"{fine:.3e}: resolution insufficient")
+        return r
+
+    def dtz_l2_planar(self):
+        """``L2(R^2)`` norm of ``z~_t(t_j, .)``."""
+        return self.wave.l2_planar(self.t_j, derivative=True) / self.m_raw
+
     def datum_l2_planar(self):
+        """``L2(R^2)`` norm of the normalized velocity datum."""
         return self.wave.datum_l2_planar() / self.m_raw
 
 
@@ -360,33 +364,17 @@ def strip_normalize(datum: FocusingDatum, t_step: float = 1.0 / 256.0) -> Normal
             f"strip max found off axis (r = {r_j:.3e}); recentering of "
             "non-axial maxima is not implemented for the radial pipeline")
     sign = math.copysign(1.0, wave.value(t_j, r_j))
-    m_j = m_raw / datum.z_value_at_10
-
-    def datum_fn(r, _w=wave, _m=m_raw, _s=sign):
-        return _s * np.asarray(_w.psi(np.asarray(r, dtype=float))) / _m
-
-    return NormalizedZ(datum_fn, float(t_j), (0.0, 0.0), float(m_j), sign,
-                       d, wave, float(m_raw),
+    return NormalizedZ(wave, float(t_j), float(m_raw), sign,
+                       float(m_raw / datum.z_value_at_10),
                        scan={"t_step": t_step, "structured_times": 160,
                              "refine": "local, 3 rounds of 8x"})
 
 
 def choose_R(normalized: NormalizedZ, level: float = 0.5) -> float:
     """Concentration radius for the rescaled bump: the largest ``r*`` with
-    ``z~(t_j, r) >= level`` on the sampled ball, returned as ``R = 2/r*``.
-
-    Errors out when the window collapses below a couple of fine-scale cells
-    (the evaluator cannot certify the level set there).
-    """
-    wave = normalized.wave
-    z_fn = lambda t, r: np.asarray(normalized.z_at(t, r))
-    r_star = _level_window(z_fn, normalized.t_j, level, np.inf,
-                           r_top=wave.support + normalized.t_j, fine=wave.fine_scale)
-    if r_star < 2.0 * wave.fine_scale:
-        raise ValueError(
-            f"level window radius {r_star:.3e} below twice the fine scale "
-            f"{wave.fine_scale:.3e}: resolution insufficient")
-    return 2.0 / r_star
+    ``z~(t_j, r) >= level`` on the sampled ball, returned as ``R = 2/r*``
+    (:meth:`NormalizedZ.window`, which refuses unresolved windows)."""
+    return 2.0 / normalized.window(level, np.inf)
 
 
 def _level_window(z_fn, t, lo, hi, r_top, fine):
@@ -495,7 +483,8 @@ def rescaled_family(chi: RadialProfile, R: float, M: float, T: float,
     """Build the rescaled-bump wave on a grid: embed ``M chi(R .)`` as the
     velocity at t = T, back-propagate spectrally to t = 0, and record the
     measured trace and sup constants (per unit M/R; the sup over 17 times
-    evenly spaced in [0, 1])."""
+    evenly spaced in [0, 1]).  ``chi`` is a :func:`chi_mean_zero` bump, whose
+    ``kappa`` the result records."""
     if R < 1.0 or M < 0.0 or not 0.0 <= T <= 1.0:
         raise ValueError("require R >= 1, M >= 0, T in [0, 1]")
     if chi.support_radius / 1.0 > grid.half_width - 2.0:
@@ -512,12 +501,8 @@ def rescaled_family(chi: RadialProfile, R: float, M: float, T: float,
     sup = 0.0
     for ut in _value_sweep(state0, np.linspace(0.0, 1.0, 17)):
         sup = max(sup, float(np.max(np.abs(ut.values))))
-    kappa = getattr(chi, "kappa", None)
-    if kappa is None:
-        kappa = math.sqrt(PLANAR_POINT_FACTOR) * l2_radial_measure(
-            chi, np.linspace(0, chi.r_max, 33))
     return RescaledWave(chi, float(R), float(M), float(T), state0,
-                        float(kappa), float(init_c), float(sup / ratio))
+                        float(chi.kappa), float(init_c), float(sup / ratio))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .construct import (_level_window, choose_R, chi_mean_zero, strip_normalize,
+from .construct import (NormalizedZ, choose_R, chi_mean_zero, strip_normalize,
                         focusing_sequence, rescaled_family)
 from .field import ScalarField, TorusGrid
 from .geometry import GeodesicCurve, geodesic_constants, make_preset, moser_ratio
@@ -97,25 +97,11 @@ def report_verdict(rows) -> tuple:
     return ("pass" if ok else "fail"), detail
 
 
-def _measure_reference_constants(chi, grid, n):
-    """One resolvable rescaled wave fixes the measured trace/sup constants
-    used by the admissibility checks."""
-    probe = rescaled_family(chi, R=4.0, M=0.4, T=0.7, grid=grid)
-    return {"init_constant": probe.init_constant, "sup_constant": probe.sup_constant,
-            "kappa": probe.kappa}
+def _gap_terms(curve, consts, chi, R, M, mu, nz: NormalizedZ):
+    """Solution-derivative gap and its decomposition at the time t_j of the
+    normalized solution z = ``nz``.
 
-
-def _core_quadrature(chi, order=12):
-    """Gauss nodes on the support of the unit-scale bump (the gap integrals
-    localize there after rescaling y = R x)."""
-    return gauss_panel_nodes(np.linspace(0.0, chi.r_max, 17), order)
-
-
-def _gap_terms(curve, consts, t_eval, chi, R, M, mu, z_at, dt_z_at,
-               dtz_l2_global):
-    """Solution-derivative gap and its decomposition at one time.
-
-    With v(t_eval) = 0, v_t(t_eval) = M chi(R .), w = v + mu z the difference
+    With v(t_j) = 0, v_t(t_j) = M chi(R .), w = v + mu z the difference
     of composed time derivatives splits into the target-curvature term
     supported on the bump core and the globally supported linear term:
 
@@ -127,10 +113,13 @@ def _gap_terms(curve, consts, t_eval, chi, R, M, mu, z_at, dt_z_at,
     terms by construction).
     """
     c0, c1, jc = consts
-    y, wy = _core_quadrature(chi)
+    # Gauss nodes on the support of the unit-scale bump (the gap integrals
+    # localize there after rescaling y = R x)
+    y, wy = gauss_panel_nodes(np.linspace(0.0, chi.r_max, 17), 12)
     r_core = y / R
-    z_core = np.asarray(z_at(t_eval, r_core))
-    dz_core = np.asarray(dt_z_at(t_eval, r_core))
+    z_core = nz.z_at(nz.t_j, r_core)
+    dz_core = nz.dt_z_at(nz.t_j, r_core)
+    dtz_l2_global = nz.dtz_l2_planar()
     chi_core = np.asarray(chi(y))
     s_core = mu * z_core
 
@@ -159,7 +148,7 @@ def _gap_terms(curve, consts, t_eval, chi, R, M, mu, z_at, dt_z_at,
     comm = (M / R) * math.sqrt(two_pi * float(np.sum(wy * (rem * chi_core) ** 2 * y)))
     energy_term = mu * dtz_l2_global
     return {"gap": gap, "main": main, "commutator": comm, "energy": energy_term,
-            "b2_tail_clamped": bool(B2_global < B2_core),
+            "dtz_l2": dtz_l2_global, "b2_tail_clamped": bool(B2_global < B2_core),
             "z_core_min": float(np.min(z_core)), "z_core_max": float(np.max(z_core))}
 
 
@@ -172,9 +161,7 @@ def _gap_run_one_delta(args):
     nz = strip_normalize(datum, t_step=t_step)
     R = choose_R(nz)
     M = lam * R
-    dtz_global = nz.wave.l2_planar(nz.t_j, derivative=True) / nz.m_raw
-    terms = _gap_terms(curve, consts, nz.t_j, chi, R, M, mu,
-                       nz.z_at, nz.dt_z_at, dtz_global)
+    terms = _gap_terms(curve, consts, chi, R, M, mu, nz)
     dd = mu * nz.datum_l2_planar()
     return {
         "delta": datum.delta, "t_j": nz.t_j, "m_j": nz.m_j, "R": R, "M": M,
@@ -183,7 +170,7 @@ def _gap_run_one_delta(args):
                   "energy": terms["energy"]},
         "extras": {"z_core_min": terms["z_core_min"],
                    "z_core_max": terms["z_core_max"],
-                   "dtz_l2": dtz_global,
+                   "dtz_l2": terms["dtz_l2"],
                    "b2_tail_clamped": terms["b2_tail_clamped"],
                    "z_value_at_10": datum.z_value_at_10,
                    "sequence_norm": datum.norm},
@@ -212,12 +199,12 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
     if not curve.flat and not (0.0 <= mu < c0 / 2.0 + 1e-15):
         raise ValueError(f"mu={mu} must lie in [0, c0/2={c0 / 2.0:.4f})")
 
-    chi = chi_mean_zero(2)
-    grid = cfg.grid()
-    ref = _measure_reference_constants(chi, grid, 2)
-    kappa = ref["kappa"]
+    # one resolvable rescaled wave fixes the measured trace/sup constants
+    # used by the admissibility checks
+    ref = rescaled_family(chi_mean_zero(2), R=4.0, M=0.4, T=0.7, grid=cfg.grid())
+    kappa = ref.kappa
     # data-size admissibility (measured constant per unit kappa, factor 4)
-    c_meas = 4.0 * ref["init_constant"] / kappa
+    c_meas = 4.0 * ref.init_constant / kappa
     if not c_meas * kappa * cfg.lam < cfg.r0:
         raise ValueError(
             f"data-size admissibility failed: {c_meas:.3f}*{kappa:.3f}*{cfg.lam} "
@@ -225,7 +212,7 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
     range_checked = False
     if not curve.flat and math.isfinite(curve.s0):
         range_checked = True
-        if not ref["sup_constant"] * cfg.lam < c0 / 2.0:
+        if not ref.sup_constant * cfg.lam < c0 / 2.0:
             raise ValueError("range admissibility failed: sup-constant * lam >= c0/2")
 
     args = [(d, cfg.t_step, cfg.target, dict(cfg.target_params), (c0, c1, jc),
@@ -243,8 +230,8 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
     verdict, detail = report_verdict(rows)
     constants = {"c0": c0, "c1": c1, "component": jc, "mu": mu, "lam": cfg.lam,
                  "kappa": kappa, "r0": cfg.r0,
-                 "init_constant": ref["init_constant"],
-                 "sup_constant": ref["sup_constant"],
+                 "init_constant": ref.init_constant,
+                 "sup_constant": ref.sup_constant,
                  "range_admissibility_checked": range_checked}
     return GapReport(cfg.echo(), rows, constants, verdict, detail)
 
@@ -280,28 +267,17 @@ def certified_radial_run(cfg: GapRunConfig) -> GapReport:
     data = focusing_sequence(2, cfg.deltas)
     rows = []
     for datum in data:
-        wave = datum.wave
-        z10 = datum.z_value_at_10
-
-        def z_at(t, r, _w=wave, _z=z10):
-            return np.asarray(_w.value(t, r)) / _z
-
-        def dt_z_at(t, r, _w=wave, _z=z10):
-            return np.asarray(_w.dt_value(t, r)) / _z
-
+        # z_j = z / z(1, 0): the solution for the unit-focus datum phi_j
+        nz = NormalizedZ(datum.wave, t_j=1.0, m_raw=datum.z_value_at_10, sign=1.0, m_j=1.0)
         # unit-time window 1/2 < z_j < 2 around the focus
-        r_win = _level_window(z_at, 1.0, 0.5, 2.0, wave.support + 1.0, wave.fine_scale)
-        if r_win < 2.0 * wave.fine_scale:
-            raise ValueError("unit-time window below resolution; refine tables")
+        r_win = nz.window(0.5, 2.0)
         R = 1.0 / r_win
         M = lam0 * R
-        dtz_global = wave.l2_planar(1.0, derivative=True) / z10
-        terms = _gap_terms(curve, (c0, c1, jc), 1.0, chi, R, M, mu,
-                           z_at, dt_z_at, dtz_global)
+        terms = _gap_terms(curve, (c0, c1, jc), chi, R, M, mu, nz)
         # certified window: the inner half of the bump support (|x| <= 1/R)
         y_in = np.linspace(0.0, 1.0, 33)[1:]
-        z_win = np.asarray(z_at(1.0, y_in / R))
-        phi_l2 = wave.datum_l2_planar() / z10
+        z_win = nz.z_at(1.0, y_in / R)
+        phi_l2 = nz.datum_l2_planar()
         lhs = terms["gap"] ** 2 + (c0 ** 2 / 4.0) * phi_l2 ** 2
         rows.append({
             "delta": datum.delta, "t_j": 1.0, "R": R, "M": M,

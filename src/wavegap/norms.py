@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import ndimage
 
 from .field import ScalarField, TorusGrid, lattice_shift
 
@@ -249,6 +248,7 @@ def rescale(f: ScalarField, lam: float) -> ScalarField:
         mesh = np.meshgrid(*([src] * grid.dim), indexing="ij")
         vals = f.values[tuple(mesh)]
     else:
+        from scipy import ndimage
         coords = np.where(inside, target + n // 2, 0.0)
         mesh = np.meshgrid(*([coords] * grid.dim), indexing="ij")
         vals = ndimage.map_coordinates(f.values, np.stack(mesh), order=1,

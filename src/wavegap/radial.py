@@ -36,6 +36,7 @@ by one pair rule over panels (``_gagliardo_square``) with one far tail.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -96,13 +97,9 @@ def smooth_step_d(x):
     return smooth_step_and_d(x)[1]
 
 
-_LEGGAUSS_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _leggauss(order):
-    if order not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _LEGGAUSS_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def gauss_panel_nodes(edges, order=24):

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # noqa: F401  (NumPy 2 loads it lazily; wavebench/tracer.py wraps it)
 
 from .field import RadialProfile, ScalarField
 from .norms import sobolev_norm

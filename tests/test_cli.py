@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import wavegap
 from wavegap.cli import main
 from wavegap.field import (ScalarField, TorusGrid, load_state, sample,
                            save_field, save_state)
@@ -85,6 +90,23 @@ def test_chi_and_sequence(tmp_path, capsys):
     assert code == 0
     rows = lines[0]["rows"]
     assert rows[1]["norm"] < rows[0]["norm"]
+    assert "sampled_l2_ratio" not in rows[0]  # the 3-d norm is not an L2 norm
+    code, lines, _ = run(capsys, "lemma1", "--n", "2", "--deltas", "0.3",
+                         "--out", str(tmp_path / "seq2"))
+    assert code == 0
+    # the fixed 256^2 grid resolves about 98 % of the delta = 0.3 datum's L2 norm
+    assert abs(lines[0]["rows"][0]["sampled_l2_ratio"] - 0.98) < 0.01
+
+
+def test_package_import_loads_numpy_fft_not_scipy_ndimage():
+    # scipy.ndimage serves only norms.rescale; importing it costs startup time.
+    # numpy.fft, which NumPy 2 loads lazily, is loaded with the package.
+    code = ("import sys, wavegap, wavegap.cli; "
+            "print('scipy.ndimage' in sys.modules, 'numpy.fft' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(wavegap.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_sweep_and_report(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -170,6 +172,17 @@ def test_choose_r_defining_relation_and_consistency():
     assert np.all(nz.z_at(nz.t_j, rr) >= 0.5 - 1e-9)
     # and it fails just beyond
     assert nz.z_at(nz.t_j, r_star * 1.05) < 0.5 or True  # bisection is one-sided
+
+
+def test_window_refused_below_twice_the_fine_scale():
+    nz = strip_normalize(focusing_sequence(2, [0.3])[0])
+    coarse = copy.copy(nz.wave)  # the cached evaluator stays as it is
+    coarse.fine_scale = nz.window(0.5, 2.0)
+    nz_coarse = dataclasses.replace(nz, wave=coarse)
+    with pytest.raises(ValueError, match="below twice the fine scale"):
+        nz_coarse.window(0.5, 2.0)
+    with pytest.raises(ValueError, match="below twice the fine scale"):
+        choose_R(nz_coarse)
 
 
 def test_chi_mean_zero_properties():
