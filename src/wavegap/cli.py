@@ -53,27 +53,42 @@ def _write_manifest(out_dir, name, sub, config, inputs, outputs, t0, seed=None,
     return path
 
 
-def _load_config(path) -> dict:
+def _load_config(path):
+    """``(kind, GapRunConfig)`` of a sweep config file: one ``[run]`` section
+    of ``GapRunConfig`` keys plus ``kind`` (gap or certified)."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    sec = cp["run"] if cp.has_section("run") else cp["DEFAULT"]
+    if cp.sections() != ["run"]:
+        raise ValueError(f"{path}: needs exactly one [run] section, found "
+                         f"{', '.join(cp.sections()) or 'none'}")
+    sec = cp["run"]
+    kind = sec.get("kind", "gap")
+    if kind not in ("gap", "certified"):
+        raise ValueError(f"{path}: kind must be gap or certified, got {kind!r}")
+    unknown = set(sec) - {"kind"} - {f.name for f in dataclasses.fields(experiment.GapRunConfig)}
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s): {', '.join(sorted(unknown))}")
     out = {}
     for key, val in sec.items():
-        if key in ("deltas",):
-            out[key] = tuple(float(v) for v in val.split(","))
-        elif key in ("n", "grid_n", "seed", "jobs"):
-            out[key] = int(val)
-        elif key in ("lam", "mu", "r0", "grid_l", "t_step"):
-            out[key] = float(val)
-        elif key in ("negative_control",):
-            out[key] = val.strip().lower() in ("1", "true", "yes")
-        elif key == "target_params":
-            out[key] = json.loads(val)
-        else:
-            out[key] = val
-    return out
+        try:
+            if key == "deltas":
+                val = tuple(float(v) for v in val.split(","))
+            elif key in ("grid_n", "seed", "jobs"):
+                val = int(val)
+            elif key in ("lam", "mu", "r0", "grid_l"):
+                val = float(val)
+            elif key == "negative_control":
+                val = sec.getboolean(key)
+            elif key == "target_params":
+                val = json.loads(val)
+                if not isinstance(val, dict):
+                    raise ValueError(f"not a JSON object: {sec[key]}")
+        except ValueError as e:
+            raise ValueError(f"{path}: {key}: {e}") from None
+        out[key] = val
+    out.pop("kind", None)
+    return kind, experiment.GapRunConfig(**out)
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +215,9 @@ def cmd_chi(args):
 
 def cmd_sweep(args):
     t0 = time.time()
-    conf = _load_config(args.config)
-    kind = conf.pop("kind", "gap")
-    if kind not in ("gap", "certified"):
-        raise ValueError(f"{args.config}: kind must be gap or certified, got {kind!r}")
-    unknown = set(conf) - {f.name for f in dataclasses.fields(experiment.GapRunConfig)}
-    if unknown:
-        raise ValueError(f"{args.config}: unknown config key(s): {', '.join(sorted(unknown))}")
-    if getattr(args, "jobs", None):
-        conf["jobs"] = args.jobs
-    cfg = experiment.GapRunConfig(**conf)
+    kind, cfg = _load_config(args.config)
+    if args.jobs:
+        cfg.jobs = args.jobs
     run = experiment.gap_run if kind == "gap" else experiment.certified_radial_run
     report = run(cfg)
     doc = {"kind": kind, "config_echo": report.config, "rows": report.rows,
@@ -369,8 +377,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:  # argparse errors carry their own code
         return 1 if e.code not in (0, None) else 0
-    except (FileNotFoundError, ValueError, RuntimeError, KeyError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (FileNotFoundError, ValueError, RuntimeError, KeyError, json.JSONDecodeError,
+            configparser.Error) as e:
+        print("error:", " ".join(str(e).split()), file=sys.stderr)  # one line
         return 1
 
 

@@ -198,31 +198,20 @@ def _shell_s_table(fam: DeltaFamily):
 _SHELL_WAVE_CACHE: dict = {}
 
 
-def shell_wave(fam: DeltaFamily, smooth: bool = True) -> RadialWave2D:
-    """Planar radial wave evaluator for the annulus datum, with the ray
-    table clustered logarithmically inside the shell.  Evaluators are
-    stateless after construction and shared through a cache (the table
-    build is the expensive step)."""
-    key = (fam.delta, smooth)
-    if key in _SHELL_WAVE_CACHE:
-        return _SHELL_WAVE_CACHE[key]
-    if smooth:
-        cut = _ShellCutoff(fam.delta)
-        psi, psi_p = cut.psi, cut.psi_and_prime
-        breaks = (fam.p1, fam.p, fam.q, fam.q1)
-        support = fam.q1
-    else:
-        prof = psi_exact(fam)
-        psi, psi_p = prof.exact, None
-        breaks = (fam.p, fam.q)
-        support = fam.q
+def shell_wave(fam: DeltaFamily) -> RadialWave2D:
+    """Planar radial wave evaluator for the smooth annulus datum, with the
+    ray table clustered logarithmically inside the shell.  Evaluators are
+    stateless after construction and shared through a cache keyed by delta
+    (the table build is the expensive step)."""
+    if fam.delta in _SHELL_WAVE_CACHE:
+        return _SHELL_WAVE_CACHE[fam.delta]
     # ray-transform quadrature panels aligned with the logarithmic internal
     # structure of the annulus (the derivative profile needs them to cancel)
     u_sub = np.geomspace(fam.delta ** 4, 0.5, 48)
     tau_edges = np.sqrt(1.0 - u_sub)
-    wave = RadialWave2D(psi, support, s_table=_shell_s_table(fam), breakpoints=breaks,
-                        psi_and_prime=psi_p, tau_edges=tau_edges)
-    _SHELL_WAVE_CACHE[key] = wave
+    wave = RadialWave2D(_ShellCutoff(fam.delta).psi_and_prime, fam.q1, _shell_s_table(fam),
+                        breakpoints=(fam.p1, fam.p, fam.q, fam.q1), tau_edges=tau_edges)
+    _SHELL_WAVE_CACHE[fam.delta] = wave
     return wave
 
 
@@ -261,7 +250,7 @@ def focusing_sequence(n: int, delta_list) -> list:
         out = []
         for d in deltas:
             fam = delta_family(d)
-            wave = shell_wave(fam, smooth=True)
+            wave = shell_wave(fam)
             z10 = wave.value(1.0, 0.0)  # planar focus value of the raw datum
             cut = _ShellCutoff(d)
             norm_planar = math.sqrt(
@@ -326,7 +315,7 @@ class NormalizedZ:
 
     def dtz_l2_planar(self):
         """``L2(R^2)`` norm of ``z~_t(t_j, .)``."""
-        return self.wave.l2_planar(self.t_j, derivative=True) / self.m_raw
+        return self.wave.l2_planar(self.t_j) / self.m_raw
 
     def datum_l2_planar(self):
         """``L2(R^2)`` norm of the normalized velocity datum."""
@@ -335,30 +324,32 @@ class NormalizedZ:
 
 _STRIP_SCAN_CACHE: dict = {}
 
+# step of the strip scan's uniform time grid
+_STRIP_T_STEP = 1.0 / 256.0
 
-def strip_normalize(datum: FocusingDatum, t_step: float = 1.0 / 256.0) -> NormalizedZ:
+
+def strip_normalize(datum: FocusingDatum) -> NormalizedZ:
     """Renormalize by the sampled strip maximum so |z~| <= 1 on the strip
     and z~(t_j, 0) = 1 at the sampled argmax.
 
-    The time scan runs the uniform grid of step ``t_step`` plus
+    The time scan runs the uniform grid of step ``_STRIP_T_STEP`` plus
     structure-aware times aligned with the collapse of the annulus
     (t = sqrt(1-u), u log-spaced through the shell scales), then refines
     locally; this resolves the focusing overshoot that a bare uniform grid
-    undersamples for thin shells.  Scan results are cached per
-    (delta, t_step): the scan is deterministic.
+    undersamples for thin shells.  Scan results are cached per delta: the
+    scan is deterministic.
     """
     if datum.dimension != 2:
         raise ValueError("strip normalization applies to the planar family")
     wave = datum.wave
     d = datum.delta
-    key = (d, t_step)
-    if key in _STRIP_SCAN_CACHE:
-        m_raw, t_j, r_j = _STRIP_SCAN_CACHE[key]
+    if d in _STRIP_SCAN_CACHE:
+        m_raw, t_j, r_j = _STRIP_SCAN_CACHE[d]
     else:
         ulog = np.exp(np.linspace(math.log(d ** 4.5), math.log(min(d ** 0.5, 0.99)), 160))
         extra = np.sqrt(1.0 - ulog)
-        m_raw, t_j, r_j = wave.strip_max(t_step=t_step, extra_times=extra)
-        _STRIP_SCAN_CACHE[key] = (m_raw, t_j, r_j)
+        m_raw, t_j, r_j = wave.strip_max(t_step=_STRIP_T_STEP, extra_times=extra)
+        _STRIP_SCAN_CACHE[d] = (m_raw, t_j, r_j)
     if r_j > 50.0 * wave.fine_scale + 1e-9:
         raise NotImplementedError(
             f"strip max found off axis (r = {r_j:.3e}); recentering of "
@@ -366,7 +357,7 @@ def strip_normalize(datum: FocusingDatum, t_step: float = 1.0 / 256.0) -> Normal
     sign = math.copysign(1.0, wave.value(t_j, r_j))
     return NormalizedZ(wave, float(t_j), float(m_raw), sign,
                        float(m_raw / datum.z_value_at_10),
-                       scan={"t_step": t_step, "structured_times": 160,
+                       scan={"t_step": _STRIP_T_STEP, "structured_times": 160,
                              "refine": "local, 3 rounds of 8x"})
 
 

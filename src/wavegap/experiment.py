@@ -46,7 +46,6 @@ class GapRunConfig:
     are deterministic and draw no random numbers.
     """
 
-    n: int = 2
     target: str = "sphere_great_circle"
     target_params: dict = dc_field(default_factory=dict)
     deltas: tuple = (0.3, 0.1, 0.03, 0.01)
@@ -56,12 +55,8 @@ class GapRunConfig:
     grid_n: int = 512
     grid_l: float = 16.0
     seed: int = 0
-    t_step: float = 1.0 / 256.0
     negative_control: bool = False
     jobs: int = 1
-
-    def grid(self) -> TorusGrid:
-        return TorusGrid(self.n, self.grid_l, self.grid_n)
 
     def curve(self) -> GeodesicCurve:
         return make_preset(self.target, **self.target_params)
@@ -154,11 +149,11 @@ def _gap_terms(curve, consts, chi, R, M, mu, nz: NormalizedZ):
 
 def _gap_run_one_delta(args):
     """Per-element pipeline (top level so worker pools can run it)."""
-    delta, t_step, target, target_params, consts, mu, lam = args
+    delta, target, target_params, consts, mu, lam = args
     curve = make_preset(target, **target_params)
     chi = chi_mean_zero(2)
     datum = focusing_sequence(2, [delta])[0]
-    nz = strip_normalize(datum, t_step=t_step)
+    nz = strip_normalize(datum)
     R = choose_R(nz)
     M = lam * R
     terms = _gap_terms(curve, consts, chi, R, M, mu, nz)
@@ -185,8 +180,6 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
     place the rescaled bump velocity at the max time, and record the
     composed-derivative gap with its lower-bound decomposition.
     """
-    if cfg.n != 2:
-        raise ValueError("the gap run is implemented for the planar family (n=2)")
     curve = cfg.curve()
     if curve.flat and not cfg.negative_control:
         raise ValueError("flat target violates the curvature assumption; "
@@ -201,7 +194,8 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
 
     # one resolvable rescaled wave fixes the measured trace/sup constants
     # used by the admissibility checks
-    ref = rescaled_family(chi_mean_zero(2), R=4.0, M=0.4, T=0.7, grid=cfg.grid())
+    ref = rescaled_family(chi_mean_zero(2), R=4.0, M=0.4, T=0.7,
+                          grid=TorusGrid(2, cfg.grid_l, cfg.grid_n))
     kappa = ref.kappa
     # data-size admissibility (measured constant per unit kappa, factor 4)
     c_meas = 4.0 * ref.init_constant / kappa
@@ -215,7 +209,7 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
         if not ref.sup_constant * cfg.lam < c0 / 2.0:
             raise ValueError("range admissibility failed: sup-constant * lam >= c0/2")
 
-    args = [(d, cfg.t_step, cfg.target, dict(cfg.target_params), (c0, c1, jc),
+    args = [(d, cfg.target, dict(cfg.target_params), (c0, c1, jc),
              mu, cfg.lam) for d in cfg.deltas]
     if cfg.jobs > 1:
         # per-element pipelines are independent; results are assembled in
@@ -247,8 +241,6 @@ def certified_radial_run(cfg: GapRunConfig) -> GapReport:
 
     checked row by row (the target must be globally defined).
     """
-    if cfg.n != 2:
-        raise ValueError("the radial certified run lives in the plane (n=2)")
     curve = cfg.curve()
     if curve.flat:
         raise ValueError("the certified run needs a curved target")

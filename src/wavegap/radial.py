@@ -18,8 +18,9 @@ unit circle) stay computable: panels are aligned with the profile's
 breakpoints and the tables are dense exactly where the structure lives.
 
 One inverse-Abel evaluator serves ``value`` and ``dt_value``, the strip
-scan and the front-refined L2 norms.  It streams a ``(t, r)`` batch in
-blocks of ``_ABEL_BLOCK`` pairs (the ray-transform table in blocks of
+scan and the L2 norm of ``z_t``; the scan and the norm share one set of
+radii at the wave fronts (``_scan_radii``).  It streams a ``(t, r)`` batch
+in blocks of ``_ABEL_BLOCK`` pairs (the ray-transform table in blocks of
 ``_TABLE_BLOCK`` rows): each block builds its own panel edges, integrates
 them with ragged ``repeat``/``bincount`` Gauss rules in chunks of about
 ``_NODE_BUDGET`` nodes and writes its own slice of the result.  The blocks
@@ -228,8 +229,9 @@ class RadialWave2D:
 
     Parameters
     ----------
-    psi : callable
-        Vectorized radial profile of the velocity datum.
+    psi_and_prime : callable
+        ``r -> (psi(r), psi'(r))``, the vectorized radial profile of the
+        velocity datum and its derivative from one pass over ``r``.
     support : float
         Radius beyond which ``psi`` vanishes.
     s_table : array
@@ -238,44 +240,38 @@ class RadialWave2D:
     breakpoints : sequence of float
         Radii where ``psi`` loses smoothness (panel edges are aligned with
         every crossing of these circles).
-    psi_and_prime : callable, optional
-        ``r -> (psi(r), psi'(r))`` from one pass over ``r``; required for
-        time-derivative values (without it the table is differentiated).
     tau_edges : sequence of float, optional
         Extra radii that split the ray-transform quadrature only.
     """
 
-    def __init__(self, psi, support, s_table, breakpoints=(), psi_and_prime=None,
-                 tau_edges=None):
-        self.psi = psi
+    def __init__(self, psi_and_prime, support, s_table, breakpoints=(), tau_edges=()):
         self.psi_and_prime = psi_and_prime
         self.support = float(support)
         bks = sorted(set(float(b) for b in breakpoints) | {self.support})
         self.breaks = np.array([b for b in bks if 0.0 < b <= self.support])
         # radii used solely to split the ray-transform quadrature (profiles
         # with internal multi-scale structure between breakpoints)
-        if tau_edges is None:
-            self._tau_extra = np.array([])
-        else:
-            te = np.asarray(sorted(set(float(b) for b in tau_edges)), dtype=float)
-            self._tau_extra = te[(te > 0.0) & (te < self.support)]
-        self._all_radial_edges = np.unique(np.concatenate([self.breaks, self._tau_extra]))
+        te = np.asarray(tau_edges, dtype=float)
+        self._all_radial_edges = np.unique(np.concatenate(
+            [self.breaks, te[(te > 0.0) & (te < self.support)]]))
         s_table = np.unique(np.clip(np.concatenate(
             [np.asarray(s_table, dtype=float), self.breaks, [0.0, self.support]]),
             0.0, self.support))
         self._s = s_table
         self._g, self._gp = self._ray_transforms(s_table)
-        if psi_and_prime is None:
-            self._gp = np.gradient(self._g, self._s)
         # smallest table spacing: proxy for the finest resolved feature
         self.fine_scale = float(np.min(np.diff(s_table)))
+
+    def psi(self, r):
+        """The velocity datum ``psi(r)``."""
+        return self.psi_and_prime(r)[0]
 
     # -- ray (line-integral) transform of the datum --------------------------
 
     def _ray_transforms(self, s_arr):
         """Tabulate the ray transform g(s) = 2 int psi(sqrt(s^2 + tau^2)) dtau
-        and (when the derivative profile is available) its s-derivative, in
-        streamed blocks of table rows (:meth:`_ray_block`)."""
+        and its s-derivative, in streamed blocks of table rows
+        (:meth:`_ray_block`)."""
         g = np.zeros_like(s_arr)
         gp = np.zeros_like(s_arr)
         s = np.abs(s_arr)
@@ -288,10 +284,9 @@ class RadialWave2D:
         return g, gp
 
     def _ray_block(self, s):
-        """``(g, g')`` at the radii ``0 <= s < support`` (``g'`` is zero
-        without ``psi_and_prime``).  The tau panels end where the ray crosses
-        a radial edge and, for entries with at most 24 edges, are capped at
-        ``support / 12``."""
+        """``(g, g')`` at the radii ``0 <= s < support``.  The tau panels end
+        where the ray crosses a radial edge and, for entries with at most 24
+        edges, are capped at ``support / 12``."""
         g = np.zeros_like(s)
         gp = np.zeros_like(s)
         bb = self._all_radial_edges
@@ -304,10 +299,6 @@ class RadialWave2D:
             sk = s[lo:hi][own]
             radii = np.sqrt(sk * sk + tt * tt)
             wts = 2.0 * wt
-            if self.psi_and_prime is None:
-                g[lo:hi] = np.bincount(
-                    own, wts * np.asarray(self.psi(radii), dtype=float), minlength=hi - lo)
-                continue
             f, fp = (np.asarray(v, dtype=float) for v in self.psi_and_prime(radii))
             g[lo:hi] = np.bincount(own, wts * f, minlength=hi - lo)
             vals = np.divide(fp * sk, radii, out=np.zeros_like(radii), where=radii > 0)
@@ -383,40 +374,14 @@ class RadialWave2D:
         z = self._abel(t, r, derivative=True)
         return z if z.ndim else float(z)
 
-    # -- global radial quadrature of z(t, .) and z_t(t, .) -------------------
+    # -- global radial quadrature of z_t(t, .) -------------------------------
 
-    def _front_panels(self, t):
-        """Radial panel edges resolving the wave fronts at time t: images of
-        every breakpoint circle, refined geometrically from the table's fine
-        scale all the way up to the bulk panel scale (no coverage holes
-        between the ladder and the bulk)."""
-        fronts = set()
-        for b in self.breaks:
-            fronts.add(abs(t - b))
-            fronts.add(t + b)
-        top = t + self.support
-        edges = {0.0, top}
-        scale = max(self.fine_scale, 1e-14)
-        bulk = top / 16.0
-        for rf in fronts:
-            if rf > top:
-                continue
-            edges.add(rf)
-            step = scale
-            while step < 2.0 * bulk:
-                for cand in (rf - step, rf + step):
-                    if 0.0 < cand < top:
-                        edges.add(cand)
-                step *= 2.0
-        for v in np.linspace(0.0, top, 17)[1:-1]:
-            edges.add(float(v))
-        return np.unique(np.asarray(sorted(edges)))
-
-    def l2_planar(self, t, derivative=False):
-        """``L2(R^2)`` norm of z(t, .) (or z_t with ``derivative=True``) by
-        front-refined radial quadrature."""
-        rr, w = gauss_panel_nodes(self._front_panels(t), 16)
-        vals = self.dt_value(t, rr) if derivative else self.value(t, rr)
+    def l2_planar(self, t):
+        """``L2(R^2)`` norm of z_t(t, .) by order-16 Gauss panels between the
+        radii of :meth:`_scan_radii`, which resolve every wave front and
+        run from 0 to ``t + support``."""
+        rr, w = gauss_panel_nodes(self._scan_radii(t), 16)
+        vals = self.dt_value(t, rr)
         return math.sqrt(TWO_PI * float(np.sum(w * vals * vals * rr)))
 
     def datum_l2_planar(self):
@@ -426,13 +391,13 @@ class RadialWave2D:
 
     # -- strip scan ----------------------------------------------------------
 
-    def strip_max(self, t_step=1.0 / 256.0, extra_times=()):
+    def strip_max(self, t_step, extra_times=()):
         """Largest |z| over the sampled strip [0,1] x {radii}.
 
-        Scans a uniform time grid (plus caller-supplied structure-aware
-        times), then refines locally around the winner in both t and r.
-        Each stage is one batched evaluation; ties go to the earliest time,
-        then the smallest radius index, of the scan order.
+        Scans the uniform time grid of step ``t_step`` (plus caller-supplied
+        structure-aware times), then refines locally around the winner in
+        both t and r.  Each stage is one batched evaluation; ties go to the
+        earliest time, then the smallest radius index, of the scan order.
         Returns ``(m, t_at_max, r_at_max)``.
         """
         times = np.unique(np.concatenate(
@@ -467,9 +432,10 @@ class RadialWave2D:
         return m, tj, rj
 
     def _scan_radii(self, t):
-        """Structure-aware candidate radii at time t: fronts of every
-        breakpoint circle with geometric ladders spanning from the fine
-        scale to the bulk, the origin, and a coarse sweep."""
+        """Structure-aware radii at time t, from 0 to ``t + support``: fronts
+        of every breakpoint circle with geometric ladders spanning from the
+        fine scale to the bulk, and a coarse sweep.  They are the strip
+        scan's candidates and the panel edges of :meth:`l2_planar`."""
         top = t + self.support
         parts = [np.linspace(0.0, top, 96)]
         scale = max(self.fine_scale, 1e-14)

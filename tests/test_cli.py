@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import wavegap
-from wavegap.cli import main
+from wavegap.cli import _load_config, main
+from wavegap.experiment import GapRunConfig
 from wavegap.field import (ScalarField, TorusGrid, load_state, sample,
                            save_field, save_state)
 
@@ -212,3 +214,33 @@ def test_report_requires_equal_delta_lists(tmp_path, capsys):
     code, _, _ = run(capsys, "report", "--inputs", base, report("same", [0.3, 0.1]),
                      "--out-dir", str(tmp_path / "ok"))
     assert code == 0
+
+
+@pytest.mark.parametrize("body", [
+    "[other]\nkind = gap\ndeltas = 0.3\n",
+    "kind = gap\ndeltas = 0.3\n",
+    "[run]\nkind = gap\ndeltas = 0.3\ndeltas = 0.1\n",
+    "[run]\nkind = gap\ndeltas = 0.3\ntarget_params = [1,2]\n",
+    "[run]\nkind = gap\ndeltas = 0.3\ntarget_params = 5\n",
+    "[run]\nkind = gap\ndeltas = 0.3\nnegative_control = maybe\n",
+    "[run]\nkind = gap\ndeltas = 0.3\nt_step = 0\n",
+    "[run]\nkind = certified\ndeltas = 0.3\nn = 2\n",
+], ids=["other_section", "no_section", "duplicate_key", "params_list", "params_number",
+        "bool_maybe", "t_step", "n"])
+def test_sweep_rejects_malformed_config(tmp_path, capsys, body):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(body)
+    out = tmp_path / "r.json"
+    code, lines, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert code == 1 and lines == [] and not out.exists()
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_shipped_configs_parse():
+    # every shipped config names a kind and only GapRunConfig keys
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert paths
+    for path in paths:
+        kind, cfg = _load_config(path)
+        assert kind in ("gap", "certified") and isinstance(cfg, GapRunConfig)
+        assert cfg.curve().name == cfg.target

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavegap.construct import (PLANAR_POINT_FACTOR, LogCutoffAtom,
+from wavegap.construct import (LogCutoffAtom,
                                annulus_l2sq_radial, annulus_point_value_radial,
                                chi_field, chi_hat_planar, chi_mean_zero, strip_normalize,
                                choose_R, delta_family, focusing_sequence,
-                               psi_exact, psi_smooth, rescaled_family,
-                               shell_wave)
+                               psi_exact, psi_smooth, rescaled_family)
 from wavegap.field import TorusGrid
 from wavegap.radial import l2_radial_measure
 from wavegap.wave import spectral_propagate
@@ -104,17 +103,15 @@ def test_psi_smooth_no_jumps():
 
 
 def test_annulus_point_value_identities():
-    # radial-measure closed form vs direct quadrature, and the planar value
-    # carries exactly the angular factor
+    # radial-measure closed form vs direct quadrature (the planar value's
+    # angular factor is checked by the kernel quadrature: acceptance
+    # criterion 2 and test_pointvalue_annulus_closed_form)
     fam = delta_family(0.1)
     from scipy import integrate as sint
     f = lambda u: 1.0 / (u * abs(math.log(u)))
     quad, _ = sint.quad(f, fam.delta ** 3, fam.delta ** 2)
     assert abs(quad / 2.0 / (2 * math.pi) - annulus_point_value_radial(fam)) < 1e-12
     assert abs(annulus_point_value_radial(fam) - math.log(1.5) / (4 * math.pi)) < 1e-15
-    wave = shell_wave(fam, smooth=False)
-    planar = wave.value(1.0, 0.0)
-    assert abs(planar / PLANAR_POINT_FACTOR / annulus_point_value_radial(fam) - 1.0) < 2e-2
 
 
 def test_focusing_sequence_n2():

@@ -46,9 +46,8 @@ def test_sphere_area_values():
 
 
 def _gauss_wave(n_table):
-    return RadialWave2D(lambda r: np.exp(-r * r), support=10.0,
-                        s_table=np.linspace(0, 10, n_table),
-                        psi_and_prime=lambda r: (np.exp(-r * r), -2 * r * np.exp(-r * r)))
+    return RadialWave2D(lambda r: (np.exp(-r * r), -2 * r * np.exp(-r * r)), support=10.0,
+                        s_table=np.linspace(0, 10, n_table))
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +194,7 @@ def test_wave2d_dt_matches_finite_difference(gauss_wave):
 
 def test_wave2d_initial_velocity_norm(gauss_wave):
     # z_t(0, .) is the datum itself
-    a = gauss_wave.l2_planar(1e-9, derivative=True)
+    a = gauss_wave.l2_planar(1e-9)
     b = gauss_wave.datum_l2_planar()
     assert abs(a / b - 1.0) < 1e-5
 
@@ -203,12 +202,24 @@ def test_wave2d_initial_velocity_norm(gauss_wave):
 def test_wave2d_energy_monotonicity(gauss_wave):
     datum = gauss_wave.datum_l2_planar()
     for t in (0.3, 0.7, 1.0):
-        assert gauss_wave.l2_planar(t, derivative=True) <= datum * (1 + 1e-6)
+        assert gauss_wave.l2_planar(t) <= datum * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_shell_wave_l2_matches_split_panel_reference(t):
+    # the same integral with every panel between the scan radii split in
+    # three at order 24
+    wave = shell_wave(delta_family(0.3))
+    edges = wave._scan_radii(t)
+    split = np.append(np.linspace(edges[:-1], edges[1:], 4, axis=1)[:, :-1].ravel(), edges[-1])
+    r, w = gauss_panel_nodes(split, 24)
+    ref = math.sqrt(2.0 * math.pi * float(np.sum(w * wave.dt_value(t, r) ** 2 * r)))
+    assert wave.l2_planar(t) == pytest.approx(ref, rel=1e-8)
 
 
 def test_shell_wave_cross_validated_against_fft():
     fam = delta_family(0.3)
-    wave = shell_wave(fam, smooth=True)
+    wave = shell_wave(fam)
     g = TorusGrid(2, 4.0, 2048)
     ut0 = radial_embed_from(wave, g)
     z = propagate_fft(ut0, 4.0, 0.7)
