@@ -74,7 +74,7 @@ def _load_config(path):
         try:
             if key == "deltas":
                 val = tuple(float(v) for v in val.split(","))
-            elif key in ("grid_n", "seed", "jobs"):
+            elif key in ("grid_n", "seed"):
                 val = int(val)
             elif key in ("lam", "mu", "r0", "grid_l"):
                 val = float(val)
@@ -164,6 +164,8 @@ def cmd_pointvalue(args):
 
 
 def cmd_lemma1(args):
+    if args.normalize and args.n != 2:
+        raise ValueError(f"--normalize applies to --n 2 only, got --n {args.n}")
     t0 = time.time()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -216,8 +218,6 @@ def cmd_chi(args):
 def cmd_sweep(args):
     t0 = time.time()
     kind, cfg = _load_config(args.config)
-    if args.jobs:
-        cfg.jobs = args.jobs
     run = experiment.gap_run if kind == "gap" else experiment.certified_radial_run
     report = run(cfg)
     doc = {"kind": kind, "config_echo": report.config, "rows": report.rows,
@@ -338,7 +338,7 @@ def build_parser():
     p.add_argument("--deltas", default="0.3,0.1,0.03")
     p.add_argument("--out", required=True)
     p.add_argument("--normalize", action="store_true",
-                   help="also run the strip normalization (records t_j, m_j)")
+                   help="also run the strip normalization (records t_j, m_j; --n 2 only)")
     p.set_defaults(func=cmd_lemma1)
 
     p = sub.add_parser("chi", help="write the mean-zero reference bump")
@@ -349,8 +349,6 @@ def build_parser():
     p = sub.add_parser("sweep", help="run a gap experiment from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="report.json")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel workers for the per-element pipelines")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("appendix", help="inequality ratio suite")

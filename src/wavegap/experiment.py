@@ -20,7 +20,7 @@ from .construct import (NormalizedZ, choose_R, chi_mean_zero, strip_normalize,
 from .field import ScalarField, TorusGrid
 from .geometry import GeodesicCurve, geodesic_constants, make_preset, moser_ratio
 from .norms import _bump_fields, _sobolev_norms, _spectrum_norms, bump_family, lp_norm
-from .radial import _cpus, _set_width, gauss_panel_nodes
+from .radial import gauss_panel_nodes
 from .wave import energy, spectral_propagate
 
 __all__ = [
@@ -36,6 +36,14 @@ __all__ = [
 # verdict thresholds (report-level contract)
 DECAY_RATIO_MAX = 0.1
 GAP_RATIO_MIN = 0.5
+
+# measured-constant suites: appendix orders s, lam; rescaling R, M/R, T, t_eval
+_APPENDIX_S = 0.5
+_APPENDIX_LAM = 0.75
+_SCALING_R = (1.0, 2.0, 4.0, 8.0)
+_SCALING_RATIO = 0.1
+_SCALING_T = 1.0
+_SCALING_T_EVAL = 0.5
 
 
 @dataclass
@@ -56,14 +64,9 @@ class GapRunConfig:
     grid_l: float = 16.0
     seed: int = 0
     negative_control: bool = False
-    jobs: int = 1
 
     def curve(self) -> GeodesicCurve:
         return make_preset(self.target, **self.target_params)
-
-    def echo(self) -> dict:
-        """Fields a report records: all but ``jobs``, which changes no result."""
-        return {k: v for k, v in asdict(self).items() if k != "jobs"}
 
 
 @dataclass
@@ -147,12 +150,8 @@ def _gap_terms(curve, consts, chi, R, M, mu, nz: NormalizedZ):
             "z_core_min": float(np.min(z_core)), "z_core_max": float(np.max(z_core))}
 
 
-def _gap_run_one_delta(args):
-    """Per-element pipeline (top level so worker pools can run it)."""
-    delta, target, target_params, consts, mu, lam = args
-    curve = make_preset(target, **target_params)
-    chi = chi_mean_zero(2)
-    datum = focusing_sequence(2, [delta])[0]
+def _gap_row(datum, curve, consts, chi, mu, lam):
+    """Report row of one datum of the focusing sequence."""
     nz = strip_normalize(datum)
     R = choose_R(nz)
     M = lam * R
@@ -194,7 +193,8 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
 
     # one resolvable rescaled wave fixes the measured trace/sup constants
     # used by the admissibility checks
-    ref = rescaled_family(chi_mean_zero(2), R=4.0, M=0.4, T=0.7,
+    chi = chi_mean_zero(2)
+    ref = rescaled_family(chi, R=4.0, M=0.4, T=0.7,
                           grid=TorusGrid(2, cfg.grid_l, cfg.grid_n))
     kappa = ref.kappa
     # data-size admissibility (measured constant per unit kappa, factor 4)
@@ -209,25 +209,15 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
         if not ref.sup_constant * cfg.lam < c0 / 2.0:
             raise ValueError("range admissibility failed: sup-constant * lam >= c0/2")
 
-    args = [(d, cfg.target, dict(cfg.target_params), (c0, c1, jc),
-             mu, cfg.lam) for d in cfg.deltas]
-    if cfg.jobs > 1:
-        # per-element pipelines are independent; results are assembled in
-        # list order, so the report is identical across worker counts.  The
-        # workers share the CPUs among their planar-engine threads.
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_set_width,
-                                    initargs=(max(1, _cpus() // cfg.jobs),)) as pool:
-            rows = list(pool.map(_gap_run_one_delta, args))
-    else:
-        rows = [_gap_run_one_delta(a) for a in args]
+    data = focusing_sequence(2, cfg.deltas)  # refuses a list that is not decreasing
+    rows = [_gap_row(datum, curve, (c0, c1, jc), chi, mu, cfg.lam) for datum in data]
     verdict, detail = report_verdict(rows)
     constants = {"c0": c0, "c1": c1, "component": jc, "mu": mu, "lam": cfg.lam,
                  "kappa": kappa, "r0": cfg.r0,
                  "init_constant": ref.init_constant,
                  "sup_constant": ref.sup_constant,
                  "range_admissibility_checked": range_checked}
-    return GapReport(cfg.echo(), rows, constants, verdict, detail)
+    return GapReport(asdict(cfg), rows, constants, verdict, detail)
 
 
 def certified_radial_run(cfg: GapRunConfig) -> GapReport:
@@ -289,7 +279,7 @@ def certified_radial_run(cfg: GapRunConfig) -> GapReport:
                  "chi_l2": kappa_l2, "c3": c3}
     verdict = "pass" if all_hold else "fail"
     detail = {"certificate_margins": [r["certificate"]["margin"] for r in rows]}
-    return GapReport(cfg.echo(), rows, constants, verdict, detail)
+    return GapReport(asdict(cfg), rows, constants, verdict, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +334,7 @@ def _pair_measures(f: ScalarField, g: ScalarField, s: float, lam: float):
 
 
 def appendix_ratio_suite(seed: int = 0, grid: TorusGrid | None = None,
-                         n_pairs: int = 100, s: float = 0.5, lam: float = 0.75,
-                         refine_check: bool = True) -> dict:
+                         n_pairs: int = 100) -> dict:
     """Ratio statistics for the product and lower-bound inequalities over the
     seeded smooth family, with grid-doubling stability of the maxima.
 
@@ -362,7 +351,7 @@ def appendix_ratio_suite(seed: int = 0, grid: TorusGrid | None = None,
         mult, mult2 = [], []
         feas = []
         for f, h in zip(fields, fields):
-            r, entry = _pair_measures(f, h, s, lam)
+            r, entry = _pair_measures(f, h, _APPENDIX_S, _APPENDIX_LAM)
             if r is not None:
                 mult.append(r["multest"])
                 mult2.append(r["multest2"])
@@ -382,26 +371,23 @@ def appendix_ratio_suite(seed: int = 0, grid: TorusGrid | None = None,
                   for e in base["feas"]]
         region[str(c)] = max(needed)
     out = {k: base[k] for k in ("multest_max", "multest2_max", "multest_mean", "multest2_mean")}
-    out.update(below2_cprime_by_c=region, pairs=n_pairs, s=s, lam=lam)
+    out.update(below2_cprime_by_c=region, pairs=n_pairs, s=_APPENDIX_S, lam=_APPENDIX_LAM)
     # composition ratios at fixed sup-norm levels
     family = bump_family(grid, seed + 1, 8)
     out["moser_max_by_level"] = {
         str(level): max(moser_ratio(np.sin, f * (level / max(lp_norm(f, "inf"), 1e-12)), n / 2.0)
                         for f in family)
         for level in (0.5, 1.0)}
-    if refine_check:
-        # same family on the doubled grid, so the maxima are comparable
-        fine = TorusGrid(grid.dim, grid.half_width, grid.n * 2)
-        ref = stats(fine, n_pairs)
-        out["refined"] = {k: ref[k] for k in ("multest_max", "multest2_max")}
-        out["drift"] = {k: abs(ref[f"{k}_max"] / base[f"{k}_max"] - 1.0)
-                        for k in ("multest", "multest2")}
+    # same family on the doubled grid, so the maxima are comparable
+    fine = TorusGrid(grid.dim, grid.half_width, grid.n * 2)
+    ref = stats(fine, n_pairs)
+    out["refined"] = {k: ref[k] for k in ("multest_max", "multest2_max")}
+    out["drift"] = {k: abs(ref[f"{k}_max"] / base[f"{k}_max"] - 1.0)
+                    for k in ("multest", "multest2")}
     return out
 
 
-def scaling_suite(chi=None, grid: TorusGrid | None = None,
-                  R_values=(1.0, 2.0, 4.0, 8.0), ratio: float = 0.1,
-                  T: float = 1.0, t_eval: float = 0.5) -> dict:
+def scaling_suite() -> dict:
     """Rescaling-law sweep: slopes of log-norm against log-concentration.
 
     For fixed M/R the fitted exponent of the order-s homogeneous norm must be
@@ -409,13 +395,13 @@ def scaling_suite(chi=None, grid: TorusGrid | None = None,
     Also records the sup-norm constants across the sweep and the time drift
     of the conserved energies.
     """
-    grid = grid or TorusGrid(2, 16.0, 512)
+    grid = TorusGrid(2, 16.0, 512)
     n = grid.dim
-    chi = chi or chi_mean_zero(n)
+    chi = chi_mean_zero(n)
     rows = []
-    for R in R_values:
-        fam = rescaled_family(chi, R=R, M=ratio * R, T=T, grid=grid)
-        st = spectral_propagate(fam.state0, t_eval)
+    for R in _SCALING_R:
+        fam = rescaled_family(chi, R=R, M=_SCALING_RATIO * R, T=_SCALING_T, grid=grid)
+        st = spectral_propagate(fam.state0, _SCALING_T_EVAL)
         row = {"R": R, "sup_constant": fam.sup_constant,
                "init_constant": fam.init_constant}
         # the rescaling law bounds the order-s pair
@@ -446,4 +432,4 @@ def scaling_suite(chi=None, grid: TorusGrid | None = None,
     sups = [r["sup_constant"] for r in rows]
     return {"rows": rows, "slopes": fits,
             "sup_constant_spread": max(sups) / min(sups) - 1.0,
-            "ratio": ratio, "T": T, "t_eval": t_eval}
+            "ratio": _SCALING_RATIO, "T": _SCALING_T, "t_eval": _SCALING_T_EVAL}

@@ -262,13 +262,16 @@ def rescale(f: ScalarField, lam: float) -> ScalarField:
     return ScalarField._own(grid, vals, f.time_stamp)
 
 
-def bump_family(grid: TorusGrid, seed: int, count: int = 1, n_bumps: int = 10):
-    """Reproducible smooth test family: superpositions of Gaussian bumps
-    with widths in [0.5, 2] and centers in the ball B(0, 6)."""
-    return list(_bump_fields(grid, seed, count, n_bumps))
+_BUMPS_PER_FIELD = 10
 
 
-def _bump_fields(grid: TorusGrid, seed: int, count: int, n_bumps: int = 10):
+def bump_family(grid: TorusGrid, seed: int, count: int = 1):
+    """Reproducible smooth test family: superpositions of _BUMPS_PER_FIELD
+    Gaussian bumps with widths in [0.5, 2] and centers in the ball B(0, 6)."""
+    return list(_bump_fields(grid, seed, count))
+
+
+def _bump_fields(grid: TorusGrid, seed: int, count: int):
     """The fields of :func:`bump_family`, one at a time: each Gaussian factors
     over the axes, so a field is one contraction of per-axis 1-d Gaussians."""
     rng = np.random.default_rng(seed)
@@ -276,7 +279,7 @@ def _bump_fields(grid: TorusGrid, seed: int, count: int, n_bumps: int = 10):
     ax = "ijk"[:grid.dim]
     for _ in range(count):
         draws = []
-        for _ in range(n_bumps):
+        for _ in range(_BUMPS_PER_FIELD):
             width = rng.uniform(0.5, 2.0)
             while True:
                 c = rng.uniform(-6.0, 6.0, size=grid.dim)

@@ -24,10 +24,10 @@ in blocks of ``_ABEL_BLOCK`` pairs (the ray-transform table in blocks of
 ``_TABLE_BLOCK`` rows): each block builds its own panel edges, integrates
 them with ragged ``repeat``/``bincount`` Gauss rules in chunks of about
 ``_NODE_BUDGET`` nodes and writes its own slice of the result.  The blocks
-run on a thread pool as wide as the CPUs the process may use (NumPy
-releases the GIL in ``interp`` and the ufuncs).  A pair's panels, nodes
-and summation order do not depend on its block or thread, so the values
-do not depend on the block size or the pool width either.
+run on a thread pool as wide as the CPUs the process may use, the only
+parallel path of the package (NumPy releases the GIL in ``interp`` and the
+ufuncs).  A pair's panels, nodes and summation order, hence its value, do
+not depend on its block or thread, nor on the block size or thread count.
 
 For odd dimensions the classical exact reductions are used instead
 (``r z`` solves the 1-d wave equation when n = 3).  The angle-reduced
@@ -135,10 +135,6 @@ _TABLE_BLOCK = 1024
 # Gauss order of the inverse-Abel panels
 _ABEL_ORDER = 24
 
-# Threads of one engine call; None: every CPU the process may run on.  The
-# worker processes of a parallel gap run each take their share.
-_WIDTH = None
-
 
 def _cpus():
     """Number of CPUs this process may run on."""
@@ -148,18 +144,12 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _set_width(width):
-    """Threads of each later engine call in this process (None: all CPUs)."""
-    global _WIDTH
-    _WIDTH = width
-
-
 def _streamed(n, block, work):
     """``work(lo, hi)`` for the consecutive blocks ``lo:hi`` of ``range(n)``
-    of ``block`` items, on a thread pool made for this call (so no thread
-    outlives it).  A single block, or a width of 1, runs inline."""
+    of ``block`` items, on a thread per CPU made for this call (so no thread
+    outlives it).  A single block, or a single CPU, runs inline."""
     bounds = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
-    width = min(_WIDTH or _cpus(), len(bounds))
+    width = min(_cpus(), len(bounds))
     if width <= 1:
         for lo, hi in bounds:
             work(lo, hi)
@@ -522,6 +512,13 @@ def _blocked_sum(wx, wy, kernel):
 # at 2^16), in no more time.
 _TOUCH_BUDGET = 1 << 13
 
+# Gauss order of the H^(1/2)(R^3) panel pairs; the shell routes' outer panel
+# end (distance from the sphere), log-distance panel width and far radius
+_PAIR_ORDER = 12
+_SHELL_OUTER = 0.75
+_SHELL_DL = 0.5
+_SHELL_FAR = 40.0
+
 
 def _gagliardo_square(edges, order, profile, density, limit, eps):
     """``int int density`` over ``[edges[0], edges[-1]]^2`` by Gauss rules of
@@ -593,7 +590,7 @@ def _far_tail(r, R):
     return R / (2.0 * (R * R - r * r)) - log_term
 
 
-def h_half_sq_radial_3d(u, edges, order=12, u_prime=None, diag_eps=1e-7) -> float:
+def h_half_sq_radial_3d(u, edges, u_prime=None) -> float:
     """Squared homogeneous H^(1/2)(R^3) seminorm of a radial function by the
     double-integral (Gagliardo) representation reduced over angles:
 
@@ -617,37 +614,35 @@ def h_half_sq_radial_3d(u, edges, order=12, u_prime=None, diag_eps=1e-7) -> floa
             return np.zeros_like(r)
         return np.asarray(u_prime(r), dtype=float) ** 2 * r * r / 4.0
 
-    total = _gagliardo_square(edges, order, u, density, limit,
-                              lambda r, span: diag_eps * np.maximum(r, span))
-    r, w = gauss_panel_nodes(edges, order)
+    total = _gagliardo_square(edges, _PAIR_ORDER, u, density, limit,
+                              lambda r, span: 1e-7 * np.maximum(r, span))
+    r, w = gauss_panel_nodes(edges, _PAIR_ORDER)
     v = np.asarray(u(r), dtype=float)
     total += 2.0 * float(np.sum(w * v * v * r * r * _far_tail(r, edges[-1])))
     return 8.0 * total
 
 
-def _shell_panels(l_lo, d_out, panel_dl):
+def _shell_panels(l_lo):
     """Log-distance panel edges of the shell routes: from ``l_lo - 6`` (T is
-    1 below) to ``log d_out``, panels at most ``panel_dl`` wide, at least 8."""
-    l_hi = math.log(d_out)
-    n_panels = max(8, int(math.ceil((l_hi - (l_lo - 6.0)) / panel_dl)))
+    1 below) to ``log _SHELL_OUTER``, at most ``_SHELL_DL`` wide, at least 8."""
+    l_hi = math.log(_SHELL_OUTER)
+    n_panels = max(8, int(math.ceil((l_hi - (l_lo - 6.0)) / _SHELL_DL)))
     return np.linspace(l_lo - 6.0, l_hi, n_panels + 1)
 
 
-def h_half_sq_shell_3d(T_logd, dT_logd, l_lo: float, d_out: float = 0.75,
-                       far_edge: float = 40.0, order: int = 12,
-                       panel_dl: float = 0.5) -> float:
+def h_half_sq_shell_3d(T_logd, dT_logd, l_lo: float) -> float:
     """Squared homogeneous H^(1/2)(R^3) seminorm of a sphere-shell profile
     ``u(x) = T(log |x - 1|-distance)`` given natively in the log-distance
     coordinate ``l = log d`` (so plateau widths far below float resolution
     of ``1 - r`` stay computable).
 
     ``T_logd(l)`` must be 1 for ``l <= l_lo`` (plateau) and 0 for
-    ``d = e^l >= d_out``; ``dT_logd`` is its derivative in ``l``.  The double
-    integral splits into shell-shell pairs (same side / opposite sides of
-    the sphere, evaluated in ``l`` with the distance differences formed
-    without cancellation), shell-far pairs, and the analytic far tail.
+    ``d = e^l >= _SHELL_OUTER``; ``dT_logd`` is its derivative in ``l``.
+    The double integral splits into shell-shell pairs (same side / opposite
+    sides of the sphere, evaluated in ``l`` with the distance differences
+    formed without cancellation), shell-far pairs, and the analytic far tail.
     """
-    edges = _shell_panels(l_lo, d_out, panel_dl)
+    edges = _shell_panels(l_lo)
     sides = (-1.0, 1.0)
 
     def same_side(l, t, lp, tp):
@@ -665,8 +660,8 @@ def h_half_sq_shell_3d(T_logd, dT_logd, l_lo: float, d_out: float = 0.75,
         dT = np.asarray(dT_logd(l), dtype=float)
         return dT * dT * sum((1.0 + s * d) ** 2 for s in sides) / 4.0
 
-    total = _gagliardo_square(edges, order, T_logd, same_side, limit, lambda l, span: 1e-7)
-    l, wl = gauss_panel_nodes(edges, order)
+    total = _gagliardo_square(edges, _PAIR_ORDER, T_logd, same_side, limit, lambda l, span: 1e-7)
+    l, wl = gauss_panel_nodes(edges, _PAIR_ORDER)
     d = np.exp(l)
     t = np.asarray(T_logd(l), dtype=float)
 
@@ -677,12 +672,13 @@ def h_half_sq_shell_3d(T_logd, dT_logd, l_lo: float, d_out: float = 0.75,
                 / ((da + d) ** 2 * (2.0 + d - da) ** 2) * da * d)
 
     total += 2.0 * _blocked_sum(wl, wl, opposite)
-    # shell-far pairs: far radii in [0, 1-d_out] and [1+d_out, far_edge]
-    # (two disjoint intervals, never bridged); T vanishes there, the
-    # distances are O(d_out) so plain coordinates are safe (both
+    # shell-far pairs: far radii in [0, 1 - _SHELL_OUTER] and [1 + _SHELL_OUTER,
+    # _SHELL_FAR] (two disjoint intervals, never bridged); T vanishes there,
+    # the distances are O(_SHELL_OUTER) so plain coordinates are safe (both
     # orderings -> 2x)
-    far = [gauss_panel_nodes(seg, order) for seg in
-           (np.linspace(1e-9, 1.0 - d_out, 25), np.linspace(1.0 + d_out, far_edge, 40))]
+    far = [gauss_panel_nodes(seg, _PAIR_ORDER) for seg in
+           (np.linspace(1e-9, 1.0 - _SHELL_OUTER, 25),
+            np.linspace(1.0 + _SHELL_OUTER, _SHELL_FAR, 40))]
     rf = np.concatenate([p[0] for p in far])
     wf = np.concatenate([p[1] for p in far])
     one_minus = 1.0 - rf  # exact in these ranges
@@ -695,15 +691,14 @@ def h_half_sq_shell_3d(T_logd, dT_logd, l_lo: float, d_out: float = 0.75,
 
     total += 2.0 * _blocked_sum(wl, wf, shell_far)
     r = 1.0 + np.multiply.outer(sides, d)
-    total += 2.0 * float(np.sum(wl * d * t * t * r * r * _far_tail(r, far_edge)))
+    total += 2.0 * float(np.sum(wl * d * t * t * r * r * _far_tail(r, _SHELL_FAR)))
     return 8.0 * total
 
 
-def l2_sq_shell_3d(T_logd, l_lo: float, d_out: float = 0.75, order: int = 12,
-                   panel_dl: float = 0.5) -> float:
+def l2_sq_shell_3d(T_logd, l_lo: float) -> float:
     """``int_{R^3} u^2`` for a sphere-shell profile in log-distance form."""
-    edges = _shell_panels(l_lo, d_out, panel_dl)
-    ll, wl = gauss_panel_nodes(edges, order)
+    edges = _shell_panels(l_lo)
+    ll, wl = gauss_panel_nodes(edges, _PAIR_ORDER)
     d = np.exp(ll)
     t = np.asarray(T_logd(ll), dtype=float)
     both = (1.0 - d) ** 2 + (1.0 + d) ** 2

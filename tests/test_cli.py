@@ -225,8 +225,10 @@ def test_report_requires_equal_delta_lists(tmp_path, capsys):
     "[run]\nkind = gap\ndeltas = 0.3\nnegative_control = maybe\n",
     "[run]\nkind = gap\ndeltas = 0.3\nt_step = 0\n",
     "[run]\nkind = certified\ndeltas = 0.3\nn = 2\n",
+    "[run]\nkind = gap\ndeltas = 0.3\njobs = 2\n",
+    "[run]\nkind = gap\ndeltas = 0.1,0.3\n",
 ], ids=["other_section", "no_section", "duplicate_key", "params_list", "params_number",
-        "bool_maybe", "t_step", "n"])
+        "bool_maybe", "t_step", "n", "jobs", "deltas_increasing"])
 def test_sweep_rejects_malformed_config(tmp_path, capsys, body):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(body)
@@ -234,6 +236,25 @@ def test_sweep_rejects_malformed_config(tmp_path, capsys, body):
     code, lines, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
     assert code == 1 and lines == [] and not out.exists()
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_sweep_has_no_jobs_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nkind = gap\ndeltas = 0.3\n")
+    out = tmp_path / "r.json"
+    code, lines, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out),
+                           "--jobs", "2")
+    assert code == 1 and lines == [] and not out.exists()
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--jobs" in errors[0]
+
+
+def test_lemma1_normalize_needs_planar_data(tmp_path, capsys):
+    out = tmp_path / "seq"
+    code, lines, err = run(capsys, "lemma1", "--n", "3", "--deltas", "0,1", "--normalize",
+                           "--out", str(out))
+    assert code == 1 and lines == [] and not out.exists()
+    assert err.startswith("error:") and "--n 2" in err and len(err.strip().splitlines()) == 1
 
 
 def test_shipped_configs_parse():

@@ -72,7 +72,7 @@ def test_engine_is_bit_identical_at_every_width(monkeypatch):
     sys.setswitchinterval(1e-5)
     try:
         for width in (1, 2, 5):
-            monkeypatch.setattr(radial, "_WIDTH", width)
+            monkeypatch.setattr(radial, "_cpus", lambda w=width: w)
             outputs[width] = _engine_outputs(_gauss_wave(3 * radial._TABLE_BLOCK + 5))
     finally:
         sys.setswitchinterval(interval)
