@@ -405,6 +405,13 @@ def _base_bump(r):
     return out
 
 
+def _base_bump_d(r):
+    """``B'(r) = B(r) (-2 r / (1 - r^2)^2)``, 0 for r >= 1."""
+    r = np.asarray(r, dtype=float)
+    q = np.where(r < 1.0, 1.0 - r * r, 1.0)
+    return _base_bump(r) * (-2.0 * r / (q * q))
+
+
 def chi_mean_zero(n: int) -> RadialProfile:
     """Reference mean-zero bump ``chi(r) = B(r) - 2^{-n} B(r/2)`` with B the
     standard smooth bump: the n-dimensional volume integral vanishes exactly
@@ -426,7 +433,8 @@ def chi_mean_zero(n: int) -> RadialProfile:
     if n == 2:
         kappa = math.sqrt(PLANAR_POINT_FACTOR) * l2_radial_measure(chi, np.linspace(0, 2, 33))
     else:
-        kappa = math.sqrt(h_half_sq_radial_3d(chi, np.linspace(1e-6, 2.2, 45)))
+        chi_d = lambda r: _base_bump_d(r) - b / 2.0 * _base_bump_d(np.asarray(r) / 2.0)
+        kappa = math.sqrt(h_half_sq_radial_3d(chi, np.linspace(1e-6, 2.2, 45), chi_d))
     if kappa < 1e-6:
         raise RuntimeError("reference bump has vanishing homogeneous norm")
     object.__setattr__(prof, "kappa", kappa)

@@ -32,7 +32,8 @@ not depend on its block or thread, nor on the block size or thread count.
 For odd dimensions the classical exact reductions are used instead
 (``r z`` solves the 1-d wave equation when n = 3).  The angle-reduced
 H^(1/2)(R^3) Gagliardo integral is computed in ``r`` and in log-distance
-by one pair rule over panels (``_gagliardo_square``) with one far tail.
+by one tensor Gauss rule over every panel pair (``_gagliardo_square``), the
+removable diagonal taking its limit value, with one far tail.
 """
 
 from __future__ import annotations
@@ -159,18 +160,18 @@ def _streamed(n, block, work):
         list(pool.map(lambda b: work(*b), bounds))
 
 
-def _ragged_gauss(edges, max_len, order, budget=_NODE_BUDGET):
+def _ragged_gauss(edges, max_len, order):
     """Gauss-Legendre rules on the panels between consecutive entries of each
     row of sorted ``edges`` (rows padded with NaN).  A panel wider than its
     row's ``max_len`` is split in ``n = ceil(width / max_len)`` pieces at
     ``a + k (b - a) / n``, the last edge ``b``, as ``np.linspace`` places them.
     Yields ``(lo, hi, nodes, weights, owner)`` for runs of rows ``lo:hi`` of
-    about ``budget`` nodes, nodes row by row in increasing order."""
+    about ``_NODE_BUDGET`` nodes, nodes row by row in increasing order."""
     width = np.diff(edges, axis=1)
     counts = np.where(width > 0, np.maximum(np.ceil(width / max_len[:, None]), 1.0),
                       0.0).astype(np.int64)
     ends = np.cumsum(counts.sum(axis=1) * order)
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(ends // budget)) + 1,
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(ends // _NODE_BUDGET)) + 1,
                              [ends.size]]).tolist()
     xg, wg = _leggauss(order)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -506,78 +507,38 @@ def _blocked_sum(wx, wy, kernel):
     return total
 
 
-# Ladder entries and Gauss nodes per touching-pair block of
-# ``_gagliardo_square``.  Each node holds about 20 float temporaries: under
-# tracemalloc the level-4 shell norm peaks at 2.4 MB (3.5 MB at 2^14, 10.8 MB
-# at 2^16), in no more time.
-_TOUCH_BUDGET = 1 << 13
-
-# Gauss order of the H^(1/2)(R^3) panel pairs; the shell routes' outer panel
-# end (distance from the sphere), log-distance panel width and far radius
+# Gauss order of the H^(1/2)(R^3) panel pairs; the shell routes' uncovered
+# plateau core in log-distance (its pairs with the ramp weigh about e^-30),
+# outer panel end (distance from the sphere), panel width and far radius
 _PAIR_ORDER = 12
+_SHELL_CORE = 30.0
 _SHELL_OUTER = 0.75
 _SHELL_DL = 0.5
 _SHELL_FAR = 40.0
 
 
-def _gagliardo_square(edges, order, profile, density, limit, eps):
-    """``int int density`` over ``[edges[0], edges[-1]]^2`` by Gauss rules of
-    ``order`` on pairs of the panels between ``edges`` (strictly increasing).
+def _gagliardo_square(edges, order, profile, density, limit):
+    """``int int density`` over ``[edges[0], edges[-1]]^2`` by the tensor
+    Gauss rule of ``order`` on every pair of the panels between ``edges``
+    (strictly increasing).
 
     ``density(x, fx, y, fy)`` is given the profile values ``fx = profile(x)``
     and ``fy = profile(y)``; it is singular only on the removable diagonal,
-    where it tends to ``limit(x)``.  Pairs of panels more than one apart are
-    a masked tensor contraction.  For touching pairs every Gauss node ``x_k``
-    integrates its own and its neighbouring panels in ``w = y - x_k`` on the
-    geometric ladder ``near, 4 near, ..., far`` on each side of the
-    diagonal; the strip ``|w| < eps(x_k, span)``, span the larger distance
-    from ``x_k`` to the neighbour's ends, adds ``limit(x_k)`` times its
-    measure.
+    where it tends to ``limit(x)``.  With that value the density is smooth on
+    every panel pair, so the coincident nodes ``x_i = y_i`` take
+    ``limit(x_i)`` and no pair needs a rule of its own.
     """
     x, wx = gauss_panel_nodes(edges, order)
     fx = np.asarray(profile(x), dtype=float)
-    panel = np.repeat(np.arange(edges.size - 1), order)
+    diag = np.asarray(limit(x), dtype=float)
+    node = np.arange(x.size)
 
-    def separated(a, b):
+    def rows(a, b):
         with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the diagonal
             dens = density(x[a:b, None], fx[a:b, None], x, fx)
-        return np.where(np.abs(panel[a:b, None] - panel) > 1, dens, 0.0)
+        return np.where(node[a:b, None] == node, diag[a:b, None], dens)
 
-    total = _blocked_sum(wx, wx, separated)
-    # touching pairs: one row per node k and panel j with |panel(k) - j| <= 1;
-    # w > 0 on side 0 of each row, w < 0 on side 1
-    k, j = np.divmod(np.arange(3 * x.size), 3)
-    j += panel[k] - 1
-    keep = (j >= 0) & (j < edges.size - 1)
-    k, j = k[keep], j[keep]
-    lo, hi = edges[j] - x[k], edges[j + 1] - x[k]
-    e = eps(x[k], np.maximum(np.abs(lo), np.abs(hi)))
-    near = np.stack([np.maximum(lo, 0.0), np.maximum(-hi, 0.0)])
-    far = np.stack([hi, -lo])
-    live = far > near
-    cut = live & (near < e)
-    strip = np.sum(np.where(cut, np.minimum(e, far) - near, 0.0), axis=0)
-    total += float(np.sum(wx[k] * np.asarray(limit(x), dtype=float)[k] * strip))
-    near = np.where(cut, e, near)
-    live &= far > near
-    ratio = np.max(far[live] / near[live], initial=1.0)
-    m = np.arange(int(math.ceil(math.log(ratio, 4.0))) + 2)  # 4^m near reaches every far
-    step = max(1, _TOUCH_BUDGET // (2 * m.size + 1))
-    for c in range(0, k.size, step):
-        # ladder edges -far .. -near, NaN, near .. far; NaN past a ladder's end
-        n, f = near[:, c:c + step, None], far[:, c:c + step, None]
-        ok = live[:, c:c + step, None] & (n * 4.0 ** (m - 1) < f)
-        rung = np.where(ok, np.minimum(n * 4.0 ** m, f), np.nan)
-        rows = np.concatenate([-rung[1, :, ::-1], np.full((rung.shape[1], 1), np.nan), rung[0]],
-                              axis=1)
-        kc = k[c:c + step]
-        for a, b, w, wt, own in _ragged_gauss(rows, np.full(kc.size, np.inf), order,
-                                              _TOUCH_BUDGET):
-            xk = x[kc[a:b]][own]
-            y = xk + w
-            dens = density(xk, fx[kc[a:b]][own], y, np.asarray(profile(y), dtype=float))
-            total += float(wx[kc[a:b]] @ np.bincount(own, wt * dens, minlength=b - a))
-    return total
+    return _blocked_sum(wx, wx, rows)
 
 
 def _far_tail(r, R):
@@ -590,7 +551,7 @@ def _far_tail(r, R):
     return R / (2.0 * (R * R - r * r)) - log_term
 
 
-def h_half_sq_radial_3d(u, edges, u_prime=None) -> float:
+def h_half_sq_radial_3d(u, edges, u_prime) -> float:
     """Squared homogeneous H^(1/2)(R^3) seminorm of a radial function by the
     double-integral (Gagliardo) representation reduced over angles:
 
@@ -598,24 +559,20 @@ def h_half_sq_radial_3d(u, edges, u_prime=None) -> float:
 
     The reduction constant comes from ``int_{S^2} dw |x - y|^{-4}
     = 4 pi (r^2 - rho^2)^{-2}`` and the Gagliardo constant ``1/(2 pi^2)``
-    for s = 1/2, n = 3.  Panel pairs that touch are integrated in the
-    difference variable with a geometric ladder; the removable diagonal strip
-    uses the ``u'(r)^2 r^2 / 4`` limit (requires ``u_prime`` when the profile
-    is not given on a fine table).
+    for s = 1/2, n = 3.  The panels between ``edges`` and 0 cover
+    ``[0, edges[-1]]``; on the removable diagonal the density takes its limit
+    ``u'(r)^2 r^2 / 4``, and the far tail adds the pairs beyond ``edges[-1]``.
     """
-    edges = np.unique(np.asarray(edges, dtype=float))
+    edges = np.unique(np.append(edges, 0.0))
 
     def density(r, ur, rho, urho):
         du = ur - urho
-        return np.where(rho > 0, du * du * r * r * rho * rho / (r * r - rho * rho) ** 2, 0.0)
+        return du * du * r * r * rho * rho / (r * r - rho * rho) ** 2
 
     def limit(r):
-        if u_prime is None:
-            return np.zeros_like(r)
         return np.asarray(u_prime(r), dtype=float) ** 2 * r * r / 4.0
 
-    total = _gagliardo_square(edges, _PAIR_ORDER, u, density, limit,
-                              lambda r, span: 1e-7 * np.maximum(r, span))
+    total = _gagliardo_square(edges, _PAIR_ORDER, u, density, limit)
     r, w = gauss_panel_nodes(edges, _PAIR_ORDER)
     v = np.asarray(u(r), dtype=float)
     total += 2.0 * float(np.sum(w * v * v * r * r * _far_tail(r, edges[-1])))
@@ -623,11 +580,11 @@ def h_half_sq_radial_3d(u, edges, u_prime=None) -> float:
 
 
 def _shell_panels(l_lo):
-    """Log-distance panel edges of the shell routes: from ``l_lo - 6`` (T is
-    1 below) to ``log _SHELL_OUTER``, at most ``_SHELL_DL`` wide, at least 8."""
+    """Log-distance panel edges of the shell routes: from ``l_lo - _SHELL_CORE``
+    (T is 1 below) to ``log _SHELL_OUTER``, at most ``_SHELL_DL`` wide, >= 8."""
     l_hi = math.log(_SHELL_OUTER)
-    n_panels = max(8, int(math.ceil((l_hi - (l_lo - 6.0)) / _SHELL_DL)))
-    return np.linspace(l_lo - 6.0, l_hi, n_panels + 1)
+    n_panels = max(8, int(math.ceil((l_hi - (l_lo - _SHELL_CORE)) / _SHELL_DL)))
+    return np.linspace(l_lo - _SHELL_CORE, l_hi, n_panels + 1)
 
 
 def h_half_sq_shell_3d(T_logd, dT_logd, l_lo: float) -> float:
@@ -660,7 +617,7 @@ def h_half_sq_shell_3d(T_logd, dT_logd, l_lo: float) -> float:
         dT = np.asarray(dT_logd(l), dtype=float)
         return dT * dT * sum((1.0 + s * d) ** 2 for s in sides) / 4.0
 
-    total = _gagliardo_square(edges, _PAIR_ORDER, T_logd, same_side, limit, lambda l, span: 1e-7)
+    total = _gagliardo_square(edges, _PAIR_ORDER, T_logd, same_side, limit)
     l, wl = gauss_panel_nodes(edges, _PAIR_ORDER)
     d = np.exp(l)
     t = np.asarray(T_logd(l), dtype=float)
@@ -703,7 +660,7 @@ def l2_sq_shell_3d(T_logd, l_lo: float) -> float:
     t = np.asarray(T_logd(ll), dtype=float)
     both = (1.0 - d) ** 2 + (1.0 + d) ** 2
     inner = float(np.sum(wl * d * t * t * both))
-    # plateau core d < e^{l_lo - 6}: T = 1 exactly
+    # plateau core d < e^{l_lo - _SHELL_CORE}: T = 1 exactly
     d0 = math.exp(edges[0])
     core = ((1.0 + d0) ** 3 - (1.0 - d0) ** 3) / 3.0
     return 4.0 * math.pi * (inner + core)

@@ -278,36 +278,62 @@ def test_odd3_formulas():
     assert abs(odd3_value(phi, t, r, support=8.0) - direct) < 1e-12
 
 
+def _h_half_sq_1d(u, u_prime, edges):
+    # exact 1-d reduction |u|^2_{Hdot^(1/2)(R^3)} = int int_{R^2} (g(x) - g(y))^2 / (x - y)^2
+    # for the odd g(x) = x u(|x|), with diagonal limit g'(x)^2; the pairs with one
+    # point past X = edges[-1], where g = 0, add 2 int g^2 (1/(X - x) + 1/(X + x))
+    edges = np.unique(np.concatenate([-edges, [0.0], edges]))
+    g = lambda x: x * u(np.abs(x))
+    total = radial._gagliardo_square(
+        edges, radial._PAIR_ORDER, g, lambda x, gx, y, gy: (gx - gy) ** 2 / (x - y) ** 2,
+        lambda x: (u(np.abs(x)) + np.abs(x) * u_prime(np.abs(x))) ** 2)
+    x, w = gauss_panel_nodes(edges, radial._PAIR_ORDER)
+    big = edges[-1]
+    return total + 2.0 * float(np.sum(w * g(x) ** 2 * (1.0 / (big - x) + 1.0 / (big + x))))
+
+
 def test_gagliardo_gaussian_matches_fourier():
     u = lambda r: np.exp(-np.asarray(r, float) ** 2)
     up = lambda r: -2 * np.asarray(r, float) * np.exp(-np.asarray(r, float) ** 2)
     hg = h_half_sq_radial_3d(u, np.linspace(1e-9, 8, 80), u_prime=up)
     assert abs(hg / math.pi - 1.0) < 1e-6  # exact value is pi
+    assert abs(_h_half_sq_1d(u, up, np.linspace(1e-9, 8, 80)) / math.pi - 1.0) < 1e-13
     hf = fourier_hs_sq_radial_3d(u, np.linspace(0, 8, 60), 0.5, k_max=60)
     assert abs(hf / math.pi - 1.0) < 1e-8
     l2 = l2_sq_radial_3d(u, np.linspace(1e-9, 8, 40))
     assert abs(l2 - 4 * math.pi * sint.quad(lambda r: r * r * math.exp(-2 * r * r), 0, 8)[0]) < 1e-10
 
 
+def test_chi3_kappa_matches_fourier():
+    chi = chi_mean_zero(3)
+    hf = fourier_hs_sq_radial_3d(chi, np.linspace(0, 2, 60), 0.5, k_max=160)
+    assert abs(chi.kappa / math.sqrt(hf) - 1.0) < 1e-9
+
+
 def test_shell_gagliardo_matches_plain_coordinates():
-    atom = LogCutoffAtom(0)  # representable plateau: both routes apply
-    hs_shell = h_half_sq_shell_3d(atom.T_logd, atom.dT_logd, atom.l_plateau)
-    hs_plain = h_half_sq_radial_3d(atom, atom.radial_panel_edges(),
-                                   u_prime=atom.derivative)
-    assert abs(hs_shell / hs_plain - 1.0) < 5e-4
-    l2_shell = l2_sq_shell_3d(atom.T_logd, atom.l_plateau)
-    l2_plain = l2_sq_radial_3d(atom, atom.radial_panel_edges())
-    assert abs(l2_shell / l2_plain - 1.0) < 1e-10
+    # three routes with no kernel in common: log-distance shells, r with the
+    # angular reduction, and the 1-d reduction.  Level 2 stays out: its plateau
+    # half-width (3e-15) is not representable in r.
+    for level in (0, 1):
+        atom = LogCutoffAtom(level)
+        edges = atom.radial_panel_edges()
+        hs_shell = h_half_sq_shell_3d(atom.T_logd, atom.dT_logd, atom.l_plateau)
+        hs_plain = h_half_sq_radial_3d(atom, edges, u_prime=atom.derivative)
+        hs_1d = _h_half_sq_1d(atom, atom.derivative, edges)
+        assert abs(hs_plain / hs_1d - 1.0) < 1e-11, level
+        assert abs(hs_shell / hs_1d - 1.0) < 1e-11, level
+        l2_shell = l2_sq_shell_3d(atom.T_logd, atom.l_plateau)
+        l2_plain = l2_sq_radial_3d(atom, edges)
+        assert abs(l2_shell / l2_plain - 1.0) < 1e-10, level
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gagliardo_matches_recorded_values():
-    # recorded by running both H^(1/2)(R^3) routes at commit c376e38, where
-    # each had its own per-node ladder loop; the r-route values only change
-    # in summation order.  The log-distance route has since changed its strip
-    # measure (d' = d counted once, not twice), which moved it by 2.0-2.3e-8
-    # relative; it is pinned at the values recorded after that fix, tightly
-    # enough that the doubled strip fails.
+    # recorded after the r route came to cover [0, edges[-1]], the log-distance
+    # route its plateau core down to l_plateau - 30, and both a tensor Gauss
+    # rule on every panel pair; each value agrees with the 1-d reduction (and
+    # chi3_kappa with the Fourier route), and the rel 1e-12 tolerance fails a
+    # doubled diagonal limit in the log-distance route
     ref = json.loads((Path(__file__).parent / "gagliardo_recorded.json").read_text())
     u = lambda r: np.exp(-np.asarray(r, float) ** 2)
     up = lambda r: -2 * np.asarray(r, float) * np.exp(-np.asarray(r, float) ** 2)
@@ -327,11 +353,10 @@ def test_gagliardo_matches_recorded_values():
                                                              rel=1e-12)
 
 
-def test_touching_rule_strip_in_the_ladder_measure():
+def test_tensor_rule_takes_the_diagonal_limit():
     # u(d) = d^2 in l = log d: the density (u - u')^2 / (d - d')^2 times the
     # Jacobian d d' tends to u'(d)^2 d^2 = 4 e^{4l} on the diagonal, and its
     # integral over [A, B]^2 in d is int int (d + d')^2
-    from wavegap.radial import _gagliardo_square
     edges = np.linspace(-2.0, 1.0, 7)
     a, b = math.exp(edges[0]), math.exp(edges[-1])
     exact = 2.0 * (b - a) * (b ** 3 - a ** 3) / 3.0 + (b * b - a * a) ** 2 / 2.0
@@ -339,13 +364,9 @@ def test_touching_rule_strip_in_the_ladder_measure():
     def density(l, f, lp, fp):
         return (f - fp) ** 2 / (np.exp(l) - np.exp(lp)) ** 2 * np.exp(l + lp)
 
-    fine, wide = (_gagliardo_square(edges, 12, lambda l: np.exp(2.0 * l), density,
-                                    lambda l: 4.0 * np.exp(4.0 * l), lambda l, span: eps)
-                  for eps in (1e-7, 1e-5))
-    # the strip holds 2 eps of each row's measure: counting the Jacobian
-    # twice there moves the wide-strip result by 2e-5 relative
-    assert abs(wide / fine - 1.0) < 1e-12
-    assert abs(fine / exact - 1.0) < 1e-12
+    got = radial._gagliardo_square(edges, 12, lambda l: np.exp(2.0 * l), density,
+                                   lambda l: 4.0 * np.exp(4.0 * l))
+    assert abs(got / exact - 1.0) < 1e-12
 
 
 def test_strip_max_finds_synthetic_peak(gauss_wave):
