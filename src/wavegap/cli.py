@@ -167,10 +167,10 @@ def cmd_lemma1(args):
     if args.normalize and args.n != 2:
         raise ValueError(f"--normalize applies to --n 2 only, got --n {args.n}")
     t0 = time.time()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     deltas = [float(v) for v in args.deltas.split(",")]
     data = construct.focusing_sequence(args.n, deltas)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows, outputs = [], []
     for datum in data:
         tag = f"phi_n{args.n}_{datum.delta:g}"
@@ -335,7 +335,9 @@ def build_parser():
 
     p = sub.add_parser("lemma1", help="write the concentrating data sequence")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--deltas", default="0.3,0.1,0.03")
+    p.add_argument("--deltas", default="0.3,0.1,0.03",
+                   help="comma list of deltas, strictly decreasing; for --n 3 the values "
+                        "are levels: integers in [0, 5], strictly increasing")
     p.add_argument("--out", required=True)
     p.add_argument("--normalize", action="store_true",
                    help="also run the strip normalization (records t_j, m_j; --n 2 only)")

@@ -240,8 +240,9 @@ def focusing_sequence(n: int, delta_list) -> list:
     value; norms decay like ``|log delta|^(-1/2)`` with a delta-independent
     constant (self-similar cutoff).
     n = 3: plateau data identically 1 near the unit sphere with
-    logarithmic-capacity cutoffs (``delta_list`` is then the level list);
-    the focus value is exactly 1 by the spherical-means formula.
+    logarithmic-capacity cutoffs (``delta_list`` is then the list of integer
+    levels, strictly increasing); the focus value is exactly 1 by the
+    spherical-means formula.
     """
     deltas = list(delta_list)
     if n == 2:
@@ -263,6 +264,11 @@ def focusing_sequence(n: int, delta_list) -> list:
                                                dim_hint=2)
             out.append(FocusingDatum(prof, d, z10, norm_planar / z10, 2, wave))
     elif n == 3:
+        for v in deltas:
+            if not float(v).is_integer():
+                raise ValueError(f"n = 3 levels must be integers, got {v}")
+        if any(b <= a for a, b in zip(deltas[:-1], deltas[1:])):
+            raise ValueError(f"n = 3 levels must be strictly increasing, got {deltas}")
         out = []
         for atom in (LogCutoffAtom(int(v)) for v in deltas):
             prof = RadialProfile.from_callable(atom, r_max=2.0, n_samples=8192, dim_hint=3)
@@ -569,8 +575,8 @@ class LogCutoffAtom:
 
     def h_half_norm(self) -> float:
         """Inhomogeneous fractional norm ``sqrt(L2^2 + |.|_{Hdot^(1/2)}^2)``
-        on R^3 via the angular-reduced double integral in log-distance
-        coordinates."""
+        on R^3, the seminorm by the 1-d reduction of the Gagliardo double
+        integral in log-distance coordinates."""
         l2sq = l2_sq_shell_3d(self.T_logd, self.l_plateau)
         hsq = h_half_sq_shell_3d(self.T_logd, self.dT_logd, self.l_plateau)
         return math.sqrt(l2sq + hsq)

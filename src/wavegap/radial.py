@@ -30,10 +30,13 @@ ufuncs).  A pair's panels, nodes and summation order, hence its value, do
 not depend on its block or thread, nor on the block size or thread count.
 
 For odd dimensions the classical exact reductions are used instead
-(``r z`` solves the 1-d wave equation when n = 3).  The angle-reduced
-H^(1/2)(R^3) Gagliardo integral is computed in ``r`` and in log-distance
-by one tensor Gauss rule over every panel pair (``_gagliardo_square``), the
-removable diagonal taking its limit value, with one far tail.
+(``r z`` solves the 1-d wave equation when n = 3).  The H^(1/2)(R^3)
+Gagliardo integral of a radial function has two routes with no kernel in
+common: in ``r`` reduced over angles, and in log-distance from the unit
+sphere as the exact 1-d reduction for ``g(x) = x u(|x|)``.  Both are one
+tensor Gauss rule over every node pair (``_gagliardo_square``), the
+removable diagonal taking its limit value, plus the pairs beyond the
+panels in closed form.
 """
 
 from __future__ import annotations
@@ -470,9 +473,10 @@ def odd3_origin_value(phi, t: float) -> float:
     return float(t * np.asarray(phi(np.asarray([t], dtype=float)))[0])
 
 
-def odd3_value(phi, t: float, r: float, support: float, order=64) -> float:
+def odd3_value(phi, t: float, r: float, support: float) -> float:
     """Exact 3-d radial solution via the 1-d reduction of ``r z``:
-    ``z(t,r) = (1/(2r)) int_{r-t}^{r+t} s phi(|s|) ds`` (odd integrand)."""
+    ``z(t,r) = (1/(2r)) int_{r-t}^{r+t} s phi(|s|) ds`` (odd integrand), by
+    order-64 Gauss panels."""
     if r <= 1e-12:
         return odd3_origin_value(phi, t)
     lo, hi = r - t, r + t
@@ -480,7 +484,7 @@ def odd3_value(phi, t: float, r: float, support: float, order=64) -> float:
     if hi_c <= lo_c:
         return 0.0
     edges = np.linspace(lo_c, hi_c, 32)
-    s, w = gauss_panel_nodes(edges, order)
+    s, w = gauss_panel_nodes(edges, 64)
     vals = s * np.asarray(phi(np.abs(s)))
     return float(np.sum(w * vals) / (2.0 * r))
 
@@ -489,9 +493,10 @@ def odd3_value(phi, t: float, r: float, support: float, order=64) -> float:
 # radial Sobolev norms on R^3 (for the odd-dimension data family)
 # ---------------------------------------------------------------------------
 
-def l2_sq_radial_3d(u, edges, order=16) -> float:
-    """``int_{R^3} u(|x|)^2 dx = 4 pi int u(r)^2 r^2 dr`` on given panels."""
-    r, w = gauss_panel_nodes(edges, order)
+def l2_sq_radial_3d(u, edges) -> float:
+    """``int_{R^3} u(|x|)^2 dx = 4 pi int u(r)^2 r^2 dr`` by order-16 Gauss
+    panels between ``edges``."""
+    r, w = gauss_panel_nodes(edges, 16)
     v = np.asarray(u(r), dtype=float)
     return 4.0 * math.pi * float(np.sum(w * v * v * r * r))
 
@@ -509,36 +514,30 @@ def _blocked_sum(wx, wy, kernel):
 
 # Gauss order of the H^(1/2)(R^3) panel pairs; the shell routes' uncovered
 # plateau core in log-distance (its pairs with the ramp weigh about e^-30),
-# outer panel end (distance from the sphere), panel width and far radius
+# outer panel end (distance from the sphere) and ramp panel width
 _PAIR_ORDER = 12
 _SHELL_CORE = 30.0
 _SHELL_OUTER = 0.75
 _SHELL_DL = 0.5
-_SHELL_FAR = 40.0
 
 
-def _gagliardo_square(edges, order, profile, density, limit):
-    """``int int density`` over ``[edges[0], edges[-1]]^2`` by the tensor
-    Gauss rule of ``order`` on every pair of the panels between ``edges``
-    (strictly increasing).
+def _gagliardo_square(x, w, f, diag, density):
+    """``sum_ij w_i w_j density(x_i, f_i, x_j, f_j)`` over every pair of the
+    nodes ``x`` with weights ``w`` and profile values ``f``.
 
-    ``density(x, fx, y, fy)`` is given the profile values ``fx = profile(x)``
-    and ``fy = profile(y)``; it is singular only on the removable diagonal,
-    where it tends to ``limit(x)``.  With that value the density is smooth on
-    every panel pair, so the coincident nodes ``x_i = y_i`` take
-    ``limit(x_i)`` and no pair needs a rule of its own.
+    The density is singular only on its removable diagonal; with the limit
+    value there it is smooth on every panel pair of a tensor Gauss rule, so
+    the coincident nodes ``i = j`` take ``diag_i`` and no pair needs a rule
+    of its own.
     """
-    x, wx = gauss_panel_nodes(edges, order)
-    fx = np.asarray(profile(x), dtype=float)
-    diag = np.asarray(limit(x), dtype=float)
     node = np.arange(x.size)
 
     def rows(a, b):
         with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the diagonal
-            dens = density(x[a:b, None], fx[a:b, None], x, fx)
+            dens = density(x[a:b, None], f[a:b, None], x, f)
         return np.where(node[a:b, None] == node, diag[a:b, None], dens)
 
-    return _blocked_sum(wx, wx, rows)
+    return _blocked_sum(w, w, rows)
 
 
 def _far_tail(r, R):
@@ -564,27 +563,30 @@ def h_half_sq_radial_3d(u, edges, u_prime) -> float:
     ``u'(r)^2 r^2 / 4``, and the far tail adds the pairs beyond ``edges[-1]``.
     """
     edges = np.unique(np.append(edges, 0.0))
+    r, w = gauss_panel_nodes(edges, _PAIR_ORDER)
+    v = np.asarray(u(r), dtype=float)
+    diag = np.asarray(u_prime(r), dtype=float) ** 2 * r * r / 4.0
 
     def density(r, ur, rho, urho):
         du = ur - urho
         return du * du * r * r * rho * rho / (r * r - rho * rho) ** 2
 
-    def limit(r):
-        return np.asarray(u_prime(r), dtype=float) ** 2 * r * r / 4.0
-
-    total = _gagliardo_square(edges, _PAIR_ORDER, u, density, limit)
-    r, w = gauss_panel_nodes(edges, _PAIR_ORDER)
-    v = np.asarray(u(r), dtype=float)
+    total = _gagliardo_square(r, w, v, diag, density)
     total += 2.0 * float(np.sum(w * v * v * r * r * _far_tail(r, edges[-1])))
     return 8.0 * total
 
 
 def _shell_panels(l_lo):
-    """Log-distance panel edges of the shell routes: from ``l_lo - _SHELL_CORE``
-    (T is 1 below) to ``log _SHELL_OUTER``, at most ``_SHELL_DL`` wide, >= 8."""
+    """Log-distance panel edges of the shell routes: at most ``_SHELL_DL``
+    wide from ``l_lo`` to ``log _SHELL_OUTER``, and below ``l_lo`` (where T
+    is 1) doubling in width (``_SHELL_DL``, twice that, ...) down to
+    ``l_lo - _SHELL_CORE``."""
     l_hi = math.log(_SHELL_OUTER)
-    n_panels = max(8, int(math.ceil((l_hi - (l_lo - _SHELL_CORE)) / _SHELL_DL)))
-    return np.linspace(l_lo - _SHELL_CORE, l_hi, n_panels + 1)
+    depth = [0.0]  # below l_lo
+    while depth[-1] < _SHELL_CORE:
+        depth.append(min(2.0 * depth[-1] + _SHELL_DL, _SHELL_CORE))
+    ramp = np.linspace(l_lo, l_hi, int(math.ceil((l_hi - l_lo) / _SHELL_DL)) + 1)
+    return np.concatenate([l_lo - np.array(depth[::-1]), ramp[1:]])
 
 
 def h_half_sq_shell_3d(T_logd, dT_logd, l_lo: float) -> float:
@@ -595,61 +597,36 @@ def h_half_sq_shell_3d(T_logd, dT_logd, l_lo: float) -> float:
 
     ``T_logd(l)`` must be 1 for ``l <= l_lo`` (plateau) and 0 for
     ``d = e^l >= _SHELL_OUTER``; ``dT_logd`` is its derivative in ``l``.
-    The double integral splits into shell-shell pairs (same side / opposite
-    sides of the sphere, evaluated in ``l`` with the distance differences
-    formed without cancellation), shell-far pairs, and the analytic far tail.
+
+    The route is the exact 1-d reduction ``int int_{R^2} (g(x) - g(y))^2 /
+    (x - y)^2 dx dy`` for the odd ``g(x) = x u(|x|)``.  Folded onto x > 0 it
+    is twice the integral of ``(g(x) - g(y))^2 / (x - y)^2 + (g(x) + g(y))^2
+    / (x + y)^2``, taken over the nodes ``x - 1 = +d`` and ``-d`` of both
+    sides of the sphere (weights ``d dl``), with every difference formed from
+    T and ``x - 1`` without cancellation.  The pairs with one point off the
+    shells, where g = 0, add ``4 int g^2 W`` in closed form.
     """
-    edges = _shell_panels(l_lo)
-    sides = (-1.0, 1.0)
-
-    def same_side(l, t, lp, tp):
-        # r = 1 + s d and rho = 1 + s d' on both sides s; r - rho = s (d - d')
-        # and the measure dr drho = d d' dl dl'
-        d, dp = np.exp(l), np.exp(lp)
-        q = (t - tp) ** 2 / (d - dp) ** 2 * d * dp
-        return q * sum(((1.0 + s * d) * (1.0 + s * dp)) ** 2 / (2.0 + s * (d + dp)) ** 2
-                       for s in sides)
-
-    def limit(l):
-        # the r route's u'(r)^2 r^2 / 4 with u' = T'(l) / d, times the d d'
-        # of the measure at d' = d, on both sides
-        d = np.exp(l)
-        dT = np.asarray(dT_logd(l), dtype=float)
-        return dT * dT * sum((1.0 + s * d) ** 2 for s in sides) / 4.0
-
-    total = _gagliardo_square(edges, _PAIR_ORDER, T_logd, same_side, limit)
-    l, wl = gauss_panel_nodes(edges, _PAIR_ORDER)
+    l, wl = gauss_panel_nodes(_shell_panels(l_lo), _PAIR_ORDER)
     d = np.exp(l)
-    t = np.asarray(T_logd(l), dtype=float)
+    y = np.concatenate([d, -d])
+    w = np.tile(wl * d, 2)
+    t = np.tile(np.asarray(T_logd(l), dtype=float), 2)
+    dt = np.tile(np.asarray(dT_logd(l), dtype=float), 2)
+    g = (1.0 + y) * t
+    # g'(x) = T + x T_l / y at x = 1 + y, and (g + g)^2 / (x + x)^2 = T^2
+    diag = (t + (1.0 + y) * dt / y) ** 2 + t * t
 
-    def opposite(a, b):
-        # r = 1 - d inside, rho = 1 + d' outside (both orderings -> 2x)
-        da, ta = d[a:b, None], t[a:b, None]
-        return ((ta - t) ** 2 * ((1.0 - da) * (1.0 + d)) ** 2
-                / ((da + d) ** 2 * (2.0 + d - da) ** 2) * da * d)
+    def density(yi, ti, yj, tj):
+        near = ((ti - tj) + (yi * ti - yj * tj)) / (yi - yj)
+        mirror = ((ti + tj) + (yi * ti + yj * tj)) / (2.0 + yi + yj)
+        return near * near + mirror * mirror
 
-    total += 2.0 * _blocked_sum(wl, wl, opposite)
-    # shell-far pairs: far radii in [0, 1 - _SHELL_OUTER] and [1 + _SHELL_OUTER,
-    # _SHELL_FAR] (two disjoint intervals, never bridged); T vanishes there,
-    # the distances are O(_SHELL_OUTER) so plain coordinates are safe (both
-    # orderings -> 2x)
-    far = [gauss_panel_nodes(seg, _PAIR_ORDER) for seg in
-           (np.linspace(1e-9, 1.0 - _SHELL_OUTER, 25),
-            np.linspace(1.0 + _SHELL_OUTER, _SHELL_FAR, 40))]
-    rf = np.concatenate([p[0] for p in far])
-    wf = np.concatenate([p[1] for p in far])
-    one_minus = 1.0 - rf  # exact in these ranges
-
-    def shell_far(a, b):
-        da, ta = d[a:b, None], t[a:b, None]
-        return ta * ta * da * sum(((1.0 + s * da) * rf) ** 2
-                                  / ((one_minus + s * da) * (2.0 - one_minus + s * da)) ** 2
-                                  for s in sides)
-
-    total += 2.0 * _blocked_sum(wl, wf, shell_far)
-    r = 1.0 + np.multiply.outer(sides, d)
-    total += 2.0 * float(np.sum(wl * d * t * t * r * r * _far_tail(r, _SHELL_FAR)))
-    return 8.0 * total
+    # W: the integral of 1/(x - z)^2 + 1/(x + z)^2 over the off-shell z in
+    # [0, 1 - o] and [1 + o, inf), at x = 1 + y
+    o = _SHELL_OUTER
+    off = 1.0 / (o - y) + 1.0 / (o + y) + 1.0 / (2.0 + o + y) - 1.0 / (2.0 - o + y)
+    return (2.0 * _gagliardo_square(y, w, t, diag, density)
+            + 4.0 * float(np.sum(w * g * g * off)))
 
 
 def l2_sq_shell_3d(T_logd, l_lo: float) -> float:
@@ -666,20 +643,18 @@ def l2_sq_shell_3d(T_logd, l_lo: float) -> float:
     return 4.0 * math.pi * (inner + core)
 
 
-def fourier_hs_sq_radial_3d(u, edges, s, k_max=200.0, order=12, nk=None,
-                            homogeneous=True) -> float:
-    """Squared H^s(R^3) norm of a radial function via the radial Fourier
-    transform ``uhat(k) = (4 pi / k) int u(r) sin(k r) r dr`` and
-    ``(2 pi)^{-3} int w(k)^2 |uhat|^2 4 pi k^2 dk``.  For cross-checking the
-    double-integral route on profiles of moderate width."""
+def fourier_hs_sq_radial_3d(u, edges, s, k_max=200.0) -> float:
+    """Squared homogeneous H^s(R^3) seminorm of a radial function via the
+    radial Fourier transform ``uhat(k) = (4 pi / k) int u(r) sin(k r) r dr``
+    and ``(2 pi)^{-3} int k^(2s) |uhat|^2 4 pi k^2 dk`` (order-12 Gauss panels
+    in k up to ``k_max``).  For cross-checking the double-integral route on
+    profiles of moderate width."""
     r, w = gauss_panel_nodes(edges, 24)
     v = np.asarray(u(r), dtype=float)
-    if nk is None:
-        nk = max(400, int(k_max * np.max(edges) * 1.5))
-    k_edges = np.linspace(1e-9, k_max, nk)
-    k, kw = gauss_panel_nodes(k_edges, order)
+    k_edges = np.linspace(1e-9, k_max, max(400, int(k_max * np.max(edges) * 1.5)))
+    k, kw = gauss_panel_nodes(k_edges, 12)
     # uhat on the k nodes
     sin_kr = np.sin(np.outer(k, r))
     uhat = (4.0 * math.pi / k) * (sin_kr @ (w * v * r))
-    wgt = k ** (2.0 * s) if homogeneous else (1.0 + k * k) ** s
-    return float(np.sum(kw * wgt * uhat * uhat * k * k) * 4.0 * math.pi / (2.0 * math.pi) ** 3)
+    return float(np.sum(kw * k ** (2.0 * s) * uhat * uhat * k * k)
+                 * 4.0 * math.pi / (2.0 * math.pi) ** 3)

@@ -257,6 +257,14 @@ def test_lemma1_normalize_needs_planar_data(tmp_path, capsys):
     assert err.startswith("error:") and "--n 2" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("deltas", ["0.5,1.7,2", "0.3,0.1,0.03", "2,1"])
+def test_lemma1_refuses_bad_n3_levels(tmp_path, capsys, deltas):
+    out = tmp_path / "seq"
+    code, lines, err = run(capsys, "lemma1", "--n", "3", "--deltas", deltas, "--out", str(out))
+    assert code == 1 and lines == [] and not out.exists()
+    assert err.startswith("error:") and "levels" in err and len(err.strip().splitlines()) == 1
+
+
 def test_shipped_configs_parse():
     # every shipped config names a kind and only GapRunConfig keys
     paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))

@@ -146,6 +146,12 @@ def test_focusing_sequence_n3():
         assert abs(measured / predicted - 1.0) < 0.3
 
 
+@pytest.mark.parametrize("levels", [[0, 1.5], [0.5, 1.7, 2], [1, 0], [1, 1]])
+def test_focusing_sequence_n3_refuses_bad_levels(levels):
+    with pytest.raises(ValueError, match="levels must be"):
+        focusing_sequence(3, levels)
+
+
 def test_strip_normalize_properties():
     datum = focusing_sequence(2, [0.3])[0]
     nz = strip_normalize(datum)

@@ -283,13 +283,13 @@ def _h_half_sq_1d(u, u_prime, edges):
     # for the odd g(x) = x u(|x|), with diagonal limit g'(x)^2; the pairs with one
     # point past X = edges[-1], where g = 0, add 2 int g^2 (1/(X - x) + 1/(X + x))
     edges = np.unique(np.concatenate([-edges, [0.0], edges]))
-    g = lambda x: x * u(np.abs(x))
-    total = radial._gagliardo_square(
-        edges, radial._PAIR_ORDER, g, lambda x, gx, y, gy: (gx - gy) ** 2 / (x - y) ** 2,
-        lambda x: (u(np.abs(x)) + np.abs(x) * u_prime(np.abs(x))) ** 2)
     x, w = gauss_panel_nodes(edges, radial._PAIR_ORDER)
+    g = x * u(np.abs(x))
+    total = radial._gagliardo_square(
+        x, w, g, (u(np.abs(x)) + np.abs(x) * u_prime(np.abs(x))) ** 2,
+        lambda x, gx, y, gy: (gx - gy) ** 2 / (x - y) ** 2)
     big = edges[-1]
-    return total + 2.0 * float(np.sum(w * g(x) ** 2 * (1.0 / (big - x) + 1.0 / (big + x))))
+    return total + 2.0 * float(np.sum(w * g ** 2 * (1.0 / (big - x) + 1.0 / (big + x))))
 
 
 def test_gagliardo_gaussian_matches_fourier():
@@ -311,9 +311,10 @@ def test_chi3_kappa_matches_fourier():
 
 
 def test_shell_gagliardo_matches_plain_coordinates():
-    # three routes with no kernel in common: log-distance shells, r with the
-    # angular reduction, and the 1-d reduction.  Level 2 stays out: its plateau
-    # half-width (3e-15) is not representable in r.
+    # three routes: r with the angular reduction, and the 1-d reduction in
+    # plain x and in log-distance around x = +-1 (the production shell route,
+    # which shares no kernel with the r route).  Level 2 stays out: its
+    # plateau half-width (3e-15) is not representable in r.
     for level in (0, 1):
         atom = LogCutoffAtom(level)
         edges = atom.radial_panel_edges()
@@ -325,6 +326,19 @@ def test_shell_gagliardo_matches_plain_coordinates():
         l2_shell = l2_sq_shell_3d(atom.T_logd, atom.l_plateau)
         l2_plain = l2_sq_radial_3d(atom, edges)
         assert abs(l2_shell / l2_plain - 1.0) < 1e-10, level
+
+
+def test_shell_route_does_not_see_its_outer_cut(monkeypatch):
+    # the atoms' T vanishes for d >= 1/4, so wherever the outer cut sits above
+    # that, the closed-form off-shell pairs take over exactly what the shell
+    # pairs give up
+    for level in (0, 1, 2):
+        atom = LogCutoffAtom(level)
+        got = []
+        for outer in (0.75, 0.5, 0.4):
+            monkeypatch.setattr(radial, "_SHELL_OUTER", outer)
+            got.append(h_half_sq_shell_3d(atom.T_logd, atom.dT_logd, atom.l_plateau))
+        assert max(abs(v / got[0] - 1.0) for v in got) < 1e-14, (level, got)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -364,8 +378,8 @@ def test_tensor_rule_takes_the_diagonal_limit():
     def density(l, f, lp, fp):
         return (f - fp) ** 2 / (np.exp(l) - np.exp(lp)) ** 2 * np.exp(l + lp)
 
-    got = radial._gagliardo_square(edges, 12, lambda l: np.exp(2.0 * l), density,
-                                   lambda l: 4.0 * np.exp(4.0 * l))
+    l, w = gauss_panel_nodes(edges, 12)
+    got = radial._gagliardo_square(l, w, np.exp(2.0 * l), 4.0 * np.exp(4.0 * l), density)
     assert abs(got / exact - 1.0) < 1e-12
 
 
