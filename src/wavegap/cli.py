@@ -128,32 +128,26 @@ def _profile_from_spec(spec):
     kind, _, param = spec.partition(":")
     if kind == "gaussian":
         a = float(param or 1.0)
-        return field.RadialProfile.from_callable(
-            lambda r: np.exp(-a * np.asarray(r, float) ** 2), r_max=12.0, dim_hint=2), ()
+        return field.RadialProfile(lambda r: np.exp(-a * r ** 2))
     if kind in ("annulus_exact", "annulus_smooth"):
         fam = construct.delta_family(float(param))
-        prof = (construct.psi_exact(fam) if kind == "annulus_exact"
-                else construct.psi_smooth(fam))
-        breaks = (fam.p, fam.q) if kind == "annulus_exact" else (fam.p1, fam.p, fam.q, fam.q1)
-        return prof, breaks
+        return construct.psi_exact(fam) if kind == "annulus_exact" else construct.psi_smooth(fam)
     raise ValueError(f"unknown profile spec {spec!r}")
 
 
 def cmd_pointvalue(args):
-    prof, breaks = _profile_from_spec(args.profile)
+    prof = _profile_from_spec(args.profile)
     x = tuple(float(v) for v in args.x.split(",")) if args.x else (0.0,)
     if args.method != "kernel" and (args.t != 1.0 or any(v != 0.0 for v in x)):
         raise ValueError(f"--method {args.method} computes t = 1 at the origin only, "
                          f"got --t {args.t:g} --x {','.join(f'{v:g}' for v in x)}")
     if args.method == "kernel":
-        val = wave.kernel_solution_2d(prof, args.t, np.asarray(x), tol=args.tol,
-                                      breakpoints=breaks)
+        val = wave.kernel_solution_2d(prof, args.t, np.asarray(x), tol=args.tol)
         err = args.tol
     elif args.method == "kirchhoff":
-        prof3 = field.RadialProfile(prof.r_max, prof.samples, 3, exact=prof.exact)
-        val, err = wave.kirchhoff_3d_origin(prof3), 0.0
+        val, err = wave.kirchhoff_3d_origin(prof), 0.0
     elif args.method == "evenrep":
-        val, err = wave.radial_even_representation(prof, args.n, breaks), None
+        val, err = wave.radial_even_representation(prof, args.n), None
     elif args.method == "oddrep":
         val, err = wave.odd_n_boundary_value(prof, args.n), None
     else:
@@ -207,7 +201,7 @@ def cmd_chi(args):
     path = out_dir / f"chi_n{args.n}.field"
     field.save_field(emb, path)
     info = out_dir / f"chi_n{args.n}.json"
-    info.write_text(json.dumps({"kappa": chi.kappa, "support_radius": 2.0,
+    info.write_text(json.dumps({"kappa": chi.kappa, "support_radius": chi.support_radius,
                                 "n": args.n}))
     _write_manifest(out_dir, f"chi_n{args.n}", "chi", {"n": args.n}, [],
                     [path, info], t0)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (RadialProfile, ScalarField, TorusGrid, radial_embed, remove_lattice_mean)
+from .field import RadialProfile, ScalarField, TorusGrid, remove_lattice_mean
 from .norms import sobolev_norm
 from .radial import (RadialWave2D, gauss_panel_nodes, h_half_sq_radial_3d,
                      h_half_sq_shell_3d, l2_radial_measure, l2_sq_shell_3d, smooth_step,
@@ -61,9 +61,6 @@ __all__ = [
 # L2(R^2)^2 of a radial profile = 2*pi * (its r dr norm)^2, and the planar
 # point value of the solution is 2*pi times the radial-measure closed form.
 PLANAR_POINT_FACTOR = 2.0 * math.pi
-
-# sample count of the annulus profiles' tables (their exact callables are kept)
-_ANNULUS_SAMPLES = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +128,7 @@ def psi_exact(fam: DeltaFamily) -> RadialProfile:
         vals = _psi_mag_of_u(u)
         return np.where((r >= p) & (r <= q), vals, 0.0)
 
-    return RadialProfile.from_callable(f, r_max=1.0, n_samples=_ANNULUS_SAMPLES, dim_hint=2)
+    return RadialProfile(f, q, (p, q))
 
 
 class _ShellCutoff:
@@ -178,8 +175,7 @@ class _ShellCutoff:
 def psi_smooth(fam: DeltaFamily) -> RadialProfile:
     """Smooth annulus datum: the sharp profile times a C-infinity radial
     cutoff squeezed between the indicators of [p, q] and [p1, q1]."""
-    return RadialProfile.from_callable(_ShellCutoff(fam.delta).psi, r_max=1.0,
-                                       n_samples=_ANNULUS_SAMPLES, dim_hint=2)
+    return RadialProfile(_ShellCutoff(fam.delta).psi, fam.q1, (fam.p1, fam.p, fam.q, fam.q1))
 
 
 def _shell_s_table(fam: DeltaFamily):
@@ -260,8 +256,7 @@ def focusing_sequence(n: int, delta_list) -> list:
             def phi_fn(r, _c=cut, _z=z10):
                 return _c.psi(r) / _z
 
-            prof = RadialProfile.from_callable(phi_fn, r_max=1.0, n_samples=_ANNULUS_SAMPLES,
-                                               dim_hint=2)
+            prof = RadialProfile(phi_fn, fam.q1, (fam.p1, fam.p, fam.q, fam.q1))
             out.append(FocusingDatum(prof, d, z10, norm_planar / z10, 2, wave))
     elif n == 3:
         for v in deltas:
@@ -271,7 +266,7 @@ def focusing_sequence(n: int, delta_list) -> list:
             raise ValueError(f"n = 3 levels must be strictly increasing, got {deltas}")
         out = []
         for atom in (LogCutoffAtom(int(v)) for v in deltas):
-            prof = RadialProfile.from_callable(atom, r_max=2.0, n_samples=8192, dim_hint=3)
+            prof = RadialProfile(atom, 1.0 + atom.d_out, (1.0 - atom.d_out, 1.0 + atom.d_out))
             out.append(FocusingDatum(prof, atom.eps, 1.0, atom.h_half_norm(), 3, atom))
     else:
         raise ValueError("focusing_sequence supports n in {2, 3}")
@@ -430,7 +425,7 @@ def chi_mean_zero(n: int) -> RadialProfile:
     def chi(r):
         return _base_bump(r) - b * _base_bump(np.asarray(r, dtype=float) / 2.0)
 
-    prof = RadialProfile.from_callable(chi, r_max=2.0, dim_hint=n)
+    prof = RadialProfile(chi, 2.0, (1.0, 2.0))
     # volume integral should vanish to quadrature precision
     rr, w = gauss_panel_nodes(np.linspace(0, 2, 33), 24)
     vol = float(np.sum(w * chi(rr) * rr ** (n - 1)))
@@ -452,17 +447,15 @@ def chi_field(chi: RadialProfile, grid: TorusGrid, scale: float = 1.0,
     """Canonical embedding of (a rescaled) mean-zero bump:
     ``scale * chi(concentration * |x|)`` with the lattice-mean residue
     projected out so the continuum mean-zero identity holds discretely."""
-    def scaled(r):
-        return scale * chi(concentration * np.asarray(r, dtype=float))
-    prof = RadialProfile.from_callable(scaled, r_max=chi.r_max, dim_hint=grid.dim)
-    return remove_lattice_mean(radial_embed(prof, grid))
+    r = grid.radius()
+    return remove_lattice_mean(ScalarField(grid, scale * chi(concentration * r)))
 
 
 def chi_hat_planar(chi: RadialProfile, k, order=24):
     """Planar Fourier transform of the radial bump:
     ``2 pi int chi(r) J0(k r) r dr`` (vectorized in k)."""
     from scipy.special import j0
-    rr, w = gauss_panel_nodes(np.linspace(0.0, chi.r_max, 33), order)
+    rr, w = gauss_panel_nodes(np.linspace(0.0, chi.support_radius, 33), order)
     vals = chi(rr)
     k = np.atleast_1d(np.asarray(k, dtype=float))
     return 2.0 * math.pi * (j0(np.outer(k, rr)) @ (w * vals * rr))

@@ -113,7 +113,7 @@ def _gap_terms(curve, consts, chi, R, M, mu, nz: NormalizedZ):
     c0, c1, jc = consts
     # Gauss nodes on the support of the unit-scale bump (the gap integrals
     # localize there after rescaling y = R x)
-    y, wy = gauss_panel_nodes(np.linspace(0.0, chi.r_max, 17), 12)
+    y, wy = gauss_panel_nodes(np.linspace(0.0, chi.support_radius, 17), 12)
     r_core = y / R
     z_core = nz.z_at(nz.t_j, r_core)
     dz_core = nz.dt_z_at(nz.t_j, r_core)

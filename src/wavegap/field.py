@@ -2,8 +2,8 @@
 
 Everything downstream (norms, propagators, experiment drivers) works on the
 two containers defined here: scalar fields sampled on a periodic box
-``[-L, L)^dim`` and one-dimensional radial profiles.  Fields are immutable
-after construction; all operations return new objects.
+``[-L, L)^dim`` and radial profiles given by their exact callables.  Fields
+are immutable after construction; all operations return new objects.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -179,57 +180,26 @@ class VectorField:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Radial function sampled uniformly on ``[0, r_max]``.
+    """Radial function ``x -> f(|x|)`` given by its exact callable ``f``.
 
-    ``dim_hint`` records the ambient dimension used for volume weights when
-    the profile stands in for a function on ``R^n``.  An optional exact
-    callable can be attached for multi-scale profiles whose structure is
-    finer than any reasonable uniform sampling; operations prefer it when
-    present.
+    ``support_radius`` is the radius beyond which ``f`` vanishes (``inf``
+    without compact support).  ``breakpoints`` are the radii where ``f`` is
+    not smooth, sorted, with a finite support as the last one; quadratures
+    over the profile put panel edges there.
     """
 
-    r_max: float
-    samples: np.ndarray
-    dim_hint: int = 2
-    exact: object = dc_field(default=None, compare=False)
+    f: object
+    support_radius: float = math.inf
+    breakpoints: tuple = ()
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 1 or s.size < 2:
-            raise ValueError("samples must be a 1-d array with >= 2 entries")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("non-finite profile sample")
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
-        s = s.copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def radii(self) -> np.ndarray:
-        return np.linspace(0.0, self.r_max, self.samples.size)
+        bks = {float(b) for b in self.breakpoints}
+        if math.isfinite(self.support_radius):
+            bks.add(float(self.support_radius))
+        object.__setattr__(self, "breakpoints", tuple(sorted(bks)))
 
     def __call__(self, r) -> np.ndarray:
-        """Evaluate at radii ``r``: the exact callable if attached, else
-        linear interpolation of the samples (zero beyond ``r_max``)."""
-        r = np.abs(np.asarray(r, dtype=float))
-        if self.exact is not None:
-            return np.asarray(self.exact(r), dtype=float)
-        return np.interp(r, self.radii, self.samples, left=self.samples[0], right=0.0)
-
-    @property
-    def support_radius(self) -> float:
-        nz = np.nonzero(self.samples)[0]
-        if nz.size == 0:
-            return 0.0
-        step = self.r_max / (self.samples.size - 1)
-        return min(self.r_max, (nz[-1] + 1) * step)
-
-    @classmethod
-    def from_callable(cls, f, r_max, n_samples=4096, dim_hint=2, keep_exact=True):
-        r = np.linspace(0.0, r_max, n_samples)
-        return cls(r_max, np.asarray(f(r), dtype=float), dim_hint,
-                   exact=f if keep_exact else None)
+        return np.asarray(self.f(np.abs(np.asarray(r, dtype=float))), dtype=float)
 
 
 def sample(f, grid: TorusGrid) -> ScalarField:
@@ -249,20 +219,8 @@ def sample(f, grid: TorusGrid) -> ScalarField:
 
 
 def radial_embed(profile: RadialProfile, grid: TorusGrid) -> ScalarField:
-    """Embed a radial profile as a scalar field, value = profile(|x|).
-
-    The profile must either cover every lattice radius (``r_max >= L*sqrt(dim)``)
-    or vanish beyond its sampled range; otherwise nodes outside the profile
-    domain would silently read an extrapolated tail.
-    """
-    r = grid.radius()
-    r_lattice = float(r.max())
-    if profile.r_max < r_lattice and profile.support_radius >= profile.r_max - 1e-12:
-        if profile.exact is None or np.any(np.asarray(profile.exact(r_lattice)) != 0.0):
-            raise ValueError(
-                f"profile domain [0, {profile.r_max}] does not cover lattice radius "
-                f"{r_lattice:.3f} and has a nonzero tail")
-    return ScalarField(grid, profile(r))
+    """Embed a radial profile as a scalar field, value = profile(|x|)."""
+    return ScalarField(grid, profile(grid.radius()))
 
 
 def integrate(f: ScalarField) -> float:

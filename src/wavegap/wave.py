@@ -132,31 +132,29 @@ def spectral_gradient(f: ScalarField):
 # planar singular-kernel point value
 # ---------------------------------------------------------------------------
 
-def kernel_solution_2d(psi, t: float, x=0.0, tol: float = 1e-8,
-                       breakpoints=(), max_refine: int = 9):
+def kernel_solution_2d(psi: RadialProfile, t: float, x=0.0, tol: float = 1e-8,
+                       max_refine: int = 9):
     """Point value of the planar solution with data ``(0, psi(|.|))``:
 
         z(t, x) = (1/(2 pi)) int_{|x-y|<=t} psi(|y|) / sqrt(t^2-|x-y|^2) dy.
 
     The substitution ``rho = t sin(theta)`` removes the square-root
-    singularity at the rim; the result is a smooth double quadrature
-    refined until two successive refinements agree to ``tol``.
+    singularity at the rim; the result is a smooth double quadrature, with
+    panel edges at the profile's breakpoints on the axis, refined until two
+    successive refinements agree to ``tol``.
 
     Raises if the refinement loop fails to converge (with the achieved
     error estimate in the message).
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    prof = psi if callable(psi) else psi.__call__
-    if isinstance(psi, RadialProfile) and not breakpoints:
-        breakpoints = (psi.support_radius,)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     r0 = float(np.sqrt(np.sum(x * x)))
 
     def theta_edges(n_extra):
         edges = {0.0, math.pi / 2.0}
         if r0 == 0.0:
-            for b in breakpoints:
+            for b in psi.breakpoints:
                 if 0 < b < t:
                     edges.add(math.asin(b / t))
         for v in np.linspace(0.0, math.pi / 2.0, n_extra):
@@ -167,13 +165,13 @@ def kernel_solution_2d(psi, t: float, x=0.0, tol: float = 1e-8,
         th, wth = gauss_panel_nodes(theta_edges(n_theta), 12)
         rho = t * np.sin(th)
         if r0 == 0.0:
-            vals = prof(rho)
+            vals = psi(rho)
             return float(t * np.sum(wth * np.sin(th) * vals))
         alpha = 2.0 * math.pi * np.arange(n_alpha) / n_alpha
         ca = np.cos(alpha)
         dist = np.sqrt(np.maximum(r0 * r0 + rho[:, None] ** 2
                                   + 2.0 * r0 * rho[:, None] * ca[None, :], 0.0))
-        vals = prof(dist.ravel()).reshape(dist.shape)
+        vals = psi(dist.ravel()).reshape(dist.shape)
         angular = vals.mean(axis=1)
         return float(t * np.sum(wth * np.sin(th) * angular))
 
@@ -208,10 +206,9 @@ _ODD_COEFFICIENTS = {3: (1,), 5: (1, 1 / 3)}
 
 def _derivative_of(profile, order):
     """Radial derivative of a profile as a callable: ``order`` nested
-    centered stencils of step 1e-5 (one-sided at r = 0) on the profile's
-    callable."""
+    centered stencils of step 1e-5 (one-sided at r = 0) on the profile."""
     if order == 0:
-        return profile if callable(profile) else profile.__call__
+        return profile
     base = _derivative_of(profile, order - 1)
     step = 1e-5
 
@@ -223,12 +220,12 @@ def _derivative_of(profile, order):
     return deriv
 
 
-def _even_moment(profile, nu, n, breakpoints=()):
+def _even_moment(profile: RadialProfile, nu, n):
     """``int_0^1 d_r^nu phi(r) (1-r^2)^(-1/2) r^(nu+n-1) dr`` via
-    ``r = sin(theta)``."""
+    ``r = sin(theta)``, with panel edges at the profile's breakpoints."""
     d = _derivative_of(profile, nu)
     edges = {0.0, math.pi / 2.0}
-    for b in breakpoints:
+    for b in profile.breakpoints:
         if 0 < b < 1:
             edges.add(math.asin(b))
     for v in np.linspace(0, math.pi / 2, 33):
@@ -238,28 +235,20 @@ def _even_moment(profile, nu, n, breakpoints=()):
     return float(np.sum(w * np.asarray(d(s)) * s ** (nu + n - 1)))
 
 
-def radial_even_representation(profile, n: int, breakpoints=()) -> float:
+def radial_even_representation(profile: RadialProfile, n: int) -> float:
     """Origin value z(1, 0) in even dimension n from the radial moment
     formula ``sum_nu c_nu int_0^1 d_r^nu phi (1-r^2)^(-1/2) r^(nu+n-1) dr``
     with the exact ``c_nu`` of :data:`_EVEN_COEFFICIENTS`."""
     if n not in _EVEN_COEFFICIENTS:
         raise ValueError("even representation implemented for n in {2, 4}")
-    if isinstance(profile, RadialProfile) and not breakpoints:
-        breakpoints = (profile.support_radius,)
-    return float(sum(c * _even_moment(profile, nu, n, breakpoints)
+    return float(sum(c * _even_moment(profile, nu, n)
                      for nu, c in enumerate(_EVEN_COEFFICIENTS[n])))
 
 
-def kirchhoff_3d_origin(profile) -> float:
+def kirchhoff_3d_origin(profile: RadialProfile) -> float:
     """Origin value z(1, 0) in three dimensions: the spherical mean of the
     radial velocity datum over the unit sphere is its value at radius 1."""
-    if isinstance(profile, RadialProfile):
-        if profile.dim_hint != 3:
-            raise ValueError("profile dim_hint must be 3")
-        if profile.r_max < 1.0:
-            raise ValueError("radius 1 outside profile domain")
-        return float(profile(1.0))
-    return float(np.asarray(profile(np.asarray([1.0])))[0])
+    return float(profile(np.array([1.0]))[0])
 
 
 def odd_n_boundary_value(profile, n: int) -> float:

@@ -54,7 +54,7 @@ def test_criterion_1_norm_oracle():
         fam = delta_family(delta)
         prof = psi_exact(fam)
         edges = np.sqrt(1.0 - np.geomspace(fam.delta ** 3, fam.delta ** 2, 9))[::-1]
-        quad = 2.0 * l2_radial_measure(prof.exact, edges, order=48) ** 2
+        quad = 2.0 * l2_radial_measure(prof, edges, order=48) ** 2
         worst = max(worst, abs(quad / annulus_l2sq_radial(fam) - 1.0))
     elapsed = time.time() - t0
     report(1, "closed-form norm oracle", worst < 1e-6,
@@ -67,7 +67,7 @@ def test_criterion_2_point_value_oracle():
     t0 = time.time()
     fam = delta_family(0.1)
     prof = psi_exact(fam)
-    val = kernel_solution_2d(prof.exact, 1.0, 0.0, breakpoints=(fam.p, fam.q))
+    val = kernel_solution_2d(prof, 1.0, 0.0)  # panel edges at the breakpoints p, q
     # the closed form is stated in the radial measure r dr; the planar
     # solution carries the angular factor 2*pi (exact identity, see the
     # numerical conventions in README.md)
@@ -77,8 +77,7 @@ def test_criterion_2_point_value_oracle():
     ok1 = abs(radial_val - closed) < 1e-4
     # smooth variant lands inside the closed-form bracket
     sprof = psi_smooth(fam)
-    sval = kernel_solution_2d(sprof.exact, 1.0, 0.0,
-                              breakpoints=(fam.p1, fam.p, fam.q, fam.q1))
+    sval = kernel_solution_2d(sprof, 1.0, 0.0)  # edges at p1, p, q, q1
     lo, hi = closed, annulus_point_value_radial(fam, outer=True)
     ok2 = lo <= sval / PLANAR_POINT_FACTOR <= hi
     elapsed = time.time() - t0
@@ -94,9 +93,7 @@ def test_criterion_3_propagator_cross_validation():
     grid = TorusGrid(2, 16.0, 512)
     worst = 0.0
     for a, b in ((1.0, 0.0), (0.6, 0.0), (1.4, 0.3), (0.9, -0.2), (1.1, 0.15)):
-        prof = RadialProfile.from_callable(
-            lambda r, a=a, b=b: (1.0 + b * np.asarray(r) ** 2) * np.exp(-a * np.asarray(r) ** 2),
-            r_max=40.0)
+        prof = RadialProfile(lambda r, a=a, b=b: (1.0 + b * r ** 2) * np.exp(-a * r ** 2))
         ut0 = radial_embed(prof, grid)
         st = spectral_propagate(WaveState(0.0 * ut0, ut0, 0.0), 1.0)
         spectral = st.u.values[grid.n // 2, grid.n // 2]
@@ -276,8 +273,7 @@ def test_criterion_9_appendix_suites():
 
 def test_criterion_10_odd_dimension_branch():
     data = focusing_sequence(3, [0, 1, 2, 3, 4])
-    kirch = [kirchhoff_3d_origin(RadialProfile(2.0, d.phi.samples, 3, exact=d.phi.exact))
-             for d in data]
+    kirch = [kirchhoff_3d_origin(d.phi) for d in data]
     norms = [d.norm for d in data]
     drops = [1.0 - b / a for a, b in zip(norms[:-1], norms[1:])]
     ok = all(k == 1.0 for k in kirch) and all(d >= 0.25 for d in drops)

@@ -72,6 +72,16 @@ def test_pointvalue_annulus_closed_form(capsys):
     assert abs(lines[0]["value"] - 0.5 * math.log(1.5)) < 1e-6
 
 
+def test_pointvalue_evenrep_matches_kernel_on_thin_annulus(capsys):
+    vals = {}
+    for method in ("kernel", "evenrep"):
+        code, lines, _ = run(capsys, "pointvalue", "--method", method,
+                             "--profile", "annulus_smooth:0.01")
+        assert code == 0
+        vals[method] = lines[0]["value"]
+    assert vals["evenrep"] == pytest.approx(vals["kernel"], rel=5e-5)
+
+
 def test_pointvalue_representation_methods_only_at_unit_time_origin(capsys):
     code, lines, _ = run(capsys, "pointvalue", "--method", "kirchhoff",
                          "--profile", "gaussian:1.0", "--x", "0,0")

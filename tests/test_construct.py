@@ -52,7 +52,7 @@ def test_psi_exact_l2_closed_form(delta, expect_l2):
     prof = psi_exact(fam)
     # panels log-spaced through the annulus scales
     edges = np.sqrt(1.0 - np.geomspace(fam.delta ** 3, fam.delta ** 2, 9))[::-1]
-    val = l2_radial_measure(prof.exact, edges, order=48)
+    val = l2_radial_measure(prof, edges, order=48)
     closed = annulus_l2sq_radial(fam)
     assert abs(2 * val ** 2 / closed - 1.0) < 1e-10
     assert abs(val - expect_l2) < 1e-5
@@ -62,8 +62,8 @@ def test_psi_exact_support():
     fam = delta_family(0.1)
     prof = psi_exact(fam)
     r = np.array([0.5, fam.p - 1e-9, fam.q + 1e-9, 0.99999999])
-    assert np.all(prof.exact(r) == 0.0)
-    inside = prof.exact(np.array([(fam.p + fam.q) / 2]))
+    assert np.all(prof(r) == 0.0)
+    inside = prof(np.array([(fam.p + fam.q) / 2]))
     assert inside[0] > 0.0
 
 
@@ -71,7 +71,7 @@ def test_psi_smooth_sandwich_and_bracket():
     fam = delta_family(0.1)
     pe, ps = psi_exact(fam), psi_smooth(fam)
     r = np.linspace(0.9, 1.0 - 1e-12, 4001)
-    v_e, v_s = pe.exact(r), ps.exact(r)
+    v_e, v_s = pe(r), ps(r)
     assert np.all(v_s >= v_e - 1e-14)
     # and below the wide-annulus indicator profile
     mag = np.zeros_like(r)
@@ -81,7 +81,7 @@ def test_psi_smooth_sandwich_and_bracket():
     wide = np.where((r >= fam.p1) & (r <= fam.q1), mag, 0.0)
     assert np.all(v_s <= wide + 1e-14)
     # norm bracket: closed-form endpoints
-    val2 = 2 * l2_radial_measure(ps.exact, [fam.p1, fam.p, fam.q, fam.q1], order=48) ** 2
+    val2 = 2 * l2_radial_measure(ps, [fam.p1, fam.p, fam.q, fam.q1], order=48) ** 2
     assert annulus_l2sq_radial(fam) - 1e-9 <= val2 <= annulus_l2sq_radial(fam, outer=True) + 1e-9
     assert abs(annulus_l2sq_radial(fam) - 0.0723824) < 1e-6
     assert abs(annulus_l2sq_radial(fam, outer=True) - 0.3257217) < 1e-6
@@ -96,8 +96,8 @@ def test_psi_smooth_no_jumps():
     for n in (4000, 8000):
         r = np.linspace(fam.p1 - 0.01, 1.0 - 1e-9, n)
         h = r[1] - r[0]
-        quot[n] = (np.max(np.abs(np.diff(ps.exact(r), 4))) / h ** 4,
-                   np.max(np.abs(np.diff(pe.exact(r), 4))) / h ** 4)
+        quot[n] = (np.max(np.abs(np.diff(ps(r), 4))) / h ** 4,
+                   np.max(np.abs(np.diff(pe(r), 4))) / h ** 4)
     assert quot[8000][0] < 4.0 * quot[4000][0]       # bounded 4th derivative
     assert quot[8000][1] > 8.0 * quot[4000][1]       # indicator jump blows up
 
@@ -121,10 +121,7 @@ def test_focusing_sequence_n2():
     # focus normalization: unit value certified by an independent evaluator
     from wavegap.wave import radial_even_representation
     for d in data:
-        fam = delta_family(d.delta)
-        val = radial_even_representation(d.phi, 2,
-                                         breakpoints=(fam.p1, fam.p, fam.q, fam.q1))
-        assert abs(val - 1.0) < 1e-4
+        assert abs(radial_even_representation(d.phi, 2) - 1.0) < 1e-4
     # self-similar cutoff: the norm ratio equals the pure-log prediction
     ratio = norms[1] / norms[0]
     pred = math.sqrt(abs(math.log(0.3)) / abs(math.log(0.1)))
@@ -237,6 +234,31 @@ def test_log_cutoff_atom_shapes():
     assert abs(atom.derivative(rr)[0] - fd[0]) < 1e-4 * abs(fd[0]) + 1e-12
     with pytest.raises(ValueError):
         LogCutoffAtom(9)
+
+
+_PROFILES = {
+    "exact_0.3": lambda: psi_exact(delta_family(0.3)),
+    "exact_0.01": lambda: psi_exact(delta_family(0.01)),
+    "smooth_0.3": lambda: psi_smooth(delta_family(0.3)),
+    "smooth_0.01": lambda: psi_smooth(delta_family(0.01)),
+    "sequence_n2_0.3": lambda: focusing_sequence(2, [0.3])[0].phi,
+    "sequence_n3_0": lambda: focusing_sequence(3, [0, 2])[0].phi,
+    "sequence_n3_2": lambda: focusing_sequence(3, [0, 2])[1].phi,
+    "chi_n2": lambda: chi_mean_zero(2),
+    "chi_n3": lambda: chi_mean_zero(3),
+}
+
+
+@pytest.mark.parametrize("name", list(_PROFILES))
+def test_profile_support_and_breakpoints(name):
+    # every profile the package builds vanishes beyond its support, which
+    # is its last breakpoint, and not on its last breakpoint interval
+    prof = _PROFILES[name]()
+    s = prof.support_radius
+    assert prof.breakpoints[-1] == s
+    beyond = s + np.geomspace(1e-12, 2.0, 1000)
+    assert np.all(prof(beyond) == 0.0)
+    assert prof(0.5 * (prof.breakpoints[-2] + s)) != 0.0
 
 
 def test_support_containment_for_torus():

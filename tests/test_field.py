@@ -50,12 +50,11 @@ def test_sample_rejects_nonfinite_with_location():
 
 
 def test_radial_embed_constant_and_roundtrip(grid2):
-    p = RadialProfile(40.0, np.ones(64))
+    p = RadialProfile(np.ones_like)
     f = radial_embed(p, grid2)
     assert np.all(f.values == 1.0)
-    # embed-then-restrict along an axis returns profile samples at node radii
-    prof = RadialProfile.from_callable(lambda r: np.exp(-r), r_max=40.0,
-                                       keep_exact=False)
+    # embed-then-restrict along an axis returns profile values at node radii
+    prof = RadialProfile(lambda r: np.exp(-r))
     f = radial_embed(prof, grid2)
     i0 = grid2.n // 2
     axis_vals = f.values[i0:, i0]
@@ -75,8 +74,7 @@ def test_radial_embed_annulus_support():
 
 
 def test_radial_embed_reflection_invariance(grid2):
-    prof = RadialProfile.from_callable(lambda r: np.exp(-r * r), r_max=40.0,
-                                       keep_exact=False)
+    prof = RadialProfile(lambda r: np.exp(-r * r))
     f = radial_embed(prof, grid2)
     v = f.values
     # lattice reflection x -> -x maps node k to node (-k) mod n
@@ -84,12 +82,6 @@ def test_radial_embed_reflection_invariance(grid2):
         idx = (-np.arange(grid2.n)) % grid2.n
         flipped = np.take(v, idx, axis=axis)
         assert np.array_equal(flipped, v)
-
-
-def test_radial_embed_tail_error():
-    prof = RadialProfile(2.0, np.ones(32))  # nonzero out to r_max=2 < lattice radius
-    with pytest.raises(ValueError, match="tail"):
-        radial_embed(prof, TorusGrid(2, 16.0, 64))
 
 
 def test_integrate_basics(grid2):

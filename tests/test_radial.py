@@ -13,7 +13,7 @@ from scipy.special import j0
 from wavegap.construct import (LogCutoffAtom, _ShellCutoff, chi_mean_zero, delta_family,
                                focusing_sequence, shell_wave, strip_normalize)
 from wavegap import radial
-from wavegap.field import TorusGrid
+from wavegap.field import RadialProfile, TorusGrid
 from wavegap.radial import (_ABEL_ORDER, RadialWave2D, fourier_hs_sq_radial_3d,
                             gauss_panel_nodes, gaussian_origin_value,
                             h_half_sq_radial_3d, h_half_sq_shell_3d,
@@ -176,7 +176,7 @@ def test_abel_scalar_radius_and_outside_support(gauss_wave, t, frac):
 @settings(max_examples=4, deadline=None)
 @given(st.floats(min_value=0.2, max_value=1.2), st.floats(min_value=0.0, max_value=2.0))
 def test_abel_matches_kernel_quadrature(gauss_wave, t, r):
-    oracle = kernel_solution_2d(gauss_wave.psi, t, np.array([r, 0.0]))
+    oracle = kernel_solution_2d(RadialProfile(gauss_wave.psi), t, np.array([r, 0.0]))
     assert abs(gauss_wave.value(t, r) - oracle) < 5e-7
 
 
@@ -264,7 +264,7 @@ def test_l2_radial_measure_annulus_closed_form():
     fam = delta_family(0.1)
     from wavegap.construct import annulus_l2sq_radial, psi_exact
     prof = psi_exact(fam)
-    val = l2_radial_measure(prof.exact, [fam.p, fam.q], order=48)
+    val = l2_radial_measure(prof, [fam.p, fam.q], order=48)
     assert abs(2 * val ** 2 / annulus_l2sq_radial(fam) - 1.0) < 1e-10
 
 

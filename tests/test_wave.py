@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wavegap.construct import delta_family, psi_smooth
+from wavegap.construct import (PLANAR_POINT_FACTOR, annulus_point_value_radial, delta_family,
+                               psi_exact, psi_smooth)
 from wavegap.field import RadialProfile, ScalarField, TorusGrid, radial_embed, sample
 from wavegap.norms import lp_norm
 from wavegap.radial import gaussian_origin_value
@@ -52,7 +53,7 @@ def test_zero_mode_evolves_linearly(grid):
 def test_kernel_nonconvergence_error():
     # an impossible tolerance exhausts the refinement ladder
     with pytest.raises(RuntimeError, match="converge"):
-        kernel_solution_2d(lambda r: np.cos(40.0 * np.asarray(r)) * np.exp(-np.asarray(r) ** 2),
+        kernel_solution_2d(RadialProfile(lambda r: np.cos(40.0 * r) * np.exp(-r ** 2)),
                            1.0, 0.0, tol=1e-16, max_refine=1)
 
 
@@ -94,9 +95,7 @@ def test_linearity(grid):
 def test_finite_propagation_speed(grid):
     # Gaussian truncated where it underflows sampling precision: compactly
     # supported at machine level with spectral decay far below 1e-10
-    prof = RadialProfile.from_callable(
-        lambda r: np.where(np.asarray(r) < 6.0, np.exp(-np.asarray(r) ** 2), 0.0),
-        r_max=6.0)
+    prof = RadialProfile(lambda r: np.where(r < 6.0, np.exp(-r ** 2), 0.0), 6.0)
     ut0 = radial_embed(prof, grid)
     st = spectral_propagate(WaveState(0.0 * ut0, ut0, 0.0), 1.0)
     r = grid.radius()
@@ -106,13 +105,13 @@ def test_finite_propagation_speed(grid):
 
 
 def test_kernel_zero_and_gaussian():
-    assert kernel_solution_2d(lambda r: 0.0 * np.asarray(r), 1.0) == 0.0
-    v = kernel_solution_2d(lambda r: np.exp(-r * r), 1.0)
+    assert kernel_solution_2d(RadialProfile(np.zeros_like), 1.0) == 0.0
+    v = kernel_solution_2d(RadialProfile(lambda r: np.exp(-r * r)), 1.0)
     assert abs(v - gaussian_origin_value(1.0, 1.0, 2)) < 1e-10
 
 
 def test_kernel_against_spectral_grid(grid):
-    prof = RadialProfile.from_callable(lambda r: np.exp(-np.asarray(r) ** 2), r_max=40.0)
+    prof = RadialProfile(lambda r: np.exp(-r ** 2))
     ut0 = radial_embed(prof, grid)
     st = spectral_propagate(WaveState(0.0 * ut0, ut0, 0.0), 1.0)
     i0 = grid.n // 2
@@ -120,7 +119,7 @@ def test_kernel_against_spectral_grid(grid):
 
 
 def test_kernel_offaxis_matches_shifted_read(grid):
-    prof = RadialProfile.from_callable(lambda r: np.exp(-np.asarray(r) ** 2), r_max=40.0)
+    prof = RadialProfile(lambda r: np.exp(-r ** 2))
     ut0 = radial_embed(prof, grid)
     st = spectral_propagate(WaveState(0.0 * ut0, ut0, 0.0), 0.8)
     i0 = grid.n // 2
@@ -142,7 +141,7 @@ def test_calibration_constants_rational():
     b = {n: np.asarray([gaussian_origin_value(a, 1.0, n) for a in gaussians])
          for n in (2, 3, 4, 5)}
     for n, exact in {**_EVEN_COEFFICIENTS, **_ODD_COEFFICIENTS}.items():
-        A = np.asarray([[_even_moment(lambda r, a=a: np.exp(-a * np.asarray(r) ** 2), nu, n)
+        A = np.asarray([[_even_moment(RadialProfile(lambda r, a=a: np.exp(-a * r ** 2)), nu, n)
                          if n % 2 == 0 else _gaussian_boundary_derivative(a, nu)
                          for nu in range(len(exact))] for a in gaussians])
         fit, *_ = np.linalg.lstsq(A, b[n], rcond=None)
@@ -152,8 +151,7 @@ def test_calibration_constants_rational():
 
 def test_even_representation_agrees_with_kernel():
     for a in (0.7, 1.3):
-        prof = RadialProfile.from_callable(lambda r, a=a: np.exp(-a * np.asarray(r) ** 2),
-                                           r_max=12.0)
+        prof = RadialProfile(lambda r, a=a: np.exp(-a * r ** 2))
         lhs = radial_even_representation(prof, 2)
         rhs = kernel_solution_2d(prof, 1.0)
         assert abs(lhs / rhs - 1.0) < 1e-6
@@ -161,49 +159,55 @@ def test_even_representation_agrees_with_kernel():
 
 def test_even_representation_n4_matches_oracle():
     for a in (0.9, 1.6):
-        prof = RadialProfile.from_callable(lambda r, a=a: np.exp(-a * np.asarray(r) ** 2),
-                                           r_max=12.0)
+        prof = RadialProfile(lambda r, a=a: np.exp(-a * r ** 2))
         assert abs(radial_even_representation(prof, 4) - gaussian_origin_value(a, 1.0, 4)) < 1e-6
 
 
 def test_even_representation_smooth_annulus_bracket():
     # the focus value of the smooth annulus datum lies between the closed
     # forms of the inner and outer indicator annuli (planar convention)
-    from wavegap.construct import PLANAR_POINT_FACTOR, annulus_point_value_radial
     fam = delta_family(0.1)
     prof = psi_smooth(fam)
-    val = radial_even_representation(prof, 2, breakpoints=(fam.p1, fam.p, fam.q, fam.q1))
+    val = radial_even_representation(prof, 2)
     lo = PLANAR_POINT_FACTOR * annulus_point_value_radial(fam)
     hi = PLANAR_POINT_FACTOR * annulus_point_value_radial(fam, outer=True)
     assert lo <= val <= hi
 
 
+def test_kernel_converges_on_thin_annuli():
+    # the profiles carry the radii where they are not smooth; without those
+    # panel edges the quadrature does not converge at delta = 0.01
+    fam = delta_family(0.01)
+    val = kernel_solution_2d(psi_exact(fam), 1.0)
+    assert val == pytest.approx(PLANAR_POINT_FACTOR * annulus_point_value_radial(fam), rel=1e-6)
+    assert np.isfinite(kernel_solution_2d(psi_smooth(fam), 1.0))
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.03, 0.01])
+def test_even_representation_matches_kernel_on_smooth_annulus(delta):
+    prof = psi_smooth(delta_family(delta))
+    assert radial_even_representation(prof, 2) == pytest.approx(
+        kernel_solution_2d(prof, 1.0), rel=5e-5)
+
+
 def test_kirchhoff_examples():
-    near_one = RadialProfile.from_callable(
-        lambda r: np.exp(-10 * (np.asarray(r) - 1.0) ** 2), r_max=3.0, dim_hint=3)
-    plateau = RadialProfile.from_callable(
-        lambda r: np.where(np.abs(np.asarray(r) - 1.0) < 0.2, 1.0, 0.0), r_max=3.0, dim_hint=3)
-    vanishing = RadialProfile.from_callable(
-        lambda r: np.where(np.asarray(r) < 0.5, 1.0, 0.0), r_max=3.0, dim_hint=3)
-    rsq = RadialProfile.from_callable(lambda r: np.asarray(r) ** 2, r_max=3.0, dim_hint=3)
+    near_one = RadialProfile(lambda r: np.exp(-10 * (r - 1.0) ** 2))
+    plateau = RadialProfile(lambda r: np.where(np.abs(r - 1.0) < 0.2, 1.0, 0.0), 1.2, (0.8,))
+    vanishing = RadialProfile(lambda r: np.where(r < 0.5, 1.0, 0.0), 0.5)
+    rsq = RadialProfile(lambda r: r ** 2)
     assert kirchhoff_3d_origin(plateau) == 1.0
     assert kirchhoff_3d_origin(vanishing) == 0.0
     assert abs(kirchhoff_3d_origin(rsq) - 1.0) < 1e-12
     assert abs(kirchhoff_3d_origin(near_one) - 1.0) < 1e-12
-    with pytest.raises(ValueError, match="domain"):
-        kirchhoff_3d_origin(RadialProfile(0.5, np.ones(8), 3))
 
 
 def test_odd_boundary_values():
-    prof = RadialProfile.from_callable(lambda r: np.exp(-np.asarray(r) ** 2), r_max=12.0,
-                                       dim_hint=3)
+    prof = RadialProfile(lambda r: np.exp(-r ** 2))
     assert abs(odd_n_boundary_value(prof, 3) - math.exp(-1.0)) < 1e-9
-    vanish = RadialProfile.from_callable(
-        lambda r: np.where(np.asarray(r) < 0.5, 1.0, 0.0), r_max=3.0, dim_hint=3)
+    vanish = RadialProfile(lambda r: np.where(r < 0.5, 1.0, 0.0), 0.5)
     assert odd_n_boundary_value(vanish, 3) == 0.0
     for a in (0.8, 1.4):
-        p = RadialProfile.from_callable(lambda r, a=a: np.exp(-a * np.asarray(r) ** 2),
-                                        r_max=12.0, dim_hint=3)
+        p = RadialProfile(lambda r, a=a: np.exp(-a * r ** 2))
         assert abs(odd_n_boundary_value(p, 5) - gaussian_origin_value(a, 1.0, 5)) < 1e-4
 
 
@@ -215,7 +219,7 @@ def test_value_sweep_matches_spectral_propagate(bump_state):
 
 
 def test_representation_constants_guard():
-    prof = RadialProfile.from_callable(lambda r: np.exp(-np.asarray(r) ** 2), r_max=12.0)
+    prof = RadialProfile(lambda r: np.exp(-r ** 2))
     with pytest.raises(ValueError):
         radial_even_representation(prof, 6)
     with pytest.raises(ValueError):
@@ -224,8 +228,7 @@ def test_representation_constants_guard():
 
 def test_cross_representation_agreement(grid):
     # kernel, moment formula and torus evolution agree at the focus
-    prof = RadialProfile.from_callable(
-        lambda r: (1 + np.asarray(r) ** 2) * np.exp(-np.asarray(r) ** 2), r_max=40.0)
+    prof = RadialProfile(lambda r: (1 + r ** 2) * np.exp(-r ** 2))
     ut0 = radial_embed(prof, grid)
     st = spectral_propagate(WaveState(0.0 * ut0, ut0, 0.0), 1.0)
     i0 = grid.n // 2
