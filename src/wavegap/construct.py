@@ -67,6 +67,10 @@ PLANAR_POINT_FACTOR = 2.0 * math.pi
 # the concentration family near the unit circle
 # ---------------------------------------------------------------------------
 
+# largest relative miss of 1 - r^2 against delta^k that delta_family accepts
+_RADII_RTOL = 1e-3
+
+
 @dataclass(frozen=True)
 class DeltaFamily:
     """Annulus radii tied to one concentration parameter:
@@ -82,12 +86,14 @@ class DeltaFamily:
 def delta_family(delta: float) -> DeltaFamily:
     if not (0.0 < delta <= 0.5):
         raise ValueError(f"delta must lie in (0, 0.5], got {delta}")
-    if delta < 1e-5:
-        # 1 - delta^4 would round to 1 and the radii collapse
-        raise ValueError(f"delta={delta} too small: annulus radii are not "
-                         "float-representable below 1e-5")
-    p1, p, q, q1 = (math.sqrt(1.0 - delta ** k) for k in (1, 2, 3, 4))
-    return DeltaFamily(delta, p1, p, q, q1)
+    radii = [math.sqrt(1.0 - delta ** k) for k in (1, 2, 3, 4)]
+    # rounding 1 - delta^k and its root loses about eps / delta^k relative
+    miss = max(abs(1.0 - r * r - delta ** k) / delta ** k if delta ** 4 > 0.0 else math.inf
+               for k, r in enumerate(radii, 1))
+    if not miss <= _RADII_RTOL:
+        raise ValueError(f"delta={delta} too small: the radii are not representable, 1 - r^2 "
+                         f"misses delta^k by {miss:.2g} relative (tolerance {_RADII_RTOL:g})")
+    return DeltaFamily(delta, *radii)
 
 
 def annulus_l2sq_radial(fam: DeltaFamily, outer: bool = False) -> float:

@@ -203,11 +203,10 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
         raise ValueError(
             f"data-size admissibility failed: {c_meas:.3f}*{kappa:.3f}*{cfg.lam} "
             f">= r0={cfg.r0}")
-    range_checked = False
-    if not curve.flat and math.isfinite(curve.s0):
-        range_checked = True
-        if not ref.sup_constant * cfg.lam < c0 / 2.0:
-            raise ValueError("range admissibility failed: sup-constant * lam >= c0/2")
+    # range admissibility: the composed field stays in the curvature window
+    if not curve.flat and not ref.sup_constant * cfg.lam < c0 / 2.0:
+        raise ValueError(f"range admissibility failed: {ref.sup_constant:.3f}*{cfg.lam} "
+                         f">= c0/2={c0 / 2.0:.4f}")
 
     data = focusing_sequence(2, cfg.deltas)  # refuses a list that is not decreasing
     rows = [_gap_row(datum, curve, (c0, c1, jc), chi, mu, cfg.lam) for datum in data]
@@ -215,8 +214,7 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
     constants = {"c0": c0, "c1": c1, "component": jc, "mu": mu, "lam": cfg.lam,
                  "kappa": kappa, "r0": cfg.r0,
                  "init_constant": ref.init_constant,
-                 "sup_constant": ref.sup_constant,
-                 "range_admissibility_checked": range_checked}
+                 "sup_constant": ref.sup_constant}
     return GapReport(asdict(cfg), rows, constants, verdict, detail)
 
 
@@ -229,13 +227,11 @@ def certified_radial_run(cfg: GapRunConfig) -> GapReport:
         gap^2 + (c0^2/4) |phi_j|_L2^2 >= 0.95 * c3,
         c3 = (1/16) (c0 c1 lam0 |chi|_L2)^2,
 
-    checked row by row (the target must be globally defined).
+    checked row by row.
     """
     curve = cfg.curve()
     if curve.flat:
         raise ValueError("the certified run needs a curved target")
-    if math.isfinite(curve.s0):
-        raise ValueError("the radial run requires a globally defined geodesic")
     c0, c1, jc = geodesic_constants(curve)
     if cfg.mu is not None and abs(cfg.mu - c0 / 2.0) > 1e-12:
         raise ValueError(f"mu is pinned to c0/2 = {c0 / 2:.6f} for this run")

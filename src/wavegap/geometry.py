@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partialmethod
 
 import numpy as np
 
@@ -23,131 +24,83 @@ __all__ = [
     "moser_ratio",
 ]
 
+# largest half-width c0 reported, however large the circle
+C0_CAP = 16.0
+
 
 @dataclass(frozen=True)
 class GeodesicCurve:
-    """Arc-length curve ``gamma`` on an embedded target with ``gamma(0) = 0``.
+    """Unit-speed circle of radius ``radius`` through the origin,
+    centered ``(0, radius, 0, ...)`` in ``R^ambient_dim``:
 
-    ``center`` and ``radius`` describe the embedded sphere/circle for presets
-    (used by the residual check); ``flat`` marks the straight-line negative
-    control, which violates the non-flatness assumption and is only accepted
-    where a negative control is explicitly requested.
+        gamma(s) = (rho sin(s/rho), rho (1 - cos(s/rho)), 0, ...).
+
+    ``radius = inf`` is the straight line ``(s, 0, ...)`` (``flat``), which
+    violates the non-flatness assumption and is only accepted where a
+    negative control is explicitly requested.
     """
 
     name: str
     ambient_dim: int
-    gamma: object
-    gamma_p: object
-    gamma_pp: object
-    s0: float = math.inf
-    arc_length: bool = True
-    flat: bool = False
-    center: tuple | None = None
-    radius: float | None = None
+    radius: float
 
-    def __post_init__(self):
-        g0 = np.asarray(self.gamma(0.0), dtype=float)
-        if g0.shape != (self.ambient_dim,) or np.max(np.abs(g0)) > 1e-12:
-            raise ValueError("curve must pass through the origin of the ambient space")
-        if self.arc_length:
-            s = np.linspace(-min(self.s0, 4.0) * 0.99, min(self.s0, 4.0) * 0.99, 101)
-            sp = np.linalg.norm(self._eval(self.gamma_p, s), axis=-1)
-            if np.max(np.abs(sp - 1.0)) > 1e-10:
-                raise ValueError("arc_length preset has |gamma'| != 1")
+    @property
+    def flat(self) -> bool:
+        return math.isinf(self.radius)
 
-    def _eval(self, fn, s):
+    @property
+    def center(self) -> tuple:
+        return (0.0, self.radius) + (0.0,) * (self.ambient_dim - 2)
+
+    def _jet(self, s, k):
+        """The components of the ``k``-th derivative of ``gamma`` at ``s``."""
         s = np.asarray(s, dtype=float)
-        out = np.asarray(fn(s), dtype=float)
-        return np.moveaxis(out, 0, -1) if out.shape[0] == self.ambient_dim else out
+        zero = np.zeros_like(s)
+        if self.flat:
+            jet = ((s, zero), (np.ones_like(s), zero), (zero, zero))
+        else:
+            rho, sn, cs = self.radius, np.sin(s / self.radius), np.cos(s / self.radius)
+            jet = ((rho * sn, rho * (1.0 - cs)), (cs, sn), (-sn / rho, cs / rho))
+        return jet[k] + (zero,) * (self.ambient_dim - 2)
+
+    gamma = partialmethod(_jet, k=0)
+    gamma_p = partialmethod(_jet, k=1)
+    gamma_pp = partialmethod(_jet, k=2)
 
 
 def make_preset(name: str, **params) -> GeodesicCurve:
-    """Build a named target curve.
-
-    ``sphere_great_circle``
-        Unit-speed great circle through 0 on the unit sphere centered
-        (0, 1, 0): ``gamma(s) = (sin s, 1 - cos s, 0)``; globally defined.
-    ``circle_radius``
-        Circle of radius ``rho`` in the plane through 0:
-        ``gamma(s) = (rho sin(s/rho), rho (1 - cos(s/rho)))``.
-    ``flat_line``
-        Straight line ``(s, 0)``: second derivative vanishes identically;
-        serves as the negative control.
-    """
-    if name == "sphere_great_circle":
-        return GeodesicCurve(
-            name, 3,
-            gamma=lambda s: (np.sin(s), 1.0 - np.cos(s), np.zeros_like(np.asarray(s, dtype=float))),
-            gamma_p=lambda s: (np.cos(s), np.sin(s), np.zeros_like(np.asarray(s, dtype=float))),
-            gamma_pp=lambda s: (-np.sin(s), np.cos(s), np.zeros_like(np.asarray(s, dtype=float))),
-            center=(0.0, 1.0, 0.0), radius=1.0)
-    if name == "circle_radius":
-        rho = float(params.get("rho", 1.0))
-        if rho <= 0:
-            raise ValueError("rho must be positive")
-        return GeodesicCurve(
-            name, 2,
-            gamma=lambda s: (rho * np.sin(s / rho), rho * (1.0 - np.cos(s / rho))),
-            gamma_p=lambda s: (np.cos(s / rho), np.sin(s / rho)),
-            gamma_pp=lambda s: (-np.sin(s / rho) / rho, np.cos(s / rho) / rho),
-            center=(0.0, rho), radius=rho)
+    """Build a named target: ``sphere_great_circle`` (radius 1 in R^3),
+    ``circle_radius`` (radius ``rho``, default 1, in R^2) or ``flat_line``
+    (the negative control).  A parameter the preset does not take is
+    refused."""
+    if name not in ("sphere_great_circle", "circle_radius", "flat_line"):
+        raise ValueError(f"unknown preset {name!r}")
+    rho = params.pop("rho", 1.0) if name == "circle_radius" else 1.0
+    if params:
+        raise ValueError(f"target {name} takes no parameter(s) {', '.join(sorted(params))}"
+                         + (" (only rho)" if name == "circle_radius" else ""))
+    if isinstance(rho, bool) or not isinstance(rho, (int, float)) or not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be a positive finite number, got {rho!r}")
     if name == "flat_line":
-        return GeodesicCurve(
-            name, 2,
-            gamma=lambda s: (np.asarray(s, dtype=float), np.zeros_like(np.asarray(s, dtype=float))),
-            gamma_p=lambda s: (np.ones_like(np.asarray(s, dtype=float)), np.zeros_like(np.asarray(s, dtype=float))),
-            gamma_pp=lambda s: (np.zeros_like(np.asarray(s, dtype=float)), np.zeros_like(np.asarray(s, dtype=float))),
-            flat=True)
-    raise ValueError(f"unknown preset {name!r}")
+        return GeodesicCurve(name, 2, math.inf)
+    return GeodesicCurve(name, 3 if name == "sphere_great_circle" else 2, float(rho))
 
 
 def geodesic_constants(curve: GeodesicCurve):
-    """Quantitative non-flatness of the target: picks the component ``j``
-    (1-based) with the largest |gamma''_j(0)|, sets ``c1`` to half that peak,
-    and finds by bisection the largest half-width ``c0`` (capped by the
-    curve's domain) on which ``|gamma''_j| >= c1`` throughout (checked on
-    4096 evenly spaced points).
+    """Quantitative non-flatness at 0 in closed form, ``(c0, c1, j)``: the
+    component ``j = 2`` (1-based) of ``gamma'' = (-sin(s/rho), cos(s/rho))/rho``
+    peaks at ``1/rho``, ``c1`` is half that peak, and ``|gamma''_2| >= c1``
+    exactly for ``|s| <= c0 = pi rho / 3`` (at most :data:`C0_CAP`).
 
     Raises for a flat curve: the non-degeneracy assumption fails at 0.
     """
-    gpp0 = np.asarray(curve.gamma_pp(0.0), dtype=float)
-    if np.max(np.abs(gpp0)) < 1e-14:
+    if curve.flat:
         raise ValueError("target is flat at 0 - the non-degeneracy assumption fails")
-    j = int(np.argmax(np.abs(gpp0)))
-    c1 = float(abs(gpp0[j]) / 2.0)
-
-    def ok(half):
-        s = np.linspace(-half, half, 4096)
-        vals = np.abs(np.asarray(curve.gamma_pp(s), dtype=float)[j])
-        return bool(np.min(vals) >= c1)
-
-    cap = min(curve.s0, 16.0)
-    lo, hi = 0.0, cap
-    if ok(cap):
-        lo = cap
-    else:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if hi - lo < 1e-12 * max(cap, 1.0):
-                break
-            if ok(mid):
-                lo = mid
-            else:
-                hi = mid
-    return float(lo), c1, j + 1
-
-
-def _require_range(curve: GeodesicCurve, values: np.ndarray):
-    vmax = float(np.max(np.abs(values)))
-    if vmax >= curve.s0:
-        raise ValueError(
-            f"field range {vmax:.4g} exceeds the curve domain half-width {curve.s0:.4g}")
+    return min(math.pi * curve.radius / 3.0, C0_CAP), 0.5 / curve.radius, 2
 
 
 def compose(curve: GeodesicCurve, v: ScalarField) -> VectorField:
-    """Pointwise composition ``u = gamma(v)``; the field range must stay
-    inside the curve's domain."""
-    _require_range(curve, v.values)
+    """Pointwise composition ``u = gamma(v)``."""
     comps = np.asarray(curve.gamma(v.values), dtype=float)
     return VectorField(v.grid, tuple(comps))
 
@@ -155,7 +108,6 @@ def compose(curve: GeodesicCurve, v: ScalarField) -> VectorField:
 def compose_dt(curve: GeodesicCurve, state: WaveState) -> VectorField:
     """Chain-rule time derivative of the composition:
     ``d/dt gamma(v) = gamma'(v) v_t`` componentwise."""
-    _require_range(curve, state.u.values)
     gp = np.asarray(curve.gamma_p(state.u.values), dtype=float)
     return VectorField(state.grid, tuple(gp[ell] * state.ut.values
                                          for ell in range(curve.ambient_dim)))
@@ -179,7 +131,7 @@ def _box_components(curve: GeodesicCurve, state: WaveState, tau: float):
 def wavemap_residual(curve: GeodesicCurve, state: WaveState, tau: float = 1e-3,
                      richardson: bool = True) -> dict:
     """Max-norm residual of the geodesic-composition field in the wave-map
-    system, for presets with an explicit second fundamental form.
+    system.
 
     For the sphere/circle of radius rho centered c the system reads
     ``box u = -(|u_t|^2 - |grad u|^2)(u - c)/rho^2``; for the flat line the
@@ -196,8 +148,6 @@ def wavemap_residual(curve: GeodesicCurve, state: WaveState, tau: float = 1e-3,
         if curve.flat:
             R = box
         else:
-            if curve.center is None:
-                raise ValueError("residual check needs an embedded preset")
             ut = compose_dt(curve, state)
             ut2 = sum(c * c for c in ut.components)
             grad2 = np.zeros(state.grid.shape)

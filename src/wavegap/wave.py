@@ -132,6 +132,10 @@ def spectral_gradient(f: ScalarField):
 # planar singular-kernel point value
 # ---------------------------------------------------------------------------
 
+# largest node-by-angle array of one off-axis kernel refinement (32 MiB)
+_KERNEL_MAX_DOUBLES = 2 ** 22
+
+
 def kernel_solution_2d(psi: RadialProfile, t: float, x=0.0, tol: float = 1e-8,
                        max_refine: int = 9):
     """Point value of the planar solution with data ``(0, psi(|.|))``:
@@ -144,7 +148,8 @@ def kernel_solution_2d(psi: RadialProfile, t: float, x=0.0, tol: float = 1e-8,
     successive refinements agree to ``tol``.
 
     Raises if the refinement loop fails to converge (with the achieved
-    error estimate in the message).
+    error estimate in the message), and off the axis before a refinement's
+    node-by-angle temporary would exceed :data:`_KERNEL_MAX_DOUBLES`.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -177,7 +182,12 @@ def kernel_solution_2d(psi: RadialProfile, t: float, x=0.0, tol: float = 1e-8,
 
     prev = evaluate(9, 32)
     n_theta, n_alpha = 17, 64
+    err = math.inf  # no refinement compared yet
     for _ in range(max_refine):
+        if r0 > 0.0 and 12 * (len(theta_edges(n_theta)) - 1) * n_alpha > _KERNEL_MAX_DOUBLES:
+            raise RuntimeError(f"kernel quadrature off the axis reached its memory cap "
+                               f"({_KERNEL_MAX_DOUBLES} doubles) unconverged: last "
+                               f"refinement changed by {err:.3e}")
         cur = evaluate(n_theta, n_alpha)
         err = abs(cur - prev)
         if err <= tol * max(1.0, abs(cur)):

@@ -237,8 +237,11 @@ def test_report_requires_equal_delta_lists(tmp_path, capsys):
     "[run]\nkind = certified\ndeltas = 0.3\nn = 2\n",
     "[run]\nkind = gap\ndeltas = 0.3\njobs = 2\n",
     "[run]\nkind = gap\ndeltas = 0.1,0.3\n",
+    '[run]\nkind = gap\ndeltas = 0.3\ntarget_params = {"rho": 5}\n',
+    '[run]\nkind = gap\ndeltas = 0.3\ntarget = circle_radius\ntarget_params = {"rh": 5}\n',
 ], ids=["other_section", "no_section", "duplicate_key", "params_list", "params_number",
-        "bool_maybe", "t_step", "n", "jobs", "deltas_increasing"])
+        "bool_maybe", "t_step", "n", "jobs", "deltas_increasing", "params_sphere_rho",
+        "params_typo"])
 def test_sweep_rejects_malformed_config(tmp_path, capsys, body):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(body)
@@ -246,6 +249,18 @@ def test_sweep_rejects_malformed_config(tmp_path, capsys, body):
     code, lines, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
     assert code == 1 and lines == [] and not out.exists()
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_sweep_refuses_range_inadmissible_amplitude(tmp_path, capsys):
+    # 4 * init_constant * lam = 7.3 < r0 passes the data-size check; the
+    # composed range sup_constant * lam = 0.54 leaves the window c0/2 = 0.52
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nkind = gap\ndeltas = 0.3\nlam = 5\nr0 = 10\n")
+    out = tmp_path / "r.json"
+    code, lines, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert code == 1 and lines == [] and not out.exists()
+    assert err.startswith("error:") and "range admissibility" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_sweep_has_no_jobs_flag(tmp_path, capsys):

@@ -41,8 +41,14 @@ def test_delta_family_ordering(delta):
 
 
 def test_delta_family_float_floor():
-    with pytest.raises(ValueError, match="representable"):
-        delta_family(1e-6)
+    # refused where the rounded radii miss 1 - r^2 = delta^k by more than
+    # 1e-3 relative: 1.9e-3 at 5e-4, 1.2 at 1e-4 (at 1e-3 the miss is 8.9e-5)
+    for delta in (5e-4, 1e-4, 1e-5, 1e-6, 1e-100):
+        with pytest.raises(ValueError, match="representable"):
+            delta_family(delta)
+    for delta in (1e-3, 0.5):
+        fam = delta_family(delta)
+        assert abs((1 - fam.q1 ** 2) / delta ** 4 - 1.0) < 1e-3
 
 
 @pytest.mark.parametrize("delta,expect_l2", [

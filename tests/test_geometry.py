@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wavegap.field import ScalarField, TorusGrid, remove_lattice_mean, sample
-from wavegap.geometry import (compose, compose_dt, geodesic_constants,
+from wavegap.geometry import (C0_CAP, compose, compose_dt, geodesic_constants,
                               make_preset, moser_ratio, wavemap_residual)
 from wavegap.wave import WaveState, spectral_propagate
 
@@ -35,20 +35,47 @@ def test_sphere_preset_basics(sphere):
     assert np.allclose(gpp0, [0.0, 1.0, 0.0])
 
 
+def test_presets_keep_their_formulas(sphere):
+    # the unit sphere and the line evaluate bit for bit as their formulas
+    s = np.linspace(-3.9, 3.9, 1001)
+    z = np.zeros_like(s)
+    assert np.array_equal(sphere.gamma(s), (np.sin(s), 1.0 - np.cos(s), z))
+    assert np.array_equal(sphere.gamma_p(s), (np.cos(s), np.sin(s), z))
+    assert np.array_equal(sphere.gamma_pp(s), (-np.sin(s), np.cos(s), z))
+    assert sphere.center == (0.0, 1.0, 0.0) and not sphere.flat
+    flat = make_preset("flat_line")
+    assert flat.flat and np.array_equal(flat.gamma(s), (s, z))
+    assert np.array_equal(flat.gamma_p(s), (np.ones_like(s), z))
+    assert np.array_equal(flat.gamma_pp(s), (z, z))
+    circle = make_preset("circle_radius", rho=2.0)
+    assert circle.center == (0.0, 2.0) and circle.ambient_dim == 2
+
+
 def test_geodesic_constants_examples(sphere):
-    c0, c1, j = geodesic_constants(sphere)
-    assert abs(c0 - math.pi / 3.0) < 0.02 * math.pi / 3.0
-    assert c1 == 0.5 and j == 2
+    assert geodesic_constants(sphere) == (math.pi / 3.0, 0.5, 2)
     c0r, c1r, jr = geodesic_constants(make_preset("circle_radius", rho=2.0))
-    assert abs(c0r - 2.0 * math.pi / 3.0) < 0.02 * 2.0 * math.pi / 3.0
+    assert c0r == pytest.approx(2.0 * math.pi / 3.0, rel=1e-15)
     assert c1r == 0.25 and jr == 2
+    assert geodesic_constants(make_preset("circle_radius", rho=20.0)) == (C0_CAP, 0.025, 2)
+
+
+def _curved_presets(sphere):
+    return (sphere, make_preset("circle_radius", rho=2.0),
+            make_preset("circle_radius", rho=20.0))  # rho = 20 hits the cap
 
 
 def test_geodesic_constants_self_verify(sphere):
-    c0, c1, j = geodesic_constants(sphere)
-    s = np.linspace(-c0, c0, 40960)  # 10x denser than the search grid
-    vals = np.abs(np.asarray(sphere.gamma_pp(s))[j - 1])
-    assert np.min(vals) >= c1 - 1e-9
+    for curve in _curved_presets(sphere):
+        c0, c1, j = geodesic_constants(curve)
+        s = np.linspace(-c0, c0, 40961)
+        vals = np.abs(np.asarray(curve.gamma_pp(s))[j - 1])
+        assert np.min(vals) >= c1 * (1.0 - 1e-15)
+        # maximal: just past c0 the bound fails, unless c0 is the cap
+        past = np.abs(np.asarray(curve.gamma_pp(c0 * (1.0 + 1e-9)))[j - 1])
+        if c0 < C0_CAP:
+            assert past < c1
+        else:
+            assert curve.radius * math.pi / 3.0 > C0_CAP and past >= c1
 
 
 def test_flat_line_rejected():
@@ -57,19 +84,31 @@ def test_flat_line_rejected():
 
 
 def test_circle_validation():
-    with pytest.raises(ValueError):
-        make_preset("circle_radius", rho=-1.0)
+    for rho in (-1.0, 0.0, math.inf, math.nan, "5", True):
+        with pytest.raises(ValueError, match="rho"):
+            make_preset("circle_radius", rho=rho)
     with pytest.raises(ValueError):
         make_preset("nonexistent")
+    # a parameter the preset does not take is refused, not ignored
+    for name, params in (("sphere_great_circle", {"rho": 5}), ("circle_radius", {"rh": 5}),
+                         ("circle_radius", {"rho": 5, "center": 1}), ("flat_line", {"rho": 5})):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            make_preset(name, **params)
 
 
 def test_arc_length_sampled(sphere):
     s = np.linspace(-3.9, 3.9, 10000)
-    sp = np.linalg.norm(np.asarray(sphere.gamma_p(s)), axis=0)
-    assert np.max(np.abs(sp - 1.0)) < 1e-10
-    # differentiating |gamma'|^2 = 1: tangent and curvature are orthogonal
-    dots = np.sum(np.asarray(sphere.gamma_p(s)) * np.asarray(sphere.gamma_pp(s)), axis=0)
-    assert np.max(np.abs(dots)) < 1e-12
+    for curve in _curved_presets(sphere):
+        sp = np.linalg.norm(np.asarray(curve.gamma_p(s)), axis=0)
+        assert np.max(np.abs(sp - 1.0)) < 1e-10
+        # differentiating |gamma'|^2 = 1: tangent and curvature are orthogonal
+        dots = np.sum(np.asarray(curve.gamma_p(s)) * np.asarray(curve.gamma_pp(s)), axis=0)
+        assert np.max(np.abs(dots)) < 1e-12
+        # the curvature vector has length 1/rho and points at the center
+        gpp = np.asarray(curve.gamma_pp(s))
+        to_center = np.asarray(curve.center)[:, None] - np.asarray(curve.gamma(s))
+        assert np.allclose(gpp * curve.radius ** 2, to_center,
+                           rtol=0.0, atol=1e-12 * curve.radius)
 
 
 def test_compose_zero_and_sphere_distance(sphere, grid, smooth_state):
@@ -89,15 +128,6 @@ def test_compose_flat_is_embedding(grid, smooth_state):
     assert np.all(u.components[1] == 0.0)
     du = compose_dt(flat, smooth_state)
     assert np.array_equal(du.components[0], smooth_state.ut.values)
-
-
-def test_compose_range_violation(sphere):
-    circle = make_preset("circle_radius", rho=1.0)
-    object.__setattr__(circle, "s0", 0.01)
-    g = TorusGrid(2, 16.0, 64)
-    f = ScalarField(g, np.full(g.shape, 0.5))
-    with pytest.raises(ValueError, match="range"):
-        compose(circle, f)
 
 
 def test_compose_dt_magnitude(sphere, smooth_state):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wavegap import wave
 from wavegap.construct import (PLANAR_POINT_FACTOR, annulus_point_value_radial, delta_family,
                                psi_exact, psi_smooth)
 from wavegap.field import RadialProfile, ScalarField, TorusGrid, radial_embed, sample
@@ -55,6 +56,24 @@ def test_kernel_nonconvergence_error():
     with pytest.raises(RuntimeError, match="converge"):
         kernel_solution_2d(RadialProfile(lambda r: np.cos(40.0 * r) * np.exp(-r ** 2)),
                            1.0, 0.0, tol=1e-16, max_refine=1)
+    # no refinement compares nothing: the same error, not an unbound name
+    with pytest.raises(RuntimeError, match="converge"):
+        kernel_solution_2d(RadialProfile(lambda r: np.exp(-r ** 2)), 1.0, 0.0, max_refine=0)
+
+
+def test_kernel_offaxis_stops_at_its_memory_cap(monkeypatch):
+    # off the axis every refinement quadruples the node-by-angle array; the
+    # sixth would pass the cap, so the call refuses before allocating it
+    prof = psi_smooth(delta_family(0.3))
+    with pytest.raises(RuntimeError, match=r"memory cap \(4194304 doubles\)"):
+        kernel_solution_2d(prof, 1.0, np.array([0.3, 0.0]))
+    # a smaller cap stops earlier; the Gaussian converges at the first
+    # refinement, under the cap
+    monkeypatch.setattr(wave, "_KERNEL_MAX_DOUBLES", 12288)
+    with pytest.raises(RuntimeError, match=r"memory cap \(12288 doubles\)"):
+        kernel_solution_2d(prof, 1.0, np.array([0.3, 0.0]))
+    gauss = RadialProfile(lambda r: np.exp(-r ** 2))
+    assert np.isfinite(kernel_solution_2d(gauss, 0.8, np.array([0.5, 0.0])))
 
 
 def test_time_reversibility(bump_state):
