@@ -10,6 +10,7 @@ measurement, the rescaling sweeps, and cross-validation on smooth data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field as dc_field
 
@@ -171,6 +172,15 @@ def _gap_row(datum, curve, consts, chi, mu, lam):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _probe_constants(grid: TorusGrid) -> tuple:
+    """``(kappa, init_constant, sup_constant)`` of the reference probe
+    ``rescaled_family(chi_mean_zero(2), R=4, M=0.4, T=0.7)`` on ``grid``,
+    measured once per grid; the probe's state is not kept."""
+    ref = rescaled_family(chi_mean_zero(2), R=4.0, M=0.4, T=0.7, grid=grid)
+    return ref.kappa, ref.init_constant, ref.sup_constant
+
+
 def gap_run(cfg: GapRunConfig) -> GapReport:
     """The full data-distance vs gap pipeline over the concentration list.
 
@@ -194,18 +204,16 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
     # one resolvable rescaled wave fixes the measured trace/sup constants
     # used by the admissibility checks
     chi = chi_mean_zero(2)
-    ref = rescaled_family(chi, R=4.0, M=0.4, T=0.7,
-                          grid=TorusGrid(2, cfg.grid_l, cfg.grid_n))
-    kappa = ref.kappa
+    kappa, init_constant, sup_constant = _probe_constants(TorusGrid(2, cfg.grid_l, cfg.grid_n))
     # data-size admissibility (measured constant per unit kappa, factor 4)
-    c_meas = 4.0 * ref.init_constant / kappa
+    c_meas = 4.0 * init_constant / kappa
     if not c_meas * kappa * cfg.lam < cfg.r0:
         raise ValueError(
             f"data-size admissibility failed: {c_meas:.3f}*{kappa:.3f}*{cfg.lam} "
             f">= r0={cfg.r0}")
     # range admissibility: the composed field stays in the curvature window
-    if not curve.flat and not ref.sup_constant * cfg.lam < c0 / 2.0:
-        raise ValueError(f"range admissibility failed: {ref.sup_constant:.3f}*{cfg.lam} "
+    if not curve.flat and not sup_constant * cfg.lam < c0 / 2.0:
+        raise ValueError(f"range admissibility failed: {sup_constant:.3f}*{cfg.lam} "
                          f">= c0/2={c0 / 2.0:.4f}")
 
     data = focusing_sequence(2, cfg.deltas)  # refuses a list that is not decreasing
@@ -213,8 +221,8 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
     verdict, detail = report_verdict(rows)
     constants = {"c0": c0, "c1": c1, "component": jc, "mu": mu, "lam": cfg.lam,
                  "kappa": kappa, "r0": cfg.r0,
-                 "init_constant": ref.init_constant,
-                 "sup_constant": ref.sup_constant}
+                 "init_constant": init_constant,
+                 "sup_constant": sup_constant}
     return GapReport(asdict(cfg), rows, constants, verdict, detail)
 
 
@@ -282,37 +290,18 @@ def certified_radial_run(cfg: GapRunConfig) -> GapReport:
 # measured-constant suites
 # ---------------------------------------------------------------------------
 
-def _pair_spectra(f: ScalarField, g: ScalarField, f_sup: float, g_sup: float):
-    """Spectra of two nonzero real fields from one ``fftn(f + i c g)``.
-
-    ``c`` is the power of two that brings ``g`` to the size of ``f``
-    (exact), so the roundoff the split leaves in either spectrum is set by
-    that spectrum's own size; ``Z(-k)*`` pairs the two by Hermitian symmetry.
-    """
-    e = math.frexp(f_sup)[1] - math.frexp(g_sup)[1]
-    Z = np.fft.fftn(f.values + 1j * np.ldexp(g.values, e))
-    axes = tuple(range(f.grid.dim))
-    Zr = np.conjugate(np.roll(np.flip(Z, axes), 1, axes))  # Z(-k)*
-    F = 0.5 * (Z + Zr)
-    Z -= Zr
-    Z *= -0.5j * 2.0 ** -e
-    return F, Z
-
-
 def _pair_measures(f: ScalarField, g: ScalarField, s: float, lam: float):
     """Product ratios and lower-bound feasibility entry of one pair, from
-    two transforms: the spectra of ``f`` and ``g`` together, and that of
+    three real-input transforms: the half spectra of ``f``, ``g`` and
     ``f g``.  The plateau ``g + lift`` and the product ``f (g + lift)`` are
-    formed on the spectra.  Both parts are ``None`` when ``f`` or ``g``
-    vanishes, which is decided in real space (the split leaves roundoff
-    where a spectrum is zero)."""
+    formed on the half spectra.  Both parts are ``None`` when ``f`` or
+    ``g`` vanishes."""
     grid = f.grid
     n = grid.dim
     f_sup, g_sup = lp_norm(f, "inf"), lp_norm(g, "inf")
     if f_sup == 0.0 or g_sup == 0.0:
         return None, None
-    F, G = _pair_spectra(f, g, f_sup, g_sup)
-    FG = np.fft.fftn(f.values * g.values)
+    F, G, FG = (np.fft.rfftn(v) for v in (f.values, g.values, f.values * g.values))
     f_s, f_high, f_dot = _spectrum_norms(
         grid, F, [(s, False), (n / 2.0 + s - lam, False), (s, True)])
     g_half, g_lam = _spectrum_norms(grid, G, [(n / 2.0, False), (lam, False)])

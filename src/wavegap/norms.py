@@ -7,7 +7,8 @@ Discrete Lebesgue norms carry the cell measure ``h^dim``; the Fourier-side
 norms are Parseval-normalized so that ``sobolev_norm(f, 0, False)`` equals
 ``lp_norm(f, 2)`` to machine precision, which matches the continuum
 ``(2*pi)^{-dim} * integral(|xi|^{2s} |fhat|^2)`` convention for compactly
-supported data.
+supported data.  Fields are real, so the norms read the ``rfftn`` half
+spectrum, each column weighted by its Hermitian multiplicity.
 
 The characteristic-difference seminorms truncate the translation integral to
 ``|h| <= L/2`` and discretize it over lattice vectors grouped in dyadic
@@ -63,15 +64,19 @@ def sobolev_norm(f: ScalarField, s: float, homogeneous: bool = False) -> float:
 
 def _sobolev_norms(f: ScalarField, orders) -> list:
     """:func:`sobolev_norm` for each ``(s, homogeneous)`` in ``orders``,
-    all from one spectrum of ``f``."""
-    return _spectrum_norms(f.grid, np.fft.fftn(f.values), orders)
+    all from one half spectrum of ``f``."""
+    return _spectrum_norms(f.grid, np.fft.rfftn(f.values), orders)
 
 
 def _spectrum_norms(grid: TorusGrid, F: np.ndarray, orders) -> list:
     """:func:`sobolev_norm` for each ``(s, homogeneous)`` in ``orders``, from
-    the ``numpy.fft.fftn`` spectrum ``F`` of a real field on ``grid``."""
+    the ``numpy.fft.rfftn`` half spectrum ``F`` of a real field on ``grid``:
+    ``|F|^2`` counts twice in the interior columns, which stand for their
+    Hermitian mirrors too, and once in column 0 and the Nyquist column, so
+    its plain sum is Parseval's full-grid sum."""
     power = F.real ** 2 + F.imag ** 2
-    K = grid.wavenumber_magnitude()
+    power[..., 1:grid.n // 2] *= 2.0
+    K = grid.wavenumber_magnitude()[..., :grid.n // 2 + 1]
     scale = grid.spacing ** grid.dim / grid.n ** grid.dim
     out = []
     for s, homogeneous in orders:

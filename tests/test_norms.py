@@ -213,34 +213,34 @@ def test_triangle_inequality(grid, seed):
         assert norm(f + g) <= norm(f) + norm(g) + 1e-10 * (norm(f) + norm(g))
 
 
-def _reference_sobolev_norm(f, s, homogeneous):
-    """The norm from its definition: one transform, |F|^2 weighted mode by
-    mode, the zero mode masked out of the homogeneous weight."""
-    F = np.fft.fftn(f.values)
-    K = np.sqrt(sum(k * k for k in f.grid.wavenumbers()))
-    scale = f.grid.spacing ** f.grid.dim / f.grid.n ** f.grid.dim
-    if not homogeneous:
-        w2 = (1.0 + K * K) ** s
-    elif s == 0.0:
-        w2 = np.ones_like(K)
-    else:
-        w2 = np.zeros_like(K)
-        w2[K > 0] = K[K > 0] ** (2.0 * s)
-    return math.sqrt(scale * np.sum(w2 * np.abs(F) ** 2))
+# every dimension's rfftn half spectrum: its column 0 and Nyquist column
+# count once, the columns between twice
+HALF_SPECTRUM_GRIDS = [(1, 256), (2, 64), (3, 16)]
 
 
-def test_sobolev_norms_share_one_spectrum(grid):
-    f = remove_lattice_mean(bump_family(grid, 5, 1)[0])
+@pytest.mark.parametrize("dim, n", HALF_SPECTRUM_GRIDS)
+def test_sobolev_norms_share_one_spectrum(dim, n, full_spectrum_norm):
+    g = TorusGrid(dim, 12.0, n)
+    # seeded noise on the smooth field puts power up to the Nyquist column
+    noise = 0.01 * np.random.default_rng(5).standard_normal(g.shape)
+    f = remove_lattice_mean(ScalarField(g, bump_family(g, 5, 1)[0].values + noise))
     orders = [(0.5, False), (1.0, True), (-0.5, True), (0.0, True), (0.0, False),
               (1.5, False), (-1.0, False), (0.75, True)]
     got = _sobolev_norms(f, orders)
     assert got == [sobolev_norm(f, s, h) for s, h in orders]
     for val, (s, h) in zip(got, orders):
-        assert val == pytest.approx(_reference_sobolev_norm(f, s, h), rel=1e-13)
+        assert val == pytest.approx(full_spectrum_norm(f, s, h), rel=1e-13, abs=0)
 
 
-def test_sobolev_norms_refuse_zero_mode_at_negative_homogeneous_order(grid):
-    f = ScalarField(grid, bump_family(grid, 5, 1)[0].values + 0.1)
+@pytest.mark.parametrize("dim, n", HALF_SPECTRUM_GRIDS)
+def test_sobolev_norms_refuse_zero_mode_at_negative_homogeneous_order(dim, n,
+                                                                      full_spectrum_norm):
+    g = TorusGrid(dim, 12.0, n)
+    f = ScalarField(g, bump_family(g, 5, 1)[0].values + 0.1)
+    # the zero mode, column 0's only entry in 1-d, counts once where it is weighted
+    for s, h in [(0.5, False), (0.0, True), (0.5, True)]:
+        assert _sobolev_norms(f, [(s, h)])[0] == pytest.approx(
+            full_spectrum_norm(f, s, h), rel=1e-13, abs=0)
     with pytest.raises(ValueError, match="zero mode"):
         _sobolev_norms(f, [(0.5, False), (-0.5, True)])
 
