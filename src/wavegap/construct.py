@@ -148,23 +148,26 @@ class _ShellCutoff:
         return smooth_step(sig - 1.0) * smooth_step(4.0 - sig)
 
     def psi(self, r):
-        return self.psi_and_prime(r)[0]
+        return self.psi_and_prime(r, prime=False)[0]
 
-    def psi_and_prime(self, r):
+    def psi_and_prime(self, r, prime=True):
         """``(psi(r), psi'(r))`` from one pass over ``u``, ``log u`` and the
-        two smooth steps."""
+        two smooth steps; ``(psi(r), None)`` without ``prime``."""
         r = np.asarray(r, dtype=float)
         u = 1.0 - r * r
         out = np.zeros_like(u)
-        out_p = np.zeros_like(u)
         m = (u > 0.0) & (u < 1.0)
         um = u[m]
         lg = np.log(um)
         sig = lg / self.logd
-        rise, d_rise = smooth_step_and_d(sig - 1.0)
-        fall, d_fall = smooth_step_and_d(4.0 - sig)
-        c = rise * fall
+        if prime:
+            rise, d_rise = smooth_step_and_d(sig - 1.0)
+            fall, d_fall = smooth_step_and_d(4.0 - sig)
+        c = rise * fall if prime else self.c(sig)
         out[m] = -c / (np.sqrt(um) * lg)
+        if not prime:
+            return out, None
+        out_p = np.zeros_like(u)
         cp = d_rise * fall - rise * d_fall
         u32 = um ** -1.5
         dpsi_du = -(cp / (um * self.logd) * um ** -0.5 / lg
@@ -494,7 +497,7 @@ def rescaled_family(chi: RadialProfile, R: float, M: float, T: float,
     if chi.support_radius / 1.0 > grid.half_width - 2.0:
         raise ValueError("bump support does not fit the box with margin")
     n = grid.dim
-    grid.wavenumber_magnitude()  # cache |k| first: held between freed temporaries it fragments the heap
+    grid.wavenumber_classes()  # cache first: built between freed temporaries it fragments the heap
     ut_T = chi_field(chi, grid, scale=M, concentration=R)
     zero = ScalarField._own(grid, np.zeros(grid.shape))
     state_T = WaveState(zero, ut_T, float(T))

@@ -90,12 +90,15 @@ class TorusGrid:
         return np.meshgrid(*([k] * self.dim), indexing="ij")
 
     @functools.lru_cache(maxsize=4)
-    def wavenumber_magnitude(self) -> np.ndarray:
-        """``|k|`` at every Fourier node, read-only; computed once per grid
-        (the cache is keyed on the frozen grid)."""
+    def wavenumber_classes(self) -> tuple:
+        """``(k, index)``: the sorted distinct ``|k|`` of the Fourier nodes and, per
+        node, the position of its ``|k|`` in ``k`` (class 0 is the zero mode alone);
+        read-only, computed once per grid (the cache is keyed on the frozen grid)."""
         K = np.sqrt(sum(k * k for k in self.wavenumbers()))
-        K.setflags(write=False)
-        return K
+        k, index = np.unique(K, return_inverse=True)
+        k.setflags(write=False)
+        index.setflags(write=False)
+        return k, index.reshape(K.shape)  # NumPy < 2 returns the index flat
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ The characteristic-difference seminorms truncate the translation integral to
 ``|h| <= L/2`` and discretize it over lattice vectors grouped in dyadic
 shells ``|h| in (L 2^{-a-1}, L 2^{-a}]``; shells with many vectors are
 represented by a deterministic angular subsample whose mean is scaled by the
-full shell count.
+full shell count.  ``||Delta_h^l f||_p`` is even in ``h``, so a sampled
+``+-h`` pair shares one term.
 """
 
 from __future__ import annotations
@@ -76,14 +77,15 @@ def _spectrum_norms(grid: TorusGrid, F: np.ndarray, orders) -> list:
     its plain sum is Parseval's full-grid sum."""
     power = F.real ** 2 + F.imag ** 2
     power[..., 1:grid.n // 2] *= 2.0
-    K = grid.wavenumber_magnitude()[..., :grid.n // 2 + 1]
+    k, index = grid.wavenumber_classes()
+    index = index[..., :grid.n // 2 + 1]
     scale = grid.spacing ** grid.dim / grid.n ** grid.dim
     out = []
     for s, homogeneous in orders:
         if not homogeneous:
-            w2 = (1.0 + K * K) ** s
+            w2 = np.take((1.0 + k * k) ** s, index)
         elif s == 0.0:
-            w2 = np.ones_like(K)  # |xi|^0 = 1 including the zero mode: plain L2
+            w2 = np.ones(index.shape)  # |xi|^0 = 1 including the zero mode: plain L2
         else:
             if s < 0:
                 zero_amp = math.sqrt(scale) * abs(F.flat[0])
@@ -92,8 +94,8 @@ def _spectrum_norms(grid: TorusGrid, F: np.ndarray, orders) -> list:
                     raise ValueError(f"not in homogeneous H^{s}: zero mode {zero_amp:.3e} "
                                      f"exceeds {_ZERO_MODE_TOL:.0e} * L2")
             with np.errstate(divide="ignore"):
-                w2 = K ** (2.0 * s)
-            w2.flat[0] = 0.0  # K vanishes only at the zero mode
+                w2 = np.take(k ** (2.0 * s), index)
+            w2.flat[0] = 0.0  # class 0 is the zero mode alone
         out.append(math.sqrt(scale * float(np.vdot(w2, power))))
     return out
 
@@ -187,7 +189,11 @@ def _difference_shell_sum(f: ScalarField, s: float, p: float, q: float):
     total = 0.0
     for lo, hi, vecs, full in shells:
         acc = 0.0
+        terms = {}  # Delta_{-h}^l f(x) = (-1)^l Delta_h^l f(x - l h): one term per +-h pair
         for v in vecs:
+            if tuple(-v) in terms:
+                acc += terms[tuple(-v)]
+                continue
             dist = math.sqrt(float(np.sum((v * grid.spacing) ** 2)))
             # an overflowing difference is refused by the finiteness checks
             with np.errstate(over="ignore"):
@@ -196,7 +202,8 @@ def _difference_shell_sum(f: ScalarField, s: float, p: float, q: float):
                 power_sum = float(np.vdot(d, d)) if p == 2.0 else float(np.sum(np.abs(d) ** p))
             if not math.isfinite(power_sum):
                 raise ValueError(f"difference along {tuple(v)} overflows the L^{p} sum")
-            acc += cell * (cell * power_sum) ** (q / p) / dist ** (grid.dim + s * q)
+            terms[tuple(v)] = cell * (cell * power_sum) ** (q / p) / dist ** (grid.dim + s * q)
+            acc += terms[tuple(v)]
         acc *= full / len(vecs)
         per_shell.append({"shell": [lo, hi], "vectors": int(full),
                           "sampled": int(len(vecs)), "contribution": acc})

@@ -53,26 +53,29 @@ class WaveState:
         return self.u.grid
 
 
-def _multipliers(K, tau):
-    """``cos(tau K)``, ``sin(tau K)`` and ``sin(tau K)/K`` (``tau`` at ``K = 0``)."""
-    ck = np.cos(tau * K)
-    sk = np.sin(tau * K)
+def _multipliers(k, tau):
+    """``cos(tau k)``, ``sin(tau k)`` and ``sin(tau k)/k`` (``tau`` at ``k = 0``)."""
+    ck = np.cos(tau * k)
+    sk = np.sin(tau * k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sinc = np.where(K > 0, sk / np.where(K > 0, K, 1.0), tau)
+        sinc = np.where(k > 0, sk / np.where(k > 0, k, 1.0), tau)
     return ck, sk, sinc
 
 
-def _evolve(U0, V0, K, tau):
+def _evolve(U0, V0, classes, tau):
     """Exact free-wave multiplier step on spectra: ``(U0, V0)`` of
     ``(u, u_t)`` to the spectra ``(U, V)`` a time ``tau`` later."""
-    ck, sk, sinc = _multipliers(K, tau)
-    return ck * U0 + sinc * V0, -K * sk * U0 + ck * V0
+    k, index = classes
+    ck, sk, sinc = _multipliers(k, tau)
+    ck, ksk, sinc = (np.take(m, index) for m in (ck, -k * sk, sinc))
+    return ck * U0 + sinc * V0, ksk * U0 + ck * V0
 
 
-def _evolve_value(U0, V0, K, tau):
+def _evolve_value(U0, V0, classes, tau):
     """The ``U`` of :func:`_evolve` alone."""
-    ck, _, sinc = _multipliers(K, tau)
-    return ck * U0 + sinc * V0
+    k, index = classes
+    ck, _, sinc = _multipliers(k, tau)
+    return np.take(ck, index) * U0 + np.take(sinc, index) * V0
 
 
 def spectral_propagate(state: WaveState, t_target: float) -> WaveState:
@@ -85,9 +88,8 @@ def spectral_propagate(state: WaveState, t_target: float) -> WaveState:
     with the zero mode evolving linearly, ``uhat0 + tau vhat0``.
     """
     grid = state.grid
-    K = grid.wavenumber_magnitude()
-    U, V = _evolve(np.fft.fftn(state.u.values), np.fft.fftn(state.ut.values), K,
-                   float(t_target) - state.t)
+    U, V = _evolve(np.fft.fftn(state.u.values), np.fft.fftn(state.ut.values),
+                   grid.wavenumber_classes(), float(t_target) - state.t)
     # the real parts are copied out: a view would keep each complex array alive
     u = ScalarField._own(grid, np.fft.ifftn(U).real.copy(), t_target)
     ut = ScalarField._own(grid, np.fft.ifftn(V).real.copy(), t_target)
@@ -99,11 +101,11 @@ def _value_sweep(state: WaveState, times):
     :func:`spectral_propagate` gives it: one transform of the state, then
     per time the value multiplier alone and one inverse transform."""
     grid = state.grid
-    K = grid.wavenumber_magnitude()
+    classes = grid.wavenumber_classes()
     U0 = np.fft.fftn(state.u.values)
     V0 = np.fft.fftn(state.ut.values)
     for t in times:
-        u = np.fft.ifftn(_evolve_value(U0, V0, K, float(t) - state.t)).real.copy()
+        u = np.fft.ifftn(_evolve_value(U0, V0, classes, float(t) - state.t)).real.copy()
         yield ScalarField._own(grid, u, float(t))
 
 
@@ -117,8 +119,8 @@ def energy(state: WaveState, s: float) -> float:
 
 
 def spectral_laplacian(f: ScalarField) -> ScalarField:
-    K = f.grid.wavenumber_magnitude()
-    vals = np.fft.ifftn(-(K * K) * np.fft.fftn(f.values)).real
+    k, index = f.grid.wavenumber_classes()
+    vals = np.fft.ifftn(np.take(-(k * k), index) * np.fft.fftn(f.values)).real
     return ScalarField._own(f.grid, vals, f.time_stamp)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavegap.construct import (LogCutoffAtom,
+from wavegap.construct import (LogCutoffAtom, _ShellCutoff,
                                annulus_l2sq_radial, annulus_point_value_radial,
                                chi_field, chi_hat_planar, chi_mean_zero, strip_normalize,
                                choose_R, delta_family, focusing_sequence,
@@ -91,6 +91,14 @@ def test_psi_smooth_sandwich_and_bracket():
     assert annulus_l2sq_radial(fam) - 1e-9 <= val2 <= annulus_l2sq_radial(fam, outer=True) + 1e-9
     assert abs(annulus_l2sq_radial(fam) - 0.0723824) < 1e-6
     assert abs(annulus_l2sq_radial(fam, outer=True) - 0.3257217) < 1e-6
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.01])
+def test_psi_smooth_is_the_value_of_psi_and_prime(delta):
+    # the value-only pass is the derivative pass's value, bit for bit
+    r = np.concatenate([np.linspace(0.0, 1.2, 30001), [1e-300, 1.0 - 1e-12]]).reshape(3, -1)
+    assert np.array_equal(psi_smooth(delta_family(delta))(r),
+                          _ShellCutoff(delta).psi_and_prime(r)[0])
 
 
 def test_psi_smooth_no_jumps():

@@ -169,12 +169,17 @@ def test_scalar_field_guards(grid2):
         f.values[0, 0] = 1.0  # immutable
 
 
-def test_wavenumber_magnitude_cached_read_only():
-    g = TorusGrid(2, 16.0, 64)
-    K = g.wavenumber_magnitude()
-    assert K is TorusGrid(2, 16.0, 64).wavenumber_magnitude()
-    assert not K.flags.writeable
-    assert np.array_equal(K, np.sqrt(sum(k * k for k in g.wavenumbers())))
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 64), (3, 16)])
+def test_wavenumber_classes_cached_read_only(dim, n):
+    g = TorusGrid(dim, 16.0, n)
+    k, index = g.wavenumber_classes()
+    assert k[0] == 0.0 and np.all(np.diff(k) > 0)
+    assert index.dtype == np.intp and index.shape == g.shape
+    assert np.flatnonzero(index == 0).tolist() == [0]  # the zero mode alone
+    assert np.array_equal(k[index], np.sqrt(sum(kk * kk for kk in g.wavenumbers())))
+    assert not k.flags.writeable and not index.flags.writeable
+    again = TorusGrid(dim, 16.0, n).wavenumber_classes()
+    assert again[0] is k and again[1] is index
 
 
 def test_derived_fields_own_fresh_read_only_values(grid2):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sint
 
+from wavegap import norms
 from wavegap.field import ScalarField, TorusGrid, lattice_shift, remove_lattice_mean, sample
 from wavegap.norms import (_lattice_shells, _sobolev_norms, besov_norm, bump_family,
                            difference, fractional_integral_seminorm, leibniz_expand,
@@ -148,6 +149,45 @@ def test_shell_sum_matches_difference_loop(dim, n, s, p):
     assert [e["contribution"] for e in shells] == pytest.approx(ref_shells, rel=1e-13)
     besov = besov_norm(f, s, p, 2.0) - lp_norm(f, p)
     assert besov == pytest.approx(_reference_shell_sum(f, s, p, 2.0)[0], rel=1e-13)
+
+
+def _unpaired_shell_sum(f, s, p, q):
+    """The shell sum in the norm layer's arithmetic, with the term of every
+    sampled vector computed, none shared by a ``+-h`` pair."""
+    ell = int(math.floor(s)) + 1
+    grid = f.grid
+    cell = grid.spacing ** grid.dim
+    total = 0.0
+    for _, _, vecs, full in _lattice_shells(grid):
+        acc = 0.0
+        for v in vecs:
+            dist = math.sqrt(float(np.sum((v * grid.spacing) ** 2)))
+            prev = f if ell == 1 else difference(f, v, ell - 1)
+            d = lattice_shift(prev, v).values - prev.values
+            power_sum = float(np.vdot(d, d)) if p == 2.0 else float(np.sum(np.abs(d) ** p))
+            acc += cell * (cell * power_sum) ** (q / p) / dist ** (grid.dim + s * q)
+        acc *= full / len(vecs)
+        total += acc
+    return total ** (1.0 / q)
+
+
+@pytest.mark.parametrize("s, p, q, shifts", [(0.5, 2.0, 2.0, 138), (1.5, 2.0, 2.0, 276),
+                                             (0.5, 3.0, 2.0, 138)])
+def test_seminorms_share_each_plus_minus_pair(monkeypatch, s, p, q, shifts):
+    f = bump_family(TorusGrid(2, 12.0, 64), 21, 1)[0]
+    vecs = [tuple(v.tolist()) for _, _, picked, _ in _lattice_shells(f.grid) for v in picked]
+    assert len(vecs) == 240
+    assert sum((-a, -b) in set(vecs) for a, b in vecs) == 204  # 102 pairs: 138 terms
+    ref = _unpaired_shell_sum(f, s, p, q)
+    calls = []
+    shift = norms.lattice_shift
+    monkeypatch.setattr(norms, "lattice_shift", lambda g, j: calls.append(j) or shift(g, j))
+    if p == q:
+        got, want = fractional_integral_seminorm(f, s, p), ref
+    else:
+        got, want = besov_norm(f, s, p, q), lp_norm(f, p) + ref
+    assert len(calls) == shifts  # one shift per term and difference order
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("s", [0.5, 1.5])

@@ -7,12 +7,12 @@ from wavegap import wave
 from wavegap.construct import (PLANAR_POINT_FACTOR, annulus_point_value_radial, delta_family,
                                psi_exact, psi_smooth)
 from wavegap.field import RadialProfile, ScalarField, TorusGrid, radial_embed, sample
-from wavegap.norms import lp_norm
+from wavegap.norms import bump_family, lp_norm
 from wavegap.radial import gaussian_origin_value
 from wavegap.wave import (_EVEN_COEFFICIENTS, _ODD_COEFFICIENTS, WaveState, _even_moment,
                           _value_sweep, energy, kernel_solution_2d, kirchhoff_3d_origin,
                           odd_n_boundary_value, radial_even_representation,
-                          spectral_propagate)
+                          spectral_laplacian, spectral_propagate)
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +235,22 @@ def test_value_sweep_matches_spectral_propagate(bump_state):
     for t, u in zip(times, _value_sweep(bump_state, times), strict=True):
         assert np.array_equal(u.values, spectral_propagate(bump_state, t).u.values)
         assert not u.values.flags.writeable
+
+
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 64), (3, 16)])
+def test_propagator_matches_full_grid_multipliers(dim, n, full_grid_propagate,
+                                                  full_grid_laplacian):
+    # multipliers per |k| class, gathered, are the full-grid ones bit for bit
+    u, ut = bump_family(TorusGrid(dim, 12.0, n), 9, 2)
+    state = WaveState(u, ut, 0.0)
+    taus = [0.0, 0.3, -1.7, 5.0]
+    for tau, swept in zip(taus, _value_sweep(state, taus), strict=True):
+        ref_u, ref_ut = full_grid_propagate(u, ut, tau)
+        out = spectral_propagate(state, tau)
+        assert np.array_equal(out.u.values, ref_u)
+        assert np.array_equal(out.ut.values, ref_ut)
+        assert np.array_equal(swept.values, ref_u)
+    assert np.array_equal(spectral_laplacian(u).values, full_grid_laplacian(u))
 
 
 def test_representation_constants_guard():
