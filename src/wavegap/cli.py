@@ -96,6 +96,8 @@ def _load_config(path):
 # ---------------------------------------------------------------------------
 
 def cmd_norms(args):
+    if not np.isfinite(args.s):
+        raise ValueError(f"--s must be finite, got {args.s}")
     f = field.load_field(args.infile)
     if args.method == "fourier":
         val = norms.sobolev_norm(f, args.s, homogeneous=args.homogeneous)

@@ -114,27 +114,24 @@ def annulus_point_value_radial(fam: DeltaFamily, outer: bool = False) -> float:
     return math.log(ratio) / (4.0 * math.pi)
 
 
-def _psi_mag_of_u(u):
-    """|psi| through u = 1 - r^2: 1 / (sqrt(u) |log u|)."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    m = (u > 0.0) & (u < 1.0)
-    out[m] = -1.0 / (np.sqrt(u[m]) * np.log(u[m]))
-    return out
+def _u_ladder(fam: DeltaFamily):
+    """Radii ``sqrt(1 - u)`` of 48 geometric ``u = delta^4 ... 1/2``: the annulus
+    structure is logarithmic in ``u = 1 - r^2``, so quadratures need edges there."""
+    return np.sqrt(1.0 - np.geomspace(fam.delta ** 4, 0.5, 48))
 
 
 def psi_exact(fam: DeltaFamily) -> RadialProfile:
     """Sharp-indicator annulus datum ``-I_{p<=r<=q} / (sqrt(1-r^2) log(1-r^2))``,
-    positive on its support."""
+    positive on its support; panel edges at ``p``, ``q`` and the u-ladder below ``q``."""
     p, q = fam.p, fam.q
 
-    def f(r):
+    def f(r):  # 1 / (sqrt(u) |log u|) through u = 1 - r^2 on the support
         r = np.asarray(r, dtype=float)
-        u = 1.0 - r * r
-        vals = _psi_mag_of_u(u)
-        return np.where((r >= p) & (r <= q), vals, 0.0)
+        m = (r >= p) & (r <= q)
+        u = np.where(m, 1.0 - r * r, 0.5)
+        return np.where(m, -1.0 / (np.sqrt(u) * np.log(u)), 0.0)
 
-    return RadialProfile(f, q, (p, q))
+    return RadialProfile(f, q, (p, q, *(e for e in _u_ladder(fam) if e < q)))
 
 
 class _ShellCutoff:
@@ -183,8 +180,10 @@ class _ShellCutoff:
 
 def psi_smooth(fam: DeltaFamily) -> RadialProfile:
     """Smooth annulus datum: the sharp profile times a C-infinity radial
-    cutoff squeezed between the indicators of [p, q] and [p1, q1]."""
-    return RadialProfile(_ShellCutoff(fam.delta).psi, fam.q1, (fam.p1, fam.p, fam.q, fam.q1))
+    cutoff squeezed between the indicators of [p, q] and [p1, q1]; panel
+    edges at those four radii and the u-ladder."""
+    edges = (fam.p1, fam.p, fam.q, fam.q1, *_u_ladder(fam))
+    return RadialProfile(_ShellCutoff(fam.delta).psi, fam.q1, edges)
 
 
 def _shell_s_table(fam: DeltaFamily):
@@ -210,12 +209,12 @@ def shell_wave(fam: DeltaFamily) -> RadialWave2D:
     (the table build is the expensive step)."""
     if fam.delta in _SHELL_WAVE_CACHE:
         return _SHELL_WAVE_CACHE[fam.delta]
-    # ray-transform quadrature panels aligned with the logarithmic internal
-    # structure of the annulus (the derivative profile needs them to cancel)
-    u_sub = np.geomspace(fam.delta ** 4, 0.5, 48)
-    tau_edges = np.sqrt(1.0 - u_sub)
-    wave = RadialWave2D(_ShellCutoff(fam.delta).psi_and_prime, fam.q1, _shell_s_table(fam),
-                        breakpoints=(fam.p1, fam.p, fam.q, fam.q1), tau_edges=tau_edges)
+    # ray-transform panels at the profile's edges (the derivative profile needs
+    # the u-ladder to cancel); the inverse-Abel panels see the four radii only
+    prof = psi_smooth(fam)
+    wave = RadialWave2D(_ShellCutoff(fam.delta).psi_and_prime, prof.support_radius,
+                        _shell_s_table(fam), breakpoints=(fam.p1, fam.p, fam.q, fam.q1),
+                        tau_edges=prof.panel_edges)
     _SHELL_WAVE_CACHE[fam.delta] = wave
     return wave
 
@@ -232,7 +231,7 @@ class FocusingDatum:
     phi: RadialProfile
     delta: float
     z_value_at_10: float       # planar focus value before normalization
-    norm: float                # data norm after normalization (L2(R^2) for n=2)
+    norm: float                # data norm after normalization (n=2: closed-form L2(R^2))
     dimension: int = 2
     wave: object = dc_field(default=None, compare=False, repr=False)
 
@@ -258,15 +257,11 @@ def focusing_sequence(n: int, delta_list) -> list:
             fam = delta_family(d)
             wave = shell_wave(fam)
             z10 = wave.value(1.0, 0.0)  # planar focus value of the raw datum
-            cut = _ShellCutoff(d)
-            norm_planar = math.sqrt(
-                PLANAR_POINT_FACTOR * cut.sigma_integral(2, -2) / (2.0 * abs(math.log(d))))
-
-            def phi_fn(r, _c=cut, _z=z10):
-                return _c.psi(r) / _z
-
-            prof = RadialProfile(phi_fn, fam.q1, (fam.p1, fam.p, fam.q, fam.q1))
-            out.append(FocusingDatum(prof, d, z10, norm_planar / z10, 2, wave))
+            norm_planar = math.sqrt(PLANAR_POINT_FACTOR * _ShellCutoff(d).sigma_integral(2, -2)
+                                    / (2.0 * abs(math.log(d))))
+            raw = psi_smooth(fam)
+            phi = RadialProfile(lambda r, _f=raw.f, _z=z10: _f(r) / _z, fam.q1, raw.panel_edges)
+            out.append(FocusingDatum(phi, d, z10, norm_planar / z10, 2, wave))
     elif n == 3:
         for v in deltas:
             if not float(v).is_integer():
@@ -326,10 +321,6 @@ class NormalizedZ:
     def dtz_l2_planar(self):
         """``L2(R^2)`` norm of ``z~_t(t_j, .)``."""
         return self.wave.l2_planar(self.t_j) / self.m_raw
-
-    def datum_l2_planar(self):
-        """``L2(R^2)`` norm of the normalized velocity datum."""
-        return self.wave.datum_l2_planar() / self.m_raw
 
 
 _STRIP_SCAN_CACHE: dict = {}

@@ -157,7 +157,7 @@ def _gap_row(datum, curve, consts, chi, mu, lam):
     R = choose_R(nz)
     M = lam * R
     terms = _gap_terms(curve, consts, chi, R, M, mu, nz)
-    dd = mu * nz.datum_l2_planar()
+    dd = mu * datum.norm / nz.m_j  # psi / m_raw = phi_j / m_j
     return {
         "delta": datum.delta, "t_j": nz.t_j, "m_j": nz.m_j, "R": R, "M": M,
         "data_distance": dd, "gap": terms["gap"],
@@ -263,7 +263,7 @@ def certified_radial_run(cfg: GapRunConfig) -> GapReport:
         # certified window: the inner half of the bump support (|x| <= 1/R)
         y_in = np.linspace(0.0, 1.0, 33)[1:]
         z_win = nz.z_at(1.0, y_in / R)
-        phi_l2 = nz.datum_l2_planar()
+        phi_l2 = datum.norm
         lhs = terms["gap"] ** 2 + (c0 ** 2 / 4.0) * phi_l2 ** 2
         rows.append({
             "delta": datum.delta, "t_j": 1.0, "R": R, "M": M,
@@ -327,6 +327,8 @@ def appendix_ratio_suite(seed: int = 0, grid: TorusGrid | None = None,
     feasibility margin of the lower bound on plateau pairs, and the
     composition (Moser-type) ratios at fixed sup-norm levels.
     """
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     grid = grid or TorusGrid(2, 16.0, 256)
     n = grid.dim
 

@@ -186,20 +186,20 @@ class RadialProfile:
     """Radial function ``x -> f(|x|)`` given by its exact callable ``f``.
 
     ``support_radius`` is the radius beyond which ``f`` vanishes (``inf``
-    without compact support).  ``breakpoints`` are the radii where ``f`` is
-    not smooth, sorted, with a finite support as the last one; quadratures
-    over the profile put panel edges there.
+    without compact support).  ``panel_edges``, sorted and ending at a finite
+    support, are the radii where every quadrature over the profile puts a
+    panel edge: where ``f`` is not smooth or its structure needs grading.
     """
 
     f: object
     support_radius: float = math.inf
-    breakpoints: tuple = ()
+    panel_edges: tuple = ()
 
     def __post_init__(self):
-        bks = {float(b) for b in self.breakpoints}
+        edges = {float(b) for b in self.panel_edges}
         if math.isfinite(self.support_radius):
-            bks.add(float(self.support_radius))
-        object.__setattr__(self, "breakpoints", tuple(sorted(bks)))
+            edges.add(float(self.support_radius))
+        object.__setattr__(self, "panel_edges", tuple(sorted(edges)))
 
     def __call__(self, r) -> np.ndarray:
         return np.asarray(self.f(np.abs(np.asarray(r, dtype=float))), dtype=float)

@@ -54,7 +54,6 @@ __all__ = [
     "gaussian_origin_value",
     "odd3_origin_value",
     "odd3_value",
-    "planar_l2_from_radial",
     "l2_radial_measure",
     "sphere_area",
     "h_half_sq_radial_3d",
@@ -208,11 +207,6 @@ def l2_radial_measure(f, edges, order=32) -> float:
     return math.sqrt(float(np.sum(w * v * v * r)))
 
 
-def planar_l2_from_radial(f, edges, order=32) -> float:
-    """L2(R^2) norm of ``f(|x|)`` by radial quadrature."""
-    return math.sqrt(TWO_PI) * l2_radial_measure(f, edges, order)
-
-
 # ---------------------------------------------------------------------------
 # planar radial wave engine
 # ---------------------------------------------------------------------------
@@ -255,10 +249,6 @@ class RadialWave2D:
         self._g, self._gp = self._ray_transforms(s_table)
         # smallest table spacing: proxy for the finest resolved feature
         self.fine_scale = float(np.min(np.diff(s_table)))
-
-    def psi(self, r):
-        """The velocity datum ``psi(r)``."""
-        return self.psi_and_prime(r)[0]
 
     # -- ray (line-integral) transform of the datum --------------------------
 
@@ -377,11 +367,6 @@ class RadialWave2D:
         rr, w = gauss_panel_nodes(self._scan_radii(t), 16)
         vals = self.dt_value(t, rr)
         return math.sqrt(TWO_PI * float(np.sum(w * vals * vals * rr)))
-
-    def datum_l2_planar(self):
-        """``L2(R^2)`` norm of the velocity datum itself."""
-        edges = np.unique(np.concatenate([[0.0], self.breaks]))
-        return planar_l2_from_radial(self.psi, edges, 48)
 
     # -- strip scan ----------------------------------------------------------
 

@@ -87,6 +87,8 @@ def spectral_propagate(state: WaveState, t_target: float) -> WaveState:
 
     with the zero mode evolving linearly, ``uhat0 + tau vhat0``.
     """
+    if not math.isfinite(t_target):
+        raise ValueError(f"target time must be finite, got {t_target}")
     grid = state.grid
     U, V = _evolve(np.fft.fftn(state.u.values), np.fft.fftn(state.ut.values),
                    grid.wavenumber_classes(), float(t_target) - state.t)
@@ -145,23 +147,26 @@ def kernel_solution_2d(psi: RadialProfile, t: float, x=0.0, tol: float = 1e-8,
         z(t, x) = (1/(2 pi)) int_{|x-y|<=t} psi(|y|) / sqrt(t^2-|x-y|^2) dy.
 
     The substitution ``rho = t sin(theta)`` removes the square-root
-    singularity at the rim; the result is a smooth double quadrature, with
-    panel edges at the profile's breakpoints on the axis, refined until two
-    successive refinements agree to ``tol``.
+    singularity at the rim; the result is a smooth double quadrature with
+    panel edges at the profile's ``panel_edges`` (the annulus u-ladder among
+    them) on the axis, refined until two successive refinements agree to ``tol``.
 
-    Raises if the refinement loop fails to converge (with the achieved
-    error estimate in the message), and off the axis before a refinement's
-    node-by-angle temporary would exceed :data:`_KERNEL_MAX_DOUBLES`.
+    Raises on a ``t`` or ``tol`` not finite and positive, on an ``x`` not a
+    finite planar point, if the refinement loop fails to converge (with the
+    achieved error estimate in the message), and off the axis before a
+    refinement's node-by-angle temporary would exceed :data:`_KERNEL_MAX_DOUBLES`.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not (math.isfinite(t) and t > 0 and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"t and tol must be finite and positive, got t={t}, tol={tol}")
+    if x.ndim != 1 or x.size > 2 or not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be a finite planar point, got {x.tolist()}")
     r0 = float(np.sqrt(np.sum(x * x)))
 
     def theta_edges(n_extra):
         edges = {0.0, math.pi / 2.0}
         if r0 == 0.0:
-            for b in psi.breakpoints:
+            for b in psi.panel_edges:
                 if 0 < b < t:
                     edges.add(math.asin(b / t))
         for v in np.linspace(0.0, math.pi / 2.0, n_extra):
@@ -234,10 +239,11 @@ def _derivative_of(profile, order):
 
 def _even_moment(profile: RadialProfile, nu, n):
     """``int_0^1 d_r^nu phi(r) (1-r^2)^(-1/2) r^(nu+n-1) dr`` via
-    ``r = sin(theta)``, with panel edges at the profile's breakpoints."""
+    ``r = sin(theta)``, with panel edges at the profile's ``panel_edges`` (the
+    annulus data's u-ladder among them)."""
     d = _derivative_of(profile, nu)
     edges = {0.0, math.pi / 2.0}
-    for b in profile.breakpoints:
+    for b in profile.panel_edges:
         if 0 < b < 1:
             edges.add(math.asin(b))
     for v in np.linspace(0, math.pi / 2, 33):

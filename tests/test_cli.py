@@ -94,6 +94,40 @@ def test_pointvalue_representation_methods_only_at_unit_time_origin(capsys):
             assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+_KERNEL = ["pointvalue", "--method", "kernel", "--profile", "gaussian:1.0"]
+
+
+@pytest.mark.parametrize("argv, says", [
+    pytest.param(["norms", "--in", "{field}", "--s", "nan"], "--s must be finite",
+                 id="norms_s_nan"),
+    pytest.param(["norms", "--in", "{field}", "--s", "inf", "--method", "difference"],
+                 "--s must be finite", id="norms_s_inf"),
+    pytest.param(_KERNEL + ["--x", "1,2,3"], "planar point", id="kernel_3d_point"),
+    pytest.param(_KERNEL + ["--t", "nan"], "finite and positive", id="kernel_t_nan"),
+    pytest.param(_KERNEL + ["--t", "inf"], "finite and positive", id="kernel_t_inf"),
+    pytest.param(_KERNEL + ["--tol", "nan"], "finite and positive", id="kernel_tol_nan"),
+    pytest.param(["propagate", "--in", "{state}", "--t", "inf", "--out", "{out}"],
+                 "time must be finite", id="propagate_t_inf"),
+    pytest.param(["propagate", "--in", "{state}", "--t", "nan", "--out", "{out}"],
+                 "time must be finite", id="propagate_t_nan"),
+    pytest.param(["appendix", "--pairs", "0", "--out", "{out}"], "at least 1",
+                 id="appendix_pairs_0"),
+    pytest.param(["appendix", "--pairs", "-3", "--out", "{out}"], "at least 1",
+                 id="appendix_pairs_negative"),
+])
+def test_non_finite_or_out_of_range_values_are_refused(tmp_path, capsys, argv, says):
+    # exit 1 with one error line that names the refusal, nothing on stdout
+    # and no output file
+    f = sample(lambda x, y: np.exp(-(x * x + y * y)), TorusGrid(2, 4.0, 16))
+    paths = {"field": tmp_path / "f.field", "state": tmp_path / "s.state",
+             "out": tmp_path / "out.json"}
+    save_field(f, paths["field"])
+    save_state(f, f, 0.0, paths["state"])
+    code, lines, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 1 and lines == [] and not paths["out"].exists()
+    assert err.startswith("error:") and says in err and len(err.strip().splitlines()) == 1
+
+
 def test_chi_and_sequence(tmp_path, capsys):
     code, lines, _ = run(capsys, "chi", "--n", "2", "--out", str(tmp_path))
     assert code == 0 and lines[0]["kappa"] > 0

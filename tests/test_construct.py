@@ -144,6 +144,20 @@ def test_focusing_sequence_n2():
         focusing_sequence(2, [0.1, 0.3])
 
 
+@pytest.mark.parametrize("delta", [0.3, 0.1, 0.01, 1e-3])
+def test_datum_norm_closed_form_matches_graded_quadrature(delta):
+    # the n = 2 data norm comes from the closed form alone; quadrature on the
+    # profile's own panel edges (the u-ladder among them) is the second route
+    fam = delta_family(delta)
+    datum = focusing_sequence(2, [delta])[0]
+    prof = psi_smooth(fam)
+    quad = math.sqrt(2.0 * math.pi) * l2_radial_measure(prof, [0.0, *prof.panel_edges], 24)
+    assert datum.norm * datum.z_value_at_10 == pytest.approx(quad, rel=1e-9)
+    sharp = psi_exact(fam)
+    quad = 2.0 * l2_radial_measure(sharp, [0.0, *sharp.panel_edges], 24) ** 2
+    assert quad == pytest.approx(annulus_l2sq_radial(fam), rel=1e-7)
+
+
 def test_focusing_sequence_n3():
     data = focusing_sequence(3, [0, 1, 2])
     assert [d.norm for d in data] == sorted([d.norm for d in data], reverse=True)
@@ -266,13 +280,13 @@ _PROFILES = {
 @pytest.mark.parametrize("name", list(_PROFILES))
 def test_profile_support_and_breakpoints(name):
     # every profile the package builds vanishes beyond its support, which
-    # is its last breakpoint, and not on its last breakpoint interval
+    # is its last panel edge, and not on its last panel
     prof = _PROFILES[name]()
     s = prof.support_radius
-    assert prof.breakpoints[-1] == s
+    assert prof.panel_edges[-1] == s
     beyond = s + np.geomspace(1e-12, 2.0, 1000)
     assert np.all(prof(beyond) == 0.0)
-    assert prof(0.5 * (prof.breakpoints[-2] + s)) != 0.0
+    assert prof(0.5 * (prof.panel_edges[-2] + s)) != 0.0
 
 
 def test_support_containment_for_torus():

@@ -11,7 +11,7 @@ from scipy import integrate as sint
 from scipy.special import j0
 
 from wavegap.construct import (LogCutoffAtom, _ShellCutoff, chi_mean_zero, delta_family,
-                               focusing_sequence, shell_wave, strip_normalize)
+                               focusing_sequence, psi_smooth, shell_wave, strip_normalize)
 from wavegap import radial
 from wavegap.field import RadialProfile, TorusGrid
 from wavegap.radial import (_ABEL_ORDER, RadialWave2D, fourier_hs_sq_radial_3d,
@@ -176,7 +176,7 @@ def test_abel_scalar_radius_and_outside_support(gauss_wave, t, frac):
 @settings(max_examples=4, deadline=None)
 @given(st.floats(min_value=0.2, max_value=1.2), st.floats(min_value=0.0, max_value=2.0))
 def test_abel_matches_kernel_quadrature(gauss_wave, t, r):
-    oracle = kernel_solution_2d(RadialProfile(gauss_wave.psi), t, np.array([r, 0.0]))
+    oracle = kernel_solution_2d(RadialProfile(lambda r: np.exp(-r * r)), t, np.array([r, 0.0]))
     assert abs(gauss_wave.value(t, r) - oracle) < 5e-7
 
 
@@ -193,14 +193,13 @@ def test_wave2d_dt_matches_finite_difference(gauss_wave):
 
 
 def test_wave2d_initial_velocity_norm(gauss_wave):
-    # z_t(0, .) is the datum itself
+    # z_t(0, .) is the datum exp(-r^2), whose L2(R^2) norm is sqrt(pi / 2)
     a = gauss_wave.l2_planar(1e-9)
-    b = gauss_wave.datum_l2_planar()
-    assert abs(a / b - 1.0) < 1e-5
+    assert abs(a / math.sqrt(math.pi / 2.0) - 1.0) < 1e-5
 
 
 def test_wave2d_energy_monotonicity(gauss_wave):
-    datum = gauss_wave.datum_l2_planar()
+    datum = math.sqrt(math.pi / 2.0)  # L2(R^2) norm of exp(-r^2)
     for t in (0.3, 0.7, 1.0):
         assert gauss_wave.l2_planar(t) <= datum * (1 + 1e-6)
 
@@ -221,7 +220,7 @@ def test_shell_wave_cross_validated_against_fft():
     fam = delta_family(0.3)
     wave = shell_wave(fam)
     g = TorusGrid(2, 4.0, 2048)
-    ut0 = radial_embed_from(wave, g)
+    ut0 = psi_smooth(fam)(g.radius())
     z = propagate_fft(ut0, 4.0, 0.7)
     i0 = g.n // 2
     for ridx in (0, 128, 512):
@@ -243,11 +242,6 @@ def test_shell_wave_focus_matches_delta_free_closed_form(delta):
     # z(1, 0) = (1/2) int c(sigma) / sigma dsigma for the self-similar cutoff
     closed = 0.5 * _ShellCutoff(delta).sigma_integral(1, -1)
     assert shell_wave(delta_family(delta)).value(1.0, 0.0) == pytest.approx(closed, rel=1e-8)
-
-
-def radial_embed_from(wave, grid):
-    r = grid.radius()
-    return wave.psi(r)
 
 
 def propagate_fft(ut0, L, t):

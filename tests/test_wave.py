@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wavegap import wave
-from wavegap.construct import (PLANAR_POINT_FACTOR, annulus_point_value_radial, delta_family,
-                               psi_exact, psi_smooth)
+from wavegap.construct import (PLANAR_POINT_FACTOR, _ShellCutoff, annulus_point_value_radial,
+                               delta_family, psi_exact, psi_smooth)
 from wavegap.field import RadialProfile, ScalarField, TorusGrid, radial_embed, sample
 from wavegap.norms import bump_family, lp_norm
 from wavegap.radial import gaussian_origin_value
@@ -194,19 +194,25 @@ def test_even_representation_smooth_annulus_bracket():
 
 
 def test_kernel_converges_on_thin_annuli():
-    # the profiles carry the radii where they are not smooth; without those
-    # panel edges the quadrature does not converge at delta = 0.01
+    # the profiles carry the radii where they are not smooth and the u-ladder;
+    # without the former the quadrature does not converge at delta = 0.01, and
+    # without the latter it converges 1.2e-7 off the closed form
     fam = delta_family(0.01)
     val = kernel_solution_2d(psi_exact(fam), 1.0)
-    assert val == pytest.approx(PLANAR_POINT_FACTOR * annulus_point_value_radial(fam), rel=1e-6)
+    assert val == pytest.approx(PLANAR_POINT_FACTOR * annulus_point_value_radial(fam), rel=1e-10)
     assert np.isfinite(kernel_solution_2d(psi_smooth(fam), 1.0))
 
 
-@pytest.mark.parametrize("delta", [0.1, 0.03, 0.01])
+@pytest.mark.parametrize("delta", [0.1, 0.03, 0.01, 1e-3])
 def test_even_representation_matches_kernel_on_smooth_annulus(delta):
+    # both on-axis routes meet the delta-free closed form z(1, 0) =
+    # (1/2) int c(sigma) / sigma dsigma of the self-similar cutoff (measured
+    # within 3.1e-12 down to delta = 0.01 and 3.6e-8 at 1e-3)
     prof = psi_smooth(delta_family(delta))
-    assert radial_even_representation(prof, 2) == pytest.approx(
-        kernel_solution_2d(prof, 1.0), rel=5e-5)
+    closed = 0.5 * _ShellCutoff(delta).sigma_integral(1, -1)
+    rel = 1e-7 if delta < 0.01 else 1e-10
+    assert radial_even_representation(prof, 2) == pytest.approx(closed, rel=rel)
+    assert kernel_solution_2d(prof, 1.0) == pytest.approx(closed, rel=rel)
 
 
 def test_kirchhoff_examples():
