@@ -114,14 +114,12 @@ def cmd_norms(args):
 
 def cmd_propagate(args):
     t0 = time.time()
-    u, ut, t_in = field.load_state(args.infile)
-    state = wave.WaveState(u, ut, t_in)
-    out = wave.spectral_propagate(state, args.t)
-    field.save_state(out.u, out.ut, args.t, args.outfile)
+    out = wave.spectral_propagate(field.load_state(args.infile), args.t)
+    field.save_state(out, args.outfile)
     out_dir = Path(args.outfile).parent
     _write_manifest(out_dir, Path(args.outfile).stem, "propagate",
                     {"t": args.t}, [args.infile], [args.outfile], t0,
-                    grid={"dim": u.grid.dim, "n": u.grid.n, "L": u.grid.half_width})
+                    grid={"dim": out.grid.dim, "n": out.grid.n, "L": out.grid.half_width})
     _emit({"t": args.t, "outfile": str(args.outfile)})
     return 0
 

@@ -29,12 +29,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import RadialProfile, ScalarField, TorusGrid, remove_lattice_mean
+from .field import RadialProfile, ScalarField, TorusGrid, WaveState, remove_lattice_mean
 from .norms import sobolev_norm
 from .radial import (RadialWave2D, gauss_panel_nodes, h_half_sq_radial_3d,
                      h_half_sq_shell_3d, l2_radial_measure, l2_sq_shell_3d, smooth_step,
                      smooth_step_and_d, smooth_step_d)
-from .wave import WaveState, _value_sweep, spectral_propagate
+from .wave import _value_sweep, spectral_propagate
 
 __all__ = [
     "PLANAR_POINT_FACTOR",
@@ -466,12 +466,7 @@ class RescaledWave:
     """Free wave with vanishing value and bump velocity ``M chi(R x)`` at
     time T, carried back to traces at t = 0."""
 
-    chi: RadialProfile
-    R: float
-    M: float
-    T: float
     state0: WaveState
-    kappa: float
     init_constant: float       # (|v0|_{H^{n/2}} + |v1|_{H^{n/2-1}}) / (M/R)
     sup_constant: float        # max_strip |v| / (M/R)
 
@@ -481,8 +476,7 @@ def rescaled_family(chi: RadialProfile, R: float, M: float, T: float,
     """Build the rescaled-bump wave on a grid: embed ``M chi(R .)`` as the
     velocity at t = T, back-propagate spectrally to t = 0, and record the
     measured trace and sup constants (per unit M/R; the sup over 17 times
-    evenly spaced in [0, 1]).  ``chi`` is a :func:`chi_mean_zero` bump, whose
-    ``kappa`` the result records."""
+    evenly spaced in [0, 1])."""
     if R < 1.0 or M < 0.0 or not 0.0 <= T <= 1.0:
         raise ValueError("require R >= 1, M >= 0, T in [0, 1]")
     if chi.support_radius / 1.0 > grid.half_width - 2.0:
@@ -499,8 +493,7 @@ def rescaled_family(chi: RadialProfile, R: float, M: float, T: float,
     sup = 0.0
     for ut in _value_sweep(state0, np.linspace(0.0, 1.0, 17)):
         sup = max(sup, float(np.max(np.abs(ut.values))))
-    return RescaledWave(chi, float(R), float(M), float(T), state0,
-                        float(chi.kappa), float(init_c), float(sup / ratio))
+    return RescaledWave(state0, float(init_c), float(sup / ratio))
 
 
 # ---------------------------------------------------------------------------

@@ -87,9 +87,10 @@ def report_verdict(rows) -> tuple:
     dd = [r["data_distance"] for r in rows]
     gaps = [r["gap"] for r in rows]
     strictly = all(b < a for a, b in zip(dd[:-1], dd[1:]))
-    decay = dd[-1] / dd[0] if dd[0] > 0 else math.inf
+    decay = dd[-1] / dd[0] if dd[0] > 0 else None  # JSON null: no ratio to a zero distance
     gap_ratio = min(gaps) / gaps[0] if gaps[0] > 0 else 0.0
-    ok = strictly and decay <= DECAY_RATIO_MAX and gap_ratio >= GAP_RATIO_MIN and gaps[0] > 0
+    ok = (strictly and decay is not None and decay <= DECAY_RATIO_MAX
+          and gap_ratio >= GAP_RATIO_MIN and gaps[0] > 0)
     detail = {"strictly_decreasing": strictly, "decay_ratio": decay,
               "decay_ratio_max": DECAY_RATIO_MAX, "gap_ratio": gap_ratio,
               "gap_ratio_min": GAP_RATIO_MIN}
@@ -174,11 +175,11 @@ def _gap_row(datum, curve, consts, chi, mu, lam):
 
 @functools.lru_cache(maxsize=None)
 def _probe_constants(grid: TorusGrid) -> tuple:
-    """``(kappa, init_constant, sup_constant)`` of the reference probe
+    """``(init_constant, sup_constant)`` of the reference probe
     ``rescaled_family(chi_mean_zero(2), R=4, M=0.4, T=0.7)`` on ``grid``,
     measured once per grid; the probe's state is not kept."""
     ref = rescaled_family(chi_mean_zero(2), R=4.0, M=0.4, T=0.7, grid=grid)
-    return ref.kappa, ref.init_constant, ref.sup_constant
+    return ref.init_constant, ref.sup_constant
 
 
 def gap_run(cfg: GapRunConfig) -> GapReport:
@@ -198,13 +199,14 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
     else:
         c0, c1, jc = geodesic_constants(curve)
     mu = cfg.mu if cfg.mu is not None else min(0.1, c0 / 2.0)
-    if not curve.flat and not (0.0 <= mu < c0 / 2.0 + 1e-15):
-        raise ValueError(f"mu={mu} must lie in [0, c0/2={c0 / 2.0:.4f})")
+    if not (math.isfinite(mu) and 0.0 <= mu < c0 / 2.0 + 1e-15):  # c0 = inf when flat
+        raise ValueError(f"mu={mu} must be finite and lie in [0, c0/2={c0 / 2.0:.4f})")
 
     # one resolvable rescaled wave fixes the measured trace/sup constants
     # used by the admissibility checks
     chi = chi_mean_zero(2)
-    kappa, init_constant, sup_constant = _probe_constants(TorusGrid(2, cfg.grid_l, cfg.grid_n))
+    kappa = chi.kappa
+    init_constant, sup_constant = _probe_constants(TorusGrid(2, cfg.grid_l, cfg.grid_n))
     # data-size admissibility (measured constant per unit kappa, factor 4)
     c_meas = 4.0 * init_constant / kappa
     if not c_meas * kappa * cfg.lam < cfg.r0:

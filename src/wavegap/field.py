@@ -23,6 +23,7 @@ __all__ = [
     "ScalarField",
     "RadialProfile",
     "VectorField",
+    "WaveState",
     "sample",
     "radial_embed",
     "integrate",
@@ -108,19 +109,17 @@ class ScalarField:
 
     grid: TorusGrid
     values: np.ndarray
-    time_stamp: float | None = None
 
     def __post_init__(self):
         self._adopt(np.asarray(self.values, dtype=float).copy())
 
     @classmethod
-    def _own(cls, grid: TorusGrid, values: np.ndarray, time_stamp=None,
-             finite: bool = False) -> "ScalarField":
+    def _own(cls, grid: TorusGrid, values: np.ndarray, finite: bool = False) -> "ScalarField":
         """Field over a freshly computed float array that nothing else
         references: shape check and, unless ``finite`` vouches for the
         values, finiteness check; no defensive copy."""
         f = object.__new__(cls)
-        f.__dict__.update(grid=grid, time_stamp=time_stamp)
+        f.__dict__["grid"] = grid
         f._adopt(values, finite)
         return f
 
@@ -135,23 +134,43 @@ class ScalarField:
 
     def __add__(self, other):
         self._check(other)
-        return ScalarField._own(self.grid, self.values + other.values, self.time_stamp)
+        return ScalarField._own(self.grid, self.values + other.values)
 
     def __sub__(self, other):
         self._check(other)
-        return ScalarField._own(self.grid, self.values - other.values, self.time_stamp)
+        return ScalarField._own(self.grid, self.values - other.values)
 
     def __mul__(self, c):
         if isinstance(c, ScalarField):
             self._check(c)
-            return ScalarField._own(self.grid, self.values * c.values, self.time_stamp)
-        return ScalarField._own(self.grid, self.values * float(c), self.time_stamp)
+            return ScalarField._own(self.grid, self.values * c.values)
+        return ScalarField._own(self.grid, self.values * float(c))
 
     __rmul__ = __mul__
 
     def _check(self, other):
         if other.grid != self.grid:
             raise ValueError("fields live on different grids")
+
+
+@dataclass(frozen=True)
+class WaveState:
+    """Pair (u, u_t) at time ``t``: what the propagators evolve, and the one
+    holder of a wave's time."""
+
+    u: ScalarField
+    ut: ScalarField
+    t: float = 0.0
+
+    def __post_init__(self):
+        if self.u.grid != self.ut.grid:
+            raise ValueError("u and ut live on different grids")
+        if not math.isfinite(self.t):
+            raise ValueError(f"state time must be finite, got {self.t}")
+
+    @property
+    def grid(self):
+        return self.u.grid
 
 
 @dataclass(frozen=True)
@@ -239,7 +258,7 @@ def remove_lattice_mean(f: ScalarField) -> ScalarField:
     sampling residue (the per-node correction is far below sampling error);
     removing it makes the discrete field satisfy the continuum identity
     exactly, so zero-mode-sensitive norms are well-defined."""
-    return ScalarField._own(f.grid, f.values - float(np.mean(f.values)), f.time_stamp)
+    return ScalarField._own(f.grid, f.values - float(np.mean(f.values)))
 
 
 def lattice_shift(f: ScalarField, j) -> ScalarField:
@@ -260,36 +279,35 @@ def lattice_shift(f: ScalarField, j) -> ScalarField:
     for pieces in itertools.product(*halves):
         dst, orig = zip(*pieces)
         vals[dst] = src[orig]
-    return ScalarField._own(f.grid, vals, f.time_stamp, finite=True)
+    return ScalarField._own(f.grid, vals, finite=True)
 
 
 # ---------------------------------------------------------------------------
 # serialization: little-endian binary container plus a JSON mirror
 # ---------------------------------------------------------------------------
 
-def _header(grid: TorusGrid, time_stamp) -> bytes:
-    t = np.nan if time_stamp is None else float(time_stamp)
+def _header(grid: TorusGrid, t: float) -> bytes:
     return _MAGIC + struct.pack("<4d", float(grid.dim), float(grid.n),
                                 float(grid.half_width), t)
 
 
 def save_field(f: ScalarField, path) -> None:
-    """Write a field: ``.json`` paths get the sidecar mirror, anything else
-    the binary container (header of four little-endian f64, then row-major
-    f64 values)."""
+    """Write a field: ``.json`` paths get the sidecar mirror, anything else the
+    binary container (a header of four little-endian f64, NaN in the time
+    slot, then row-major f64 values)."""
     path = Path(path)
     if path.suffix == ".json":
         doc = {"dim": f.grid.dim, "n": f.grid.n, "half_width": f.grid.half_width,
-               "time_stamp": f.time_stamp,
                "values": f.values.ravel().tolist()}
         path.write_text(json.dumps(doc))
         return
     with open(path, "wb") as fh:
-        fh.write(_header(f.grid, f.time_stamp))
+        fh.write(_header(f.grid, math.nan))
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
 
 def load_field(path) -> ScalarField:
+    """Read a field; a header or mirror time (older files carry one) is ignored."""
     path = Path(path)
     if path.suffix == ".json":
         doc = json.loads(path.read_text())
@@ -298,28 +316,26 @@ def load_field(path) -> ScalarField:
             vals = np.asarray(doc["values"], dtype=float).reshape(grid.shape)
         except (KeyError, TypeError) as e:  # not an object, or a key missing or mistyped
             raise ValueError(f"{path}: not a field document: {e!r}") from e
-        return ScalarField(grid, vals, doc.get("time_stamp"))
-    grid, t, (vals,) = _read_container(path, "field", 1)
-    return ScalarField(grid, vals, None if np.isnan(t) else t)
+        return ScalarField(grid, vals)
+    grid, _, (vals,) = _read_container(path, "field", 1)
+    return ScalarField(grid, vals)
 
 
-def save_state(u: ScalarField, ut: ScalarField, t: float, path) -> None:
-    """Binary container for a (value, time-derivative) pair at time ``t``."""
-    if u.grid != ut.grid:
-        raise ValueError("state components live on different grids")
+def save_state(state: WaveState, path) -> None:
+    """Binary container of a state: the header with its time, then u and u_t."""
     with open(path, "wb") as fh:
-        fh.write(_header(u.grid, t))
-        fh.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ut.values, dtype="<f8").tobytes())
+        fh.write(_header(state.grid, state.t))
+        fh.write(np.ascontiguousarray(state.u.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(state.ut.values, dtype="<f8").tobytes())
 
 
-def load_state(path):
+def load_state(path) -> WaveState:
     grid, t, (u, ut) = _read_container(path, "state", 2)
-    return ScalarField(grid, u, t), ScalarField(grid, ut, t), float(t)
+    return WaveState(ScalarField(grid, u), ScalarField(grid, ut), t)
 
 
 def _read_container(path, kind, n_arrays):
-    """Grid, raw time stamp and the value arrays of a binary container."""
+    """Grid, header time and the value arrays of a binary container."""
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a {kind} container")

@@ -10,9 +10,9 @@ from functools import partialmethod
 
 import numpy as np
 
-from .field import ScalarField, VectorField
+from .field import ScalarField, VectorField, WaveState
 from .norms import sobolev_norm
-from .wave import WaveState, _value_sweep, spectral_gradient, spectral_laplacian
+from .wave import _value_sweep, spectral_gradient, spectral_laplacian
 
 __all__ = [
     "GeodesicCurve",

@@ -129,7 +129,7 @@ def leibniz_expand(f: ScalarField, g: ScalarField, h_vec, k: int) -> ScalarField
         term = fm if ell == 0 else difference(fm, h_vec, ell)
         gterm = g if m == 0 else difference(g, h_vec, m)
         acc = acc + math.comb(k, ell) * term.values * gterm.values
-    return ScalarField._own(f.grid, acc, f.time_stamp)
+    return ScalarField._own(f.grid, acc)
 
 
 def _lattice_shells(grid: TorusGrid):
@@ -271,7 +271,7 @@ def rescale(f: ScalarField, lam: float) -> ScalarField:
         shape[axis] = n
         mask_in &= inside.reshape(shape)
     vals = np.where(mask_in, vals, 0.0)
-    return ScalarField._own(grid, vals, f.time_stamp)
+    return ScalarField._own(grid, vals)
 
 
 _BUMPS_PER_FIELD = 10

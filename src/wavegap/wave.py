@@ -14,12 +14,11 @@ stated in the bare radial measure (without the angular factor) live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.fft  # noqa: F401  (NumPy 2 loads it lazily; wavebench/tracer.py wraps it)
 
-from .field import RadialProfile, ScalarField
+from .field import RadialProfile, ScalarField, WaveState
 from .norms import sobolev_norm
 from .radial import gauss_panel_nodes
 
@@ -34,23 +33,6 @@ __all__ = [
     "kirchhoff_3d_origin",
     "odd_n_boundary_value",
 ]
-
-
-@dataclass(frozen=True)
-class WaveState:
-    """Pair (u, u_t) at a time stamp; what the propagators evolve."""
-
-    u: ScalarField
-    ut: ScalarField
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.u.grid != self.ut.grid:
-            raise ValueError("u and ut live on different grids")
-
-    @property
-    def grid(self):
-        return self.u.grid
 
 
 def _multipliers(k, tau):
@@ -93,8 +75,8 @@ def spectral_propagate(state: WaveState, t_target: float) -> WaveState:
     U, V = _evolve(np.fft.fftn(state.u.values), np.fft.fftn(state.ut.values),
                    grid.wavenumber_classes(), float(t_target) - state.t)
     # the real parts are copied out: a view would keep each complex array alive
-    u = ScalarField._own(grid, np.fft.ifftn(U).real.copy(), t_target)
-    ut = ScalarField._own(grid, np.fft.ifftn(V).real.copy(), t_target)
+    u = ScalarField._own(grid, np.fft.ifftn(U).real.copy())
+    ut = ScalarField._own(grid, np.fft.ifftn(V).real.copy())
     return WaveState(u, ut, float(t_target))
 
 
@@ -108,7 +90,7 @@ def _value_sweep(state: WaveState, times):
     V0 = np.fft.fftn(state.ut.values)
     for t in times:
         u = np.fft.ifftn(_evolve_value(U0, V0, classes, float(t) - state.t)).real.copy()
-        yield ScalarField._own(grid, u, float(t))
+        yield ScalarField._own(grid, u)
 
 
 def energy(state: WaveState, s: float) -> float:
@@ -123,12 +105,12 @@ def energy(state: WaveState, s: float) -> float:
 def spectral_laplacian(f: ScalarField) -> ScalarField:
     k, index = f.grid.wavenumber_classes()
     vals = np.fft.ifftn(np.take(-(k * k), index) * np.fft.fftn(f.values)).real
-    return ScalarField._own(f.grid, vals, f.time_stamp)
+    return ScalarField._own(f.grid, vals)
 
 
 def spectral_gradient(f: ScalarField):
     F = np.fft.fftn(f.values)
-    return tuple(ScalarField._own(f.grid, np.fft.ifftn(1j * k * F).real, f.time_stamp)
+    return tuple(ScalarField._own(f.grid, np.fft.ifftn(1j * k * F).real)
                  for k in f.grid.wavenumbers())
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,14 +13,20 @@ import pytest
 import wavegap
 from wavegap.cli import _load_config, main
 from wavegap.experiment import GapRunConfig
-from wavegap.field import (ScalarField, TorusGrid, load_state, sample,
+from wavegap.field import (ScalarField, TorusGrid, WaveState, load_state, sample,
                            save_field, save_state)
 
 
+def _not_json(constant):
+    raise ValueError(f"stdout is not strict JSON: {constant}")
+
+
 def run(capsys, *argv):
+    # stdout must be strict JSON lines: NaN and Infinity are refused
     code = main(list(argv))
     out = capsys.readouterr()
-    lines = [json.loads(line) for line in out.out.splitlines() if line.strip()]
+    lines = [json.loads(line, parse_constant=_not_json)
+             for line in out.out.splitlines() if line.strip()]
     return code, lines, out.err
 
 
@@ -42,15 +50,16 @@ def test_propagate_roundtrip(tmp_path, capsys):
     u = ScalarField(g, rng.standard_normal(g.shape))
     ut = ScalarField(g, rng.standard_normal(g.shape))
     p0, p1 = tmp_path / "a.state", tmp_path / "b.state"
-    save_state(u, ut, 0.0, p0)
+    save_state(WaveState(u, ut, 0.0), p0)
     code, _, _ = run(capsys, "propagate", "--in", str(p0), "--t", "0.7",
                      "--out", str(p1))
     assert code == 0
     p2 = tmp_path / "c.state"
     code, _, _ = run(capsys, "propagate", "--in", str(p1), "--t", "0.0",
                      "--out", str(p2))
-    u2, ut2, t2 = load_state(p2)
-    assert np.max(np.abs(u2.values - u.values)) < 1e-12
+    back = load_state(p2)
+    assert back.t == 0.0 and load_state(p1).t == 0.7
+    assert np.max(np.abs(back.u.values - u.values)) < 1e-12
     # manifest written with checksums
     man = json.loads((tmp_path / "b.manifest.json").read_text())
     assert man["outputs"][0]["sha256"]
@@ -114,15 +123,30 @@ _KERNEL = ["pointvalue", "--method", "kernel", "--profile", "gaussian:1.0"]
                  id="appendix_pairs_0"),
     pytest.param(["appendix", "--pairs", "-3", "--out", "{out}"], "at least 1",
                  id="appendix_pairs_negative"),
+    pytest.param(["propagate", "--in", "{nan_state}", "--t", "0.5", "--out", "{out}"],
+                 "state time must be finite, got nan", id="propagate_state_time_nan"),
+    pytest.param(["propagate", "--in", "{inf_state}", "--t", "0.5", "--out", "{out}"],
+                 "state time must be finite, got inf", id="propagate_state_time_inf"),
+    pytest.param(["pointvalue", "--method", "kernel", "--profile", "bessel:1"],
+                 "unknown profile spec", id="pointvalue_unknown_profile"),
+    pytest.param(["lemma1", "--n", "4", "--deltas", "0.3", "--out", "{out}"],
+                 "n in {2, 3}", id="lemma1_n4"),
+    pytest.param(["sweep", "--config", "{missing}", "--out", "{out}"],
+                 "config file not found", id="sweep_missing_config"),
 ])
 def test_non_finite_or_out_of_range_values_are_refused(tmp_path, capsys, argv, says):
     # exit 1 with one error line that names the refusal, nothing on stdout
     # and no output file
     f = sample(lambda x, y: np.exp(-(x * x + y * y)), TorusGrid(2, 4.0, 16))
     paths = {"field": tmp_path / "f.field", "state": tmp_path / "s.state",
-             "out": tmp_path / "out.json"}
+             "nan_state": tmp_path / "nan.state", "inf_state": tmp_path / "inf.state",
+             "missing": tmp_path / "missing.cfg", "out": tmp_path / "out.json"}
     save_field(f, paths["field"])
-    save_state(f, f, 0.0, paths["state"])
+    save_state(WaveState(f, f, 0.0), paths["state"])
+    for key, t in (("nan_state", math.nan), ("inf_state", math.inf)):
+        raw = bytearray(paths["state"].read_bytes())
+        raw[28:36] = struct.pack("<d", t)  # the time slot of the header
+        paths[key].write_bytes(raw)
     code, lines, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 1 and lines == [] and not paths["out"].exists()
     assert err.startswith("error:") and says in err and len(err.strip().splitlines()) == 1
@@ -195,7 +219,8 @@ def test_error_paths(tmp_path, capsys):
     short = tmp_path / "short.field"
     short.write_bytes(b"WGF1abc")
     truncated = tmp_path / "truncated.state"
-    save_state(*(ScalarField(TorusGrid(2, 4.0, 8), np.zeros((8, 8))),) * 2, 0.0, truncated)
+    zero = ScalarField(TorusGrid(2, 4.0, 8), np.zeros((8, 8)))
+    save_state(WaveState(zero, zero), truncated)
     truncated.write_bytes(truncated.read_bytes()[:-8])
     not_object = tmp_path / "list.json"
     not_object.write_text("[1,2]")
@@ -273,9 +298,12 @@ def test_report_requires_equal_delta_lists(tmp_path, capsys):
     "[run]\nkind = gap\ndeltas = 0.1,0.3\n",
     '[run]\nkind = gap\ndeltas = 0.3\ntarget_params = {"rho": 5}\n',
     '[run]\nkind = gap\ndeltas = 0.3\ntarget = circle_radius\ntarget_params = {"rh": 5}\n',
+    "[run]\nkind = gap\ndeltas = 0.3\nmu = 0.6\n",
+    "[run]\nkind = gap\ndeltas = 0.3\ntarget = flat_line\nnegative_control = true\nmu = nan\n",
+    "[run]\nkind = gap\ndeltas = 0.3\ntarget = flat_line\nnegative_control = true\nmu = -1\n",
 ], ids=["other_section", "no_section", "duplicate_key", "params_list", "params_number",
         "bool_maybe", "t_step", "n", "jobs", "deltas_increasing", "params_sphere_rho",
-        "params_typo"])
+        "params_typo", "mu_above_curvature_window", "flat_mu_nan", "flat_mu_negative"])
 def test_sweep_rejects_malformed_config(tmp_path, capsys, body):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(body)
@@ -332,3 +360,30 @@ def test_shipped_configs_parse():
         kind, cfg = _load_config(path)
         assert kind in ("gap", "certified") and isinstance(cfg, GapRunConfig)
         assert cfg.curve().name == cfg.target
+
+
+def test_flat_mu_zero_sweep_prints_strict_json(tmp_path, capsys):
+    # a zero first data distance has no decay ratio: null, not Infinity
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nkind = gap\ndeltas = 0.3\ntarget = flat_line\n"
+                   "negative_control = true\nmu = 0\n")
+    out = tmp_path / "r.json"
+    code, lines, _ = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert code == 2 and lines[0]["verdict"] == "fail"
+    assert lines[0]["detail"]["decay_ratio"] is None
+    assert json.loads(out.read_text())["rows"][0]["data_distance"] == 0.0
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["appendix", "--pairs", "2", "--seed", "3"], "multest_max"),
+    (["scaling"], "slopes"),
+], ids=["appendix", "scaling"])
+def test_suite_subcommands_write_report_and_manifest(tmp_path, capsys, argv, key):
+    out = tmp_path / "suite.json"
+    code, lines, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0 and len(lines) == 1 and key in lines[0]
+    assert lines[0]["out"] == str(out) and key in json.loads(out.read_text())
+    man = json.loads((tmp_path / "suite.manifest.json").read_text())
+    assert man["subcommand"] == argv[0]
+    assert man["outputs"] == [{"path": str(out),
+                               "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}]

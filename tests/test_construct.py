@@ -188,6 +188,8 @@ def test_strip_normalize_properties():
     for t in np.linspace(0.05, 1.0, 20):
         worst = max(worst, float(np.max(np.abs(nz.z_at(t, np.linspace(0, 2.2, 200))))))
     assert worst <= 1.0 + 1e-10
+    with pytest.raises(ValueError, match="planar family"):
+        strip_normalize(focusing_sequence(3, [0])[0])
 
 
 def test_choose_r_defining_relation_and_consistency():
@@ -247,6 +249,8 @@ def test_rescaled_family_roundtrip_and_zero():
     assert np.max(np.abs(z.state0.u.values)) == 0.0
     with pytest.raises(ValueError):
         rescaled_family(chi, R=0.5, M=0.1, T=0.7, grid=g)
+    with pytest.raises(ValueError, match="does not fit the box"):
+        rescaled_family(chi, R=2.0, M=0.2, T=0.7, grid=TorusGrid(2, 3.0, 64))
 
 
 def test_log_cutoff_atom_shapes():

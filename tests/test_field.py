@@ -1,11 +1,13 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavegap.field import (RadialProfile, ScalarField, TorusGrid, integrate,
+from wavegap.field import (RadialProfile, ScalarField, TorusGrid, WaveState, integrate,
                            lattice_shift, load_field, load_state, radial_embed,
                            sample, save_field, save_state)
 
@@ -133,29 +135,52 @@ def test_lattice_shift_matches_roll(dim, j):
 
 def test_field_serialization_roundtrip(tmp_path, grid2):
     rng = np.random.default_rng(3)
-    f = ScalarField(grid2, rng.standard_normal(grid2.shape), time_stamp=0.25)
+    f = ScalarField(grid2, rng.standard_normal(grid2.shape))
     p = tmp_path / "f.field"
     save_field(f, p)
+    assert math.isnan(struct.unpack("<d", p.read_bytes()[28:36])[0])  # a field has no time
     g = load_field(p)
-    assert g.grid == f.grid and g.time_stamp == 0.25
+    assert g.grid == f.grid
     assert np.array_equal(g.values, f.values)
     # JSON sidecar mirror
     pj = tmp_path / "f.json"
     save_field(f, pj)
+    assert "time_stamp" not in json.loads(pj.read_text())
     gj = load_field(pj)
     assert np.allclose(gj.values, f.values)
 
 
+def test_field_files_with_a_time_still_load(tmp_path, grid2):
+    # earlier versions wrote a time into the header slot and the mirror
+    vals = np.random.default_rng(5).standard_normal(grid2.shape)
+    p = tmp_path / "stamped.field"
+    p.write_bytes(b"WGF1" + struct.pack("<4d", 2.0, 128.0, 16.0, 0.25)
+                  + vals.astype("<f8").tobytes())
+    pj = tmp_path / "stamped.json"
+    pj.write_text(json.dumps({"dim": 2, "n": 128, "half_width": 16.0, "time_stamp": 0.25,
+                              "values": vals.ravel().tolist()}))
+    for path in (p, pj):
+        g = load_field(path)
+        assert g.grid == grid2 and np.array_equal(g.values, vals)
+
+
 def test_state_serialization_roundtrip(tmp_path, grid2):
     rng = np.random.default_rng(4)
-    u = ScalarField(grid2, rng.standard_normal(grid2.shape))
-    ut = ScalarField(grid2, rng.standard_normal(grid2.shape))
+    state = WaveState(ScalarField(grid2, rng.standard_normal(grid2.shape)),
+                      ScalarField(grid2, rng.standard_normal(grid2.shape)), 0.5)
     p = tmp_path / "s.state"
-    save_state(u, ut, 0.5, p)
-    u2, ut2, t = load_state(p)
-    assert t == 0.5
-    assert np.array_equal(u2.values, u.values)
-    assert np.array_equal(ut2.values, ut.values)
+    save_state(state, p)
+    back = load_state(p)
+    assert back.t == 0.5 and back.grid == grid2
+    assert np.array_equal(back.u.values, state.u.values)
+    assert np.array_equal(back.ut.values, state.ut.values)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_wave_state_refuses_a_time_that_is_not_finite(grid2, t):
+    f = ScalarField(grid2, np.zeros(grid2.shape))
+    with pytest.raises(ValueError, match=f"state time must be finite, got {t}"):
+        WaveState(f, f, t)
 
 
 def test_scalar_field_guards(grid2):
