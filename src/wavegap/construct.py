@@ -344,13 +344,11 @@ def strip_normalize(datum: FocusingDatum) -> NormalizedZ:
         raise ValueError("strip normalization applies to the planar family")
     wave = datum.wave
     d = datum.delta
-    if d in _STRIP_SCAN_CACHE:
-        m_raw, t_j, r_j = _STRIP_SCAN_CACHE[d]
-    else:
+    if d not in _STRIP_SCAN_CACHE:
         ulog = np.exp(np.linspace(math.log(d ** 4.5), math.log(min(d ** 0.5, 0.99)), 160))
         extra = np.sqrt(1.0 - ulog)
-        m_raw, t_j, r_j = wave.strip_max(t_step=_STRIP_T_STEP, extra_times=extra)
-        _STRIP_SCAN_CACHE[d] = (m_raw, t_j, r_j)
+        _STRIP_SCAN_CACHE[d] = wave.strip_max(t_step=_STRIP_T_STEP, extra_times=extra)
+    m_raw, t_j, r_j, screen = _STRIP_SCAN_CACHE[d]
     if r_j > 50.0 * wave.fine_scale + 1e-9:
         raise NotImplementedError(
             f"strip max found off axis (r = {r_j:.3e}); recentering of "
@@ -359,7 +357,7 @@ def strip_normalize(datum: FocusingDatum) -> NormalizedZ:
     return NormalizedZ(wave, float(t_j), float(m_raw), sign,
                        float(m_raw / datum.z_value_at_10),
                        scan={"t_step": _STRIP_T_STEP, "structured_times": 160,
-                             "refine": "local, 3 rounds of 8x"})
+                             "refine": "local, 3 rounds of 8x", "screen": dict(screen)})
 
 
 def choose_R(normalized: NormalizedZ, level: float = 0.5) -> float:

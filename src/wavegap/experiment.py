@@ -221,8 +221,9 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
     data = focusing_sequence(2, cfg.deltas)  # refuses a list that is not decreasing
     rows = [_gap_row(datum, curve, (c0, c1, jc), chi, mu, cfg.lam) for datum in data]
     verdict, detail = report_verdict(rows)
-    constants = {"c0": c0, "c1": c1, "component": jc, "mu": mu, "lam": cfg.lam,
-                 "kappa": kappa, "r0": cfg.r0,
+    # JSON null: a flat target has no curvature window (c0 = inf)
+    constants = {"c0": None if curve.flat else c0, "c1": c1, "component": jc, "mu": mu,
+                 "lam": cfg.lam, "kappa": kappa, "r0": cfg.r0,
                  "init_constant": init_constant,
                  "sup_constant": sup_constant}
     return GapReport(asdict(cfg), rows, constants, verdict, detail)

@@ -135,8 +135,10 @@ _NODE_BUDGET = 1 << 15
 _ABEL_BLOCK = 2048
 _TABLE_BLOCK = 1024
 
-# Gauss order of the inverse-Abel panels
+# Gauss order of the inverse-Abel panels; the strip scan's screen order and margin
 _ABEL_ORDER = 24
+_SCREEN_ORDER = 12
+_SCREEN_MARGIN = 0.5
 
 
 def _cpus():
@@ -299,10 +301,10 @@ class RadialWave2D:
 
     # -- inverse Abel evaluation ---------------------------------------------
 
-    def _abel(self, t, r, derivative):
+    def _abel(self, t, r, derivative, order=_ABEL_ORDER):
         """Inverse Abel integral z (or z_t with ``derivative``) at every pair
         of the broadcast ``(t, r)`` batch, in streamed blocks of pairs
-        (:meth:`_abel_block`)."""
+        (:meth:`_abel_block`) with Gauss panels of ``order``."""
         t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
                                    np.abs(np.asarray(r, dtype=float)))
         shape = t.shape
@@ -310,12 +312,12 @@ class RadialWave2D:
         out = np.zeros(t.size)
 
         def work(lo, hi):
-            out[lo:hi] = self._abel_block(t[lo:hi], r[lo:hi], derivative)
+            out[lo:hi] = self._abel_block(t[lo:hi], r[lo:hi], derivative, order)
 
         _streamed(t.size, _ABEL_BLOCK, work)
         return out.reshape(shape)
 
-    def _abel_block(self, t, r, derivative):
+    def _abel_block(self, t, r, derivative, order=_ABEL_ORDER):
         """:meth:`_abel` at the pairs of 1-d arrays ``t`` and ``r >= 0``, in
         sigma with s' = sqrt(r^2 + sigma^2) up to s' = support + t.  Panel
         edges sit where s' -+ t crosses a breakpoint, where s' - t changes
@@ -337,7 +339,7 @@ class RadialWave2D:
         edges = np.sort(np.concatenate(
             [np.zeros((t.size, 1)), sig_max[:, None], cross, bend], axis=1), axis=1)
         g = self.g_prime if derivative else self.g
-        for lo, hi, sig, w, own in _ragged_gauss(edges, top / 12.0, _ABEL_ORDER):
+        for lo, hi, sig, w, own in _ragged_gauss(edges, top / 12.0, order):
             rk, tk = r[lo:hi][own], t[lo:hi][own]
             s = np.sqrt(rk * rk + sig * sig)
             low = s == 0  # both squares underflow when r < 1e-162
@@ -375,23 +377,46 @@ class RadialWave2D:
 
         Scans the uniform time grid of step ``t_step`` (plus caller-supplied
         structure-aware times), then refines locally around the winner in
-        both t and r.  Each stage is one batched evaluation; ties go to the
+        both t and r.  Each stage is evaluated in batches; ties go to the
         earliest time, then the smallest radius index, of the scan order.
-        Returns ``(m, t_at_max, r_at_max)``.
+
+        The first stage only ranks: every pair is screened at Gauss order
+        ``_SCREEN_ORDER`` and those within a share ``m = _SCREEN_MARGIN`` of
+        the screened maximum are confirmed at ``_ABEL_ORDER``.  A screen error
+        below ``m M / (2 - m)`` (M the maximum) keeps the argmax among them, so
+        the result is a full order-24 scan's bit for bit (a pair's value does
+        not depend on its batch); when the largest error seen exceeds half
+        that bound, a guard confirms every pair.  Returns ``(max, t_at_max,
+        r_at_max, screen)``, ``screen`` recording the order and margin, the
+        pairs screened and confirmed, the largest screen error relative to M
+        and whether the guard fired.
         """
         times = np.unique(np.concatenate(
             [np.arange(t_step, 1.0 + 1e-12, t_step), np.asarray(extra_times, dtype=float),
              [1.0]]))
         times = times[(times > 0) & (times <= 1.0)]
 
-        def scan(ts, rs, best):
-            z = np.abs(self._abel(ts, rs, derivative=False))
+        def abs_z(ts, rs, order=_ABEL_ORDER):
+            return np.abs(self._abel(ts, rs, False, order))
+
+        def scan(ts, rs, best, z):
             k = int(np.argmax(z))
             return (float(z[k]), float(ts[k]), float(rs[k])) if z[k] > best[0] else best
 
         radii = [self._scan_radii(t) for t in times]
-        m, tj, rj = scan(np.repeat(times, [rs.size for rs in radii]),
-                         np.concatenate(radii), (0.0, float(times[0]), 0.0))
+        ts, rs = np.repeat(times, [r.size for r in radii]), np.concatenate(radii)
+        rough = abs_z(ts, rs, _SCREEN_ORDER)
+        keep = np.flatnonzero(rough >= (1.0 - _SCREEN_MARGIN) * np.max(rough))
+        z = abs_z(ts[keep], rs[keep])
+        err, top = float(np.max(np.abs(rough[keep] - z))), float(np.max(z))
+        guard = err > 0.5 * _SCREEN_MARGIN * top / (2.0 - _SCREEN_MARGIN)
+        if guard:
+            keep, z = np.arange(ts.size), abs_z(ts, rs)
+            err, top = float(np.max(np.abs(rough - z))), float(np.max(z))
+        screen = {"order": _SCREEN_ORDER, "margin": _SCREEN_MARGIN, "screened": ts.size,
+                  "confirmed": keep.size, "error": err / top if top > 0 else None,
+                  "guard": guard}
+        m, tj, rj = scan(ts[keep], rs[keep], (0.0, float(times[0]), 0.0), z)
         dt = t_step
         dr = None
         for _ in range(3):
@@ -406,9 +431,9 @@ class RadialWave2D:
             else:
                 dr /= 8.0
                 rs_local = np.abs(rj + dr * np.arange(-8, 9))
-            m, tj, rj = scan(np.repeat(ts, rs_local.size), np.tile(rs_local, ts.size),
-                             (m, tj, rj))
-        return m, tj, rj
+            ts, rs = np.repeat(ts, rs_local.size), np.tile(rs_local, ts.size)
+            m, tj, rj = scan(ts, rs, (m, tj, rj), abs_z(ts, rs))
+        return m, tj, rj, screen
 
     def _scan_radii(self, t):
         """Structure-aware radii at time t, from 0 to ``t + support``: fronts

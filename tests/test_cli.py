@@ -18,7 +18,19 @@ from wavegap.field import (ScalarField, TorusGrid, WaveState, load_state, sample
 
 
 def _not_json(constant):
-    raise ValueError(f"stdout is not strict JSON: {constant}")
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+def read_json(path):
+    # reports and manifests must be strict JSON, as stdout is
+    return json.loads(Path(path).read_text(), parse_constant=_not_json)
+
+
+def written_json(root):
+    """Every JSON file written under ``root``, by relative path, each parsed
+    strictly."""
+    return {p.relative_to(root).as_posix(): read_json(p)
+            for p in sorted(Path(root).rglob("*.json"))}
 
 
 def run(capsys, *argv):
@@ -61,7 +73,7 @@ def test_propagate_roundtrip(tmp_path, capsys):
     assert back.t == 0.0 and load_state(p1).t == 0.7
     assert np.max(np.abs(back.u.values - u.values)) < 1e-12
     # manifest written with checksums
-    man = json.loads((tmp_path / "b.manifest.json").read_text())
+    man = read_json(tmp_path / "b.manifest.json")
     assert man["outputs"][0]["sha256"]
 
 
@@ -166,6 +178,8 @@ def test_chi_and_sequence(tmp_path, capsys):
     assert code == 0
     # the fixed 256^2 grid resolves about 98 % of the delta = 0.3 datum's L2 norm
     assert abs(lines[0]["rows"][0]["sampled_l2_ratio"] - 0.98) < 0.01
+    assert {"chi_n2.json", "chi_n2.manifest.json", "seq/lemma1.json",
+            "seq/lemma1.manifest.json", "seq2/lemma1.json"} <= set(written_json(tmp_path))
 
 
 def test_package_import_loads_numpy_fft_not_scipy_ndimage():
@@ -185,7 +199,7 @@ def test_sweep_and_report(tmp_path, capsys):
     out = tmp_path / "certified.json"
     code, lines, _ = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
     assert code == 0  # certificate run passes
-    doc = json.loads(out.read_text())
+    doc = read_json(out)
     assert doc["verdict"] == "pass" and len(doc["rows"]) == 2
 
     cfg2 = tmp_path / "run2.cfg"
@@ -200,6 +214,8 @@ def test_sweep_and_report(tmp_path, capsys):
     merged = (tmp_path / "merged" / "merged.csv").read_text().splitlines()
     assert len(merged) == 3  # header + 2 delta rows
     assert (tmp_path / "merged" / "merged.dat").exists()
+    assert {"certified.json", "certified.manifest.json", "thm.json", "thm.manifest.json",
+            "merged/report.manifest.json"} <= set(written_json(tmp_path))
 
 
 def test_error_paths(tmp_path, capsys):
@@ -371,7 +387,11 @@ def test_flat_mu_zero_sweep_prints_strict_json(tmp_path, capsys):
     code, lines, _ = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
     assert code == 2 and lines[0]["verdict"] == "fail"
     assert lines[0]["detail"]["decay_ratio"] is None
-    assert json.loads(out.read_text())["rows"][0]["data_distance"] == 0.0
+    docs = written_json(tmp_path)
+    assert set(docs) == {"r.json", "r.manifest.json"}
+    # a flat target has no curvature window: c0 is null, not Infinity
+    assert docs["r.json"]["constants"]["c0"] is None
+    assert docs["r.json"]["rows"][0]["data_distance"] == 0.0
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -382,8 +402,8 @@ def test_suite_subcommands_write_report_and_manifest(tmp_path, capsys, argv, key
     out = tmp_path / "suite.json"
     code, lines, _ = run(capsys, *argv, "--out", str(out))
     assert code == 0 and len(lines) == 1 and key in lines[0]
-    assert lines[0]["out"] == str(out) and key in json.loads(out.read_text())
-    man = json.loads((tmp_path / "suite.manifest.json").read_text())
+    assert lines[0]["out"] == str(out) and key in read_json(out)
+    man = read_json(tmp_path / "suite.manifest.json")
     assert man["subcommand"] == argv[0]
     assert man["outputs"] == [{"path": str(out),
                                "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}]

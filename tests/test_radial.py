@@ -12,7 +12,7 @@ from scipy.special import j0
 
 from wavegap.construct import (LogCutoffAtom, _ShellCutoff, chi_mean_zero, delta_family,
                                focusing_sequence, psi_smooth, shell_wave, strip_normalize)
-from wavegap import radial
+from wavegap import construct, radial
 from wavegap.field import RadialProfile, TorusGrid
 from wavegap.radial import (_ABEL_ORDER, RadialWave2D, fourier_hs_sq_radial_3d,
                             gauss_panel_nodes, gaussian_origin_value,
@@ -61,7 +61,7 @@ def _engine_outputs(wave):
     t = rng.uniform(0.01, 1.5, 3 * radial._ABEL_BLOCK + 17)
     r = rng.uniform(0.0, 12.0, t.size)
     return (wave._g, wave._gp, wave.value(t, r), wave.dt_value(t, r),
-            np.array(wave.strip_max(t_step=1.0 / 64.0)))
+            np.array(wave.strip_max(t_step=1.0 / 64.0)[:3]))
 
 
 def test_engine_is_bit_identical_at_every_width(monkeypatch):
@@ -88,9 +88,13 @@ def test_one_block_equals_a_split_into_blocks(gauss_wave):
     r = rng.uniform(0.0, 12.0, t.size)
     cuts = [0, 1, 40, 41, 175, t.size]
     for derivative in (False, True):
-        split = np.concatenate([gauss_wave._abel_block(t[a:b], r[a:b], derivative)
-                                for a, b in zip(cuts[:-1], cuts[1:])])
-        assert np.array_equal(gauss_wave._abel(t, r, derivative), split)
+        whole = {}
+        for order in ((), (radial._SCREEN_ORDER,)):  # the default order, then the screen's
+            split = np.concatenate([gauss_wave._abel_block(t[a:b], r[a:b], derivative, *order)
+                                    for a, b in zip(cuts[:-1], cuts[1:])])
+            whole[order] = gauss_wave._abel(t, r, derivative, *order)
+            assert np.array_equal(whole[order], split)
+        assert not np.array_equal(whole[()], whole[(radial._SCREEN_ORDER,)])
     s = np.linspace(0.0, 9.99, t.size)
     whole = gauss_wave._ray_transforms(s)
     split = [gauss_wave._ray_block(s[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
@@ -378,13 +382,50 @@ def test_tensor_rule_takes_the_diagonal_limit():
 
 
 def test_strip_max_finds_synthetic_peak(gauss_wave):
-    m, tj, rj = gauss_wave.strip_max(t_step=1.0 / 64.0)
+    m, tj, rj, _ = gauss_wave.strip_max(t_step=1.0 / 64.0)
     # brute scan oracle on a fine grid
     best = 0.0
     for t in np.linspace(0.05, 1.0, 96):
         vals = np.abs(gauss_wave.value(t, np.linspace(0, 3, 200)))
         best = max(best, vals.max())
     assert m >= best * 0.999
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.1, 0.03, 0.01, 1e-3])
+def test_screened_strip_scan_is_the_full_scan(monkeypatch, delta):
+    # the order-12 screen only ranks the pairs: (m, t_j, r_j) equals the
+    # scan that evaluates every pair at order 24, and the guard stays off
+    # down to the delta floor
+    datum = focusing_sequence(2, [delta])[0]
+    screened = strip_normalize(datum)
+    m, tj, rj, screen = construct._STRIP_SCAN_CACHE[delta]
+    monkeypatch.setattr(construct, "_STRIP_SCAN_CACHE", {})
+    monkeypatch.setattr(radial, "_SCREEN_ORDER", _ABEL_ORDER)
+    full = strip_normalize(datum)
+    assert (m, tj, rj) == construct._STRIP_SCAN_CACHE[delta][:3]
+    assert (screened.m_raw, screened.t_j, screened.sign) == (full.m_raw, full.t_j, full.sign)
+    assert screened.scan["screen"] == screen and full.scan["screen"]["error"] == 0.0
+    assert screen["order"] == 12 and screen["margin"] == 0.5 and not screen["guard"]
+    assert 0.0 < screen["error"] < 0.5 * 0.5 / (2.0 - 0.5)  # half the bound m / (2 - m)
+    assert screen["confirmed"] < 0.1 * screen["screened"]
+
+
+def test_screen_guard_confirms_every_pair(monkeypatch):
+    # a margin this small makes any screen error trip the guard, and the
+    # stage becomes the full order-24 scan, on one thread and on two
+    wave = shell_wave(delta_family(0.3))
+    monkeypatch.setattr(radial, "_SCREEN_MARGIN", 1e-12)
+    guarded = {}
+    for width in (1, 2):
+        monkeypatch.setattr(radial, "_cpus", lambda w=width: w)
+        guarded[width] = wave.strip_max(t_step=1.0 / 64.0)
+    assert guarded[1] == guarded[2]
+    screen = guarded[1][3]
+    assert screen["guard"] and screen["confirmed"] == screen["screened"] > 10_000
+    assert 0.0 < screen["error"] < 1e-5
+    monkeypatch.undo()
+    monkeypatch.setattr(radial, "_SCREEN_ORDER", _ABEL_ORDER)  # the full scan
+    assert guarded[1][:3] == wave.strip_max(t_step=1.0 / 64.0)[:3]
 
 
 def test_half_level_radius_cosine():
