@@ -128,7 +128,12 @@ def _profile_from_spec(spec):
     kind, _, param = spec.partition(":")
     if kind == "gaussian":
         a = float(param or 1.0)
-        return field.RadialProfile(lambda r: np.exp(-a * r ** 2))
+
+        def f_and_prime(r):
+            e = np.exp(-a * r ** 2)
+            return e, -2.0 * a * r * e
+
+        return field.RadialProfile(lambda r: np.exp(-a * r ** 2), f_and_prime=f_and_prime)
     if kind in ("annulus_exact", "annulus_smooth"):
         fam = construct.delta_family(float(param))
         return construct.psi_exact(fam) if kind == "annulus_exact" else construct.psi_smooth(fam)
@@ -323,7 +328,10 @@ def build_parser():
                    help="gaussian:a | annulus_exact:delta | annulus_smooth:delta")
     p.add_argument("--t", type=float, default=1.0, help="time (other methods: 1 only)")
     p.add_argument("--x", default="", help="point, comma list (other methods: origin only)")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2,
+                   help="dimension: evenrep 2 or 4, oddrep 3 or 5; 4 and 5 read the profile's "
+                        "declared derivative (gaussian, annulus_smooth; annulus_exact "
+                        "declares none and is refused), with no difference stencil")
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_pointvalue)
 

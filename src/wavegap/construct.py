@@ -25,7 +25,7 @@ pure ``|log delta|^(-1/2)`` decay law with a delta-independent constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -122,7 +122,8 @@ def _u_ladder(fam: DeltaFamily):
 
 def psi_exact(fam: DeltaFamily) -> RadialProfile:
     """Sharp-indicator annulus datum ``-I_{p<=r<=q} / (sqrt(1-r^2) log(1-r^2))``,
-    positive on its support; panel edges at ``p``, ``q`` and the u-ladder below ``q``."""
+    positive on its support; it jumps at its smoothness radii ``p`` and ``q``
+    (so it declares no derivative), panel edges at them and the u-ladder below ``q``."""
     p, q = fam.p, fam.q
 
     def f(r):  # 1 / (sqrt(u) |log u|) through u = 1 - r^2 on the support
@@ -131,7 +132,7 @@ def psi_exact(fam: DeltaFamily) -> RadialProfile:
         u = np.where(m, 1.0 - r * r, 0.5)
         return np.where(m, -1.0 / (np.sqrt(u) * np.log(u)), 0.0)
 
-    return RadialProfile(f, q, (p, q, *(e for e in _u_ladder(fam) if e < q)))
+    return RadialProfile(f, q, [e for e in _u_ladder(fam) if e < q], smoothness_radii=(p, q))
 
 
 class _ShellCutoff:
@@ -180,10 +181,13 @@ class _ShellCutoff:
 
 def psi_smooth(fam: DeltaFamily) -> RadialProfile:
     """Smooth annulus datum: the sharp profile times a C-infinity radial
-    cutoff squeezed between the indicators of [p, q] and [p1, q1]; panel
-    edges at those four radii and the u-ladder."""
-    edges = (fam.p1, fam.p, fam.q, fam.q1, *_u_ladder(fam))
-    return RadialProfile(_ShellCutoff(fam.delta).psi, fam.q1, edges)
+    cutoff squeezed between the indicators of [p, q] and [p1, q1]; its
+    derivative from the cutoff's one-pass ``psi_and_prime``, smoothness radii
+    at those four radii (where the cutoff's steps start and end) and panel
+    edges at them and the u-ladder."""
+    cut = _ShellCutoff(fam.delta)
+    return RadialProfile(cut.psi, fam.q1, _u_ladder(fam), cut.psi_and_prime,
+                         (fam.p1, fam.p, fam.q, fam.q1))
 
 
 def _shell_s_table(fam: DeltaFamily):
@@ -207,16 +211,9 @@ def shell_wave(fam: DeltaFamily) -> RadialWave2D:
     ray table clustered logarithmically inside the shell.  Evaluators are
     stateless after construction and shared through a cache keyed by delta
     (the table build is the expensive step)."""
-    if fam.delta in _SHELL_WAVE_CACHE:
-        return _SHELL_WAVE_CACHE[fam.delta]
-    # ray-transform panels at the profile's edges (the derivative profile needs
-    # the u-ladder to cancel); the inverse-Abel panels see the four radii only
-    prof = psi_smooth(fam)
-    wave = RadialWave2D(_ShellCutoff(fam.delta).psi_and_prime, prof.support_radius,
-                        _shell_s_table(fam), breakpoints=(fam.p1, fam.p, fam.q, fam.q1),
-                        tau_edges=prof.panel_edges)
-    _SHELL_WAVE_CACHE[fam.delta] = wave
-    return wave
+    if fam.delta not in _SHELL_WAVE_CACHE:
+        _SHELL_WAVE_CACHE[fam.delta] = RadialWave2D(psi_smooth(fam), _shell_s_table(fam))
+    return _SHELL_WAVE_CACHE[fam.delta]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +257,9 @@ def focusing_sequence(n: int, delta_list) -> list:
             norm_planar = math.sqrt(PLANAR_POINT_FACTOR * _ShellCutoff(d).sigma_integral(2, -2)
                                     / (2.0 * abs(math.log(d))))
             raw = psi_smooth(fam)
-            phi = RadialProfile(lambda r, _f=raw.f, _z=z10: _f(r) / _z, fam.q1, raw.panel_edges)
+            phi = replace(raw, f=lambda r, _f=raw.f, _z=z10: _f(r) / _z,
+                          f_and_prime=lambda r, _d=raw.f_and_prime, _z=z10:
+                          tuple(v / _z for v in _d(r)))
             out.append(FocusingDatum(phi, d, z10, norm_planar / z10, 2, wave))
     elif n == 3:
         for v in deltas:
@@ -423,7 +422,8 @@ def chi_mean_zero(n: int) -> RadialProfile:
     def chi(r):
         return _base_bump(r) - b * _base_bump(np.asarray(r, dtype=float) / 2.0)
 
-    prof = RadialProfile(chi, 2.0, (1.0, 2.0))
+    prof = RadialProfile(chi, 2.0, (1.0, 2.0),
+                         lambda r: (chi(r), _base_bump_d(r) - b / 2.0 * _base_bump_d(r / 2.0)))
     # volume integral should vanish to quadrature precision
     rr, w = gauss_panel_nodes(np.linspace(0, 2, 33), 24)
     vol = float(np.sum(w * chi(rr) * rr ** (n - 1)))
@@ -432,8 +432,7 @@ def chi_mean_zero(n: int) -> RadialProfile:
     if n == 2:
         kappa = math.sqrt(PLANAR_POINT_FACTOR) * l2_radial_measure(chi, np.linspace(0, 2, 33))
     else:
-        chi_d = lambda r: _base_bump_d(r) - b / 2.0 * _base_bump_d(np.asarray(r) / 2.0)
-        kappa = math.sqrt(h_half_sq_radial_3d(chi, np.linspace(1e-6, 2.2, 45), chi_d))
+        kappa = math.sqrt(h_half_sq_radial_3d(chi, np.linspace(1e-6, 2.2, 45), prof.prime))
     if kappa < 1e-6:
         raise RuntimeError("reference bump has vanishing homogeneous norm")
     object.__setattr__(prof, "kappa", kappa)

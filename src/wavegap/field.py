@@ -205,23 +205,36 @@ class RadialProfile:
     """Radial function ``x -> f(|x|)`` given by its exact callable ``f``.
 
     ``support_radius`` is the radius beyond which ``f`` vanishes (``inf``
-    without compact support).  ``panel_edges``, sorted and ending at a finite
-    support, are the radii where every quadrature over the profile puts a
-    panel edge: where ``f`` is not smooth or its structure needs grading.
+    without compact support).  ``f_and_prime``, if declared, gives
+    ``(f(r), f'(r))`` in one pass over ``r >= 0``.  ``smoothness_radii`` (a
+    finite support among them) are where ``f`` is not smooth; ``panel_edges``,
+    sorted, holding them and ending at a finite support, are the radii where
+    every quadrature over the profile puts a panel edge.
     """
 
     f: object
     support_radius: float = math.inf
     panel_edges: tuple = ()
+    f_and_prime: object = None
+    smoothness_radii: tuple = ()
 
     def __post_init__(self):
-        edges = {float(b) for b in self.panel_edges}
+        kinks = {float(b) for b in self.smoothness_radii}
         if math.isfinite(self.support_radius):
-            edges.add(float(self.support_radius))
+            kinks.add(float(self.support_radius))
+        edges = kinks | {float(b) for b in self.panel_edges}
+        object.__setattr__(self, "smoothness_radii", tuple(sorted(kinks)))
         object.__setattr__(self, "panel_edges", tuple(sorted(edges)))
 
     def __call__(self, r) -> np.ndarray:
         return np.asarray(self.f(np.abs(np.asarray(r, dtype=float))), dtype=float)
+
+    def prime(self, r) -> np.ndarray:
+        """The declared radial derivative ``f'(|r|)``; refuses a profile that
+        declares none."""
+        if self.f_and_prime is None:
+            raise ValueError("the profile declares no derivative (f_and_prime)")
+        return np.asarray(self.f_and_prime(np.abs(np.asarray(r, dtype=float)))[1], dtype=float)
 
 
 def sample(f, grid: TorusGrid) -> ScalarField:

@@ -14,8 +14,8 @@ solution is recovered by the inverse Abel integral
 
 Because everything is one-dimensional and panel-based, data whose radial
 structure sits far below any uniform grid resolution (thin annuli near the
-unit circle) stay computable: panels are aligned with the profile's
-breakpoints and the tables are dense exactly where the structure lives.
+unit circle) stay computable: panels are aligned with the radii the profile
+declares and the tables are dense exactly where the structure lives.
 
 One inverse-Abel evaluator serves ``value`` and ``dt_value``, the strip
 scan and the L2 norm of ``z_t``; the scan and the norm share one set of
@@ -219,31 +219,24 @@ class RadialWave2D:
 
     Parameters
     ----------
-    psi_and_prime : callable
-        ``r -> (psi(r), psi'(r))``, the vectorized radial profile of the
-        velocity datum and its derivative from one pass over ``r``.
-    support : float
-        Radius beyond which ``psi`` vanishes.
+    profile : RadialProfile
+        The velocity datum ``psi``, read once: its finite ``support_radius``,
+        its declared ``f_and_prime`` (``psi`` and ``psi'`` from one pass, which
+        fill the ray table), its ``panel_edges`` (where the ray-transform
+        quadrature splits) and its ``smoothness_radii`` (inverse-Abel panel
+        edges sit at every crossing of these circles, and the wave fronts of
+        the strip scan and the L2 norm start from them).
     s_table : array
         Nodes for the ray-transform table, clustered where the structure of
         the profile lives; its smallest spacing is the ``fine_scale``.
-    breakpoints : sequence of float
-        Radii where ``psi`` loses smoothness (panel edges are aligned with
-        every crossing of these circles).
-    tau_edges : sequence of float, optional
-        Extra radii that split the ray-transform quadrature only.
     """
 
-    def __init__(self, psi_and_prime, support, s_table, breakpoints=(), tau_edges=()):
-        self.psi_and_prime = psi_and_prime
-        self.support = float(support)
-        bks = sorted(set(float(b) for b in breakpoints) | {self.support})
-        self.breaks = np.array([b for b in bks if 0.0 < b <= self.support])
-        # radii used solely to split the ray-transform quadrature (profiles
-        # with internal multi-scale structure between breakpoints)
-        te = np.asarray(tau_edges, dtype=float)
-        self._all_radial_edges = np.unique(np.concatenate(
-            [self.breaks, te[(te > 0.0) & (te < self.support)]]))
+    def __init__(self, profile, s_table):
+        if profile.f_and_prime is None or not math.isfinite(profile.support_radius):
+            raise ValueError("the planar engine needs a finite support and f_and_prime")
+        self.profile = profile
+        self.support = float(profile.support_radius)
+        self.breaks = np.array([b for b in profile.smoothness_radii if 0.0 < b <= self.support])
         s_table = np.unique(np.clip(np.concatenate(
             [np.asarray(s_table, dtype=float), self.breaks, [0.0, self.support]]),
             0.0, self.support))
@@ -271,11 +264,12 @@ class RadialWave2D:
 
     def _ray_block(self, s):
         """``(g, g')`` at the radii ``0 <= s < support``.  The tau panels end
-        where the ray crosses a radial edge and, for entries with at most 24
-        edges, are capped at ``support / 12``."""
+        where the ray crosses one of the profile's panel edges and, for
+        entries with at most 24 edges, are capped at ``support / 12``."""
         g = np.zeros_like(s)
         gp = np.zeros_like(s)
-        bb = self._all_radial_edges
+        bb = np.asarray(self.profile.panel_edges)
+        bb = bb[(bb > 0.0) & (bb <= self.support)]
         crossed = bb[None, :] > s[:, None]
         tau = np.sqrt(np.where(crossed, bb * bb - (s * s)[:, None], np.nan))
         edges = np.sort(np.concatenate([np.zeros((s.size, 1)), tau], axis=1), axis=1)
@@ -285,7 +279,7 @@ class RadialWave2D:
             sk = s[lo:hi][own]
             radii = np.sqrt(sk * sk + tt * tt)
             wts = 2.0 * wt
-            f, fp = (np.asarray(v, dtype=float) for v in self.psi_and_prime(radii))
+            f, fp = (np.asarray(v, dtype=float) for v in self.profile.f_and_prime(radii))
             g[lo:hi] = np.bincount(own, wts * f, minlength=hi - lo)
             vals = np.divide(fp * sk, radii, out=np.zeros_like(radii), where=radii > 0)
             gp[lo:hi] = np.bincount(own, wts * vals, minlength=hi - lo)
@@ -320,9 +314,9 @@ class RadialWave2D:
     def _abel_block(self, t, r, derivative, order=_ABEL_ORDER):
         """:meth:`_abel` at the pairs of 1-d arrays ``t`` and ``r >= 0``, in
         sigma with s' = sqrt(r^2 + sigma^2) up to s' = support + t.  Panel
-        edges sit where s' -+ t crosses a breakpoint, where s' - t changes
-        sign and at ``0.25 r``, ``r``, ``4 r`` (s'(sigma) bends there);
-        panels are capped at (support + t)/12."""
+        edges sit where s' -+ t crosses a smoothness radius, where s' - t
+        changes sign and at ``0.25 r``, ``r``, ``4 r`` (s'(sigma) bends
+        there); panels are capped at (support + t)/12."""
         out = np.zeros(t.size)
         top = self.support + t
         lim2 = top * top - r * r
@@ -437,8 +431,8 @@ class RadialWave2D:
 
     def _scan_radii(self, t):
         """Structure-aware radii at time t, from 0 to ``t + support``: fronts
-        of every breakpoint circle with geometric ladders spanning from the
-        fine scale to the bulk, and a coarse sweep.  They are the strip
+        of every smoothness-radius circle with geometric ladders spanning from
+        the fine scale to the bulk, and a coarse sweep.  They are the strip
         scan's candidates and the panel edges of :meth:`l2_planar`."""
         top = t + self.support
         parts = [np.linspace(0.0, top, 96)]

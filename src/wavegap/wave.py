@@ -203,27 +203,12 @@ _EVEN_COEFFICIENTS = {2: (1,), 4: (3 / 2, 1 / 2)}
 _ODD_COEFFICIENTS = {3: (1,), 5: (1, 1 / 3)}
 
 
-def _derivative_of(profile, order):
-    """Radial derivative of a profile as a callable: ``order`` nested
-    centered stencils of step 1e-5 (one-sided at r = 0) on the profile."""
-    if order == 0:
-        return profile
-    base = _derivative_of(profile, order - 1)
-    step = 1e-5
-
-    def deriv(r):
-        r = np.asarray(r, dtype=float)
-        return (np.asarray(base(r + step)) - np.asarray(base(np.maximum(r - step, 0.0)))) / (
-            np.where(r - step < 0, r + step, 2 * step))
-
-    return deriv
-
-
 def _even_moment(profile: RadialProfile, nu, n):
-    """``int_0^1 d_r^nu phi(r) (1-r^2)^(-1/2) r^(nu+n-1) dr`` via
-    ``r = sin(theta)``, with panel edges at the profile's ``panel_edges`` (the
-    annulus data's u-ladder among them)."""
-    d = _derivative_of(profile, nu)
+    """``int_0^1 d_r^nu phi(r) (1-r^2)^(-1/2) r^(nu+n-1) dr`` (``nu`` 0 or 1,
+    the latter from the profile's declared derivative) via ``r = sin(theta)``,
+    with panel edges at the profile's ``panel_edges`` (the annulus data's
+    u-ladder among them)."""
+    d = profile.prime if nu else profile
     edges = {0.0, math.pi / 2.0}
     for b in profile.panel_edges:
         if 0 < b < 1:
@@ -251,14 +236,14 @@ def kirchhoff_3d_origin(profile: RadialProfile) -> float:
     return float(profile(np.array([1.0]))[0])
 
 
-def odd_n_boundary_value(profile, n: int) -> float:
+def odd_n_boundary_value(profile: RadialProfile, n: int) -> float:
     """Origin value z(1, 0) in odd dimension n from boundary derivatives:
     ``sum_nu b_nu d_r^nu phi(1)`` with the exact ``b_nu`` of
-    :data:`_ODD_COEFFICIENTS`."""
+    :data:`_ODD_COEFFICIENTS` (``phi'`` is the profile's declared derivative)."""
     if n not in _ODD_COEFFICIENTS:
         raise ValueError("odd boundary formula implemented for n in {3, 5}")
     total = 0.0
     for nu, c in enumerate(_ODD_COEFFICIENTS[n]):
-        d = _derivative_of(profile, nu)
-        total += c * float(np.asarray(d(np.asarray([1.0])))[0])
+        d = profile.prime if nu else profile
+        total += c * float(d(np.asarray([1.0]))[0])
     return float(total)

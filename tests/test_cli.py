@@ -12,9 +12,11 @@ import pytest
 
 import wavegap
 from wavegap.cli import _load_config, main
+from wavegap.construct import delta_family, psi_smooth
 from wavegap.experiment import GapRunConfig
 from wavegap.field import (ScalarField, TorusGrid, WaveState, load_state, sample,
                            save_field, save_state)
+from wavegap.radial import gauss_panel_nodes
 
 
 def _not_json(constant):
@@ -103,16 +105,55 @@ def test_pointvalue_evenrep_matches_kernel_on_thin_annulus(capsys):
     assert vals["evenrep"] == pytest.approx(vals["kernel"], rel=5e-5)
 
 
+def _evenrep_n4_oracle(delta):
+    """n = 4 focus value ``3/2 M0 + 1/2 M1`` of the smooth annulus datum, with
+    ``M_nu = int d_r^nu psi r^(nu+3) u^(-1/2) dr`` and ``u = 1 - r^2``.  ``M1`` is
+    integrated by parts, ``-int psi (4 r^3 u^(-1/2) + r^5 u^(-3/2)) dr``, so only
+    ``psi`` enters; 96 order-16 panels in ``log u`` over the support
+    ``u in [delta^4, delta]``."""
+    psi = psi_smooth(delta_family(delta))
+    lg, w = gauss_panel_nodes(np.linspace(4.0 * math.log(delta), math.log(delta), 97), 16)
+    u = np.exp(lg)
+    r = np.sqrt(1.0 - u)
+    w = w * u / (2.0 * r)  # dr in increasing r
+    f = psi(r)
+    m0 = np.sum(w * f * r ** 3 / np.sqrt(u))
+    m1 = -np.sum(w * f * (4.0 * r ** 3 / np.sqrt(u) + r ** 5 / u ** 1.5))
+    return 1.5 * m0 + 0.5 * m1
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.1, 0.03, 0.01])
+def test_pointvalue_evenrep_n4_matches_integration_by_parts(capsys, delta):
+    # the moment of psi' reads the declared derivative (measured within 6.1e-10
+    # of the oracle at 0.01); nested 1e-5 stencils missed it by 76 % at 0.03
+    code, lines, _ = run(capsys, "pointvalue", "--method", "evenrep", "--n", "4",
+                         "--profile", f"annulus_smooth:{delta}")
+    assert code == 0
+    assert lines[0]["value"] == pytest.approx(_evenrep_n4_oracle(delta), rel=1e-8)
+
+
+def test_pointvalue_oddrep_n5_vanishes_beyond_the_support(capsys):
+    # the support ends at q1 < 1, so psi(1) = psi'(1) = 0 exactly
+    code, lines, _ = run(capsys, "pointvalue", "--method", "oddrep", "--n", "5",
+                         "--profile", "annulus_smooth:0.01")
+    assert code == 0 and lines[0]["value"] == 0.0
+
+
 def test_pointvalue_representation_methods_only_at_unit_time_origin(capsys):
     code, lines, _ = run(capsys, "pointvalue", "--method", "kirchhoff",
                          "--profile", "gaussian:1.0", "--x", "0,0")
     assert code == 0 and lines[0]["t"] == 1.0
-    for method in ("kirchhoff", "evenrep", "oddrep"):
-        for bad in (("--t", "0.5"), ("--x", "0.3")):
-            code, lines, err = run(capsys, "pointvalue", "--method", method,
-                                   "--profile", "gaussian:1.0", *bad)
-            assert code == 1 and lines == []
-            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    bad_inputs = [(method, "gaussian:1.0", bad) for method in ("kirchhoff", "evenrep", "oddrep")
+                  for bad in (("--t", "0.5"), ("--x", "0.3"))]
+    # the n = 4 and 5 formulas need a declared derivative; the sharp annulus has none
+    bad_inputs += [("evenrep", "annulus_exact:0.1", ("--n", "4")),
+                   ("oddrep", "annulus_exact:0.1", ("--n", "5"))]
+    for method, profile, bad in bad_inputs:
+        code, lines, err = run(capsys, "pointvalue", "--method", method,
+                               "--profile", profile, *bad)
+        assert code == 1 and lines == []
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
 
 _KERNEL = ["pointvalue", "--method", "kernel", "--profile", "gaussian:1.0"]

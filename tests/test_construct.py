@@ -12,6 +12,7 @@ from wavegap.construct import (LogCutoffAtom, _ShellCutoff,
                                chi_field, chi_hat_planar, chi_mean_zero, strip_normalize,
                                choose_R, delta_family, focusing_sequence,
                                psi_exact, psi_smooth, rescaled_family)
+from wavegap.cli import _profile_from_spec
 from wavegap.field import TorusGrid
 from wavegap.radial import l2_radial_measure
 from wavegap.wave import spectral_propagate
@@ -99,6 +100,43 @@ def test_psi_smooth_is_the_value_of_psi_and_prime(delta):
     r = np.concatenate([np.linspace(0.0, 1.2, 30001), [1e-300, 1.0 - 1e-12]]).reshape(3, -1)
     assert np.array_equal(psi_smooth(delta_family(delta))(r),
                           _ShellCutoff(delta).psi_and_prime(r)[0])
+
+
+_DECLARED_DERIVATIVES = {
+    "psi_smooth_0.3": lambda: psi_smooth(delta_family(0.3)),
+    "psi_smooth_0.1": lambda: psi_smooth(delta_family(0.1)),
+    "chi_n2": lambda: chi_mean_zero(2),
+    "chi_n3": lambda: chi_mean_zero(3),
+    "cli_gaussian": lambda: _profile_from_spec("gaussian:1.3"),
+}
+
+
+@pytest.mark.parametrize("name", list(_DECLARED_DERIVATIVES))
+def test_declared_derivative_matches_centered_difference(name):
+    # at a quarter, half and three quarters of every panel (six panels up to
+    # r = 3 for the Gaussian), against the five-point centered difference of f
+    # with a step of 1e-3 of the panel (the worst measured is 5 % of the tolerance)
+    prof = _DECLARED_DERIVATIVES[name]()
+    edges = np.array([0.0, *prof.panel_edges]) if prof.panel_edges else np.linspace(0, 3, 7)
+    width = np.diff(edges)[:, None]
+    r = (edges[:-1, None] + width * np.array([0.25, 0.5, 0.75])).ravel()
+    h = np.repeat(1e-3 * width.ravel(), 3)
+    fd = (8.0 * (prof(r + h) - prof(r - h)) - (prof(r + 2 * h) - prof(r - 2 * h))) / (12.0 * h)
+    value, prime = prof.f_and_prime(r)
+    assert np.array_equal(value, prof(r))
+    np.testing.assert_allclose(prime, fd, rtol=1e-7, atol=1e-9 * np.max(np.abs(prime)))
+
+
+def test_normalized_datum_scales_the_declared_derivative():
+    # phi = psi / z10 declares psi' / z10, not psi' itself
+    datum = focusing_sequence(2, [0.3])[0]
+    raw = psi_smooth(delta_family(0.3))
+    r = np.linspace(0.8, 1.0, 2001)
+    value, prime = datum.phi.f_and_prime(r)
+    assert np.array_equal(value, raw(r) / datum.z_value_at_10)
+    assert np.array_equal(prime, raw.prime(r) / datum.z_value_at_10)
+    assert np.array_equal(datum.phi(r), value) and np.any(prime != 0.0)
+    assert datum.phi.smoothness_radii == raw.smoothness_radii
 
 
 def test_psi_smooth_no_jumps():

@@ -64,6 +64,20 @@ def test_radial_embed_constant_and_roundtrip(grid2):
     assert np.allclose(axis_vals, prof(radii), atol=1e-12)
 
 
+def test_radial_profile_declaration():
+    # the smoothness radii take a finite support and are panel edges; the
+    # derivative is read from the declaration only
+    prof = RadialProfile(lambda r: np.where(r < 2.0, 2.0 - r, 0.0), 2.0, (0.5,),
+                         lambda r: (np.where(r < 2.0, 2.0 - r, 0.0), np.where(r < 2.0, -1.0, 0.0)),
+                         (1.0,))
+    assert prof.smoothness_radii == (1.0, 2.0) and prof.panel_edges == (0.5, 1.0, 2.0)
+    assert np.array_equal(prof.prime(np.array([-0.5, 0.5, 3.0])), [-1.0, -1.0, 0.0])
+    bare = RadialProfile(np.exp)
+    assert bare.smoothness_radii == () and bare.panel_edges == ()
+    with pytest.raises(ValueError, match="declares no derivative"):
+        bare.prime(1.0)
+
+
 def test_radial_embed_annulus_support():
     from wavegap.construct import delta_family, psi_exact
     fam = delta_family(0.1)

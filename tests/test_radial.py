@@ -46,8 +46,22 @@ def test_sphere_area_values():
 
 
 def _gauss_wave(n_table):
-    return RadialWave2D(lambda r: (np.exp(-r * r), -2 * r * np.exp(-r * r)), support=10.0,
-                        s_table=np.linspace(0, 10, n_table))
+    # exp(-r^2) with its declared derivative, cut off at 10 (exp(-100) is below roundoff)
+    prof = RadialProfile(lambda r: np.exp(-r * r), 10.0,
+                         f_and_prime=lambda r: (np.exp(-r * r), -2 * r * np.exp(-r * r)))
+    return RadialWave2D(prof, s_table=np.linspace(0, 10, n_table))
+
+
+def test_engine_reads_the_profile_declaration():
+    fam = delta_family(0.3)
+    wave = shell_wave(fam)
+    assert wave.profile.panel_edges == psi_smooth(fam).panel_edges and wave.support == fam.q1
+    assert wave.breaks.tolist() == [fam.p1, fam.p, fam.q, fam.q1]
+    # a datum without a declared derivative or a finite support is refused
+    for prof in (RadialProfile(np.exp, 1.0),
+                 RadialProfile(np.exp, f_and_prime=lambda r: (np.exp(r), np.exp(r)))):
+        with pytest.raises(ValueError, match="f_and_prime"):
+            RadialWave2D(prof, np.linspace(0.0, 1.0, 8))
 
 
 @pytest.fixture(scope="module")
@@ -233,8 +247,8 @@ def test_shell_wave_cross_validated_against_fft():
 
 
 _ENGINE_BELOW_0P1 = ("the inverse-Abel panels span several decades of the shell's log "
-                     "structure between breakpoints: measured -3.4e-5 at 0.01 and "
-                     "-2.8e-2 at 1e-3 (ROADMAP item 2)")
+                     "structure between its smoothness radii: measured -3.4e-5 at 0.01 and "
+                     "-2.8e-2 at 1e-3 (ROADMAP item 3)")
 
 
 @pytest.mark.parametrize("delta", [
