@@ -135,9 +135,14 @@ _NODE_BUDGET = 1 << 15
 _ABEL_BLOCK = 2048
 _TABLE_BLOCK = 1024
 
-# Gauss order of the inverse-Abel panels; the strip scan's screen order and margin
+# Gauss order of the inverse-Abel panels and their cap: no panel is longer
+# than (support + t) / cap.  The strip scan's screen only ranks pairs, on the
+# structural panels alone (no cap) at its own order, and confirms those within
+# its margin of the screened maximum.
 _ABEL_ORDER = 24
-_SCREEN_ORDER = 12
+_ABEL_CAP = 12.0
+_SCREEN_ORDER = 16
+_SCREEN_CAP = None
 _SCREEN_MARGIN = 0.5
 
 
@@ -228,7 +233,9 @@ class RadialWave2D:
         the strip scan and the L2 norm start from them).
     s_table : array
         Nodes for the ray-transform table, clustered where the structure of
-        the profile lives; its smallest spacing is the ``fine_scale``.
+        the profile lives.  The smoothness radii join it, each replacing a
+        node far closer to it than the table's spacing there; the smallest
+        spacing is the ``fine_scale``.
     """
 
     def __init__(self, profile, s_table):
@@ -240,6 +247,18 @@ class RadialWave2D:
         s_table = np.unique(np.clip(np.concatenate(
             [np.asarray(s_table, dtype=float), self.breaks, [0.0, self.support]]),
             0.0, self.support))
+        # a node nearer a smoothness radius than 1/16 of the table's spacing
+        # beyond it is that radius rounded apart (p1 and its shell node are one
+        # ulp apart at some delta): it goes and the radius stays, so the fine
+        # scale is the table's
+        at = np.searchsorted(s_table, self.breaks)
+        near, beyond = np.concatenate([at - 1, at + 1]), np.concatenate([at - 2, at + 2])
+        ok = (beyond >= 0) & (beyond < s_table.size)
+        near, beyond, at = near[ok], beyond[ok], np.tile(at, 2)[ok]
+        gap, spacing = (np.abs(s_table[near] - s_table[at]),
+                        np.abs(s_table[beyond] - s_table[near]))
+        drop = near[(gap < spacing / 16.0) & ~np.isin(s_table[near], self.breaks)]
+        s_table = np.delete(s_table, drop)
         self._s = s_table
         self._g, self._gp = self._ray_transforms(s_table)
         # smallest table spacing: proxy for the finest resolved feature
@@ -295,10 +314,10 @@ class RadialWave2D:
 
     # -- inverse Abel evaluation ---------------------------------------------
 
-    def _abel(self, t, r, derivative, order=_ABEL_ORDER):
+    def _abel(self, t, r, derivative, order=_ABEL_ORDER, cap=_ABEL_CAP):
         """Inverse Abel integral z (or z_t with ``derivative``) at every pair
         of the broadcast ``(t, r)`` batch, in streamed blocks of pairs
-        (:meth:`_abel_block`) with Gauss panels of ``order``."""
+        (:meth:`_abel_block`) with Gauss panels of ``order`` and ``cap``."""
         t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
                                    np.abs(np.asarray(r, dtype=float)))
         shape = t.shape
@@ -306,17 +325,18 @@ class RadialWave2D:
         out = np.zeros(t.size)
 
         def work(lo, hi):
-            out[lo:hi] = self._abel_block(t[lo:hi], r[lo:hi], derivative, order)
+            out[lo:hi] = self._abel_block(t[lo:hi], r[lo:hi], derivative, order, cap)
 
         _streamed(t.size, _ABEL_BLOCK, work)
         return out.reshape(shape)
 
-    def _abel_block(self, t, r, derivative, order=_ABEL_ORDER):
+    def _abel_block(self, t, r, derivative, order=_ABEL_ORDER, cap=_ABEL_CAP):
         """:meth:`_abel` at the pairs of 1-d arrays ``t`` and ``r >= 0``, in
         sigma with s' = sqrt(r^2 + sigma^2) up to s' = support + t.  Panel
         edges sit where s' -+ t crosses a smoothness radius, where s' - t
         changes sign and at ``0.25 r``, ``r``, ``4 r`` (s'(sigma) bends
-        there); panels are capped at (support + t)/12."""
+        there); panels are capped at (support + t)/``cap``, and with ``cap``
+        None these structural panels are the whole rule."""
         out = np.zeros(t.size)
         top = self.support + t
         lim2 = top * top - r * r
@@ -333,7 +353,8 @@ class RadialWave2D:
         edges = np.sort(np.concatenate(
             [np.zeros((t.size, 1)), sig_max[:, None], cross, bend], axis=1), axis=1)
         g = self.g_prime if derivative else self.g
-        for lo, hi, sig, w, own in _ragged_gauss(edges, top / 12.0, order):
+        max_len = top / cap if cap else np.full(t.size, np.inf)
+        for lo, hi, sig, w, own in _ragged_gauss(edges, max_len, order):
             rk, tk = r[lo:hi][own], t[lo:hi][own]
             s = np.sqrt(rk * rk + sig * sig)
             low = s == 0  # both squares underflow when r < 1e-162
@@ -375,23 +396,25 @@ class RadialWave2D:
         earliest time, then the smallest radius index, of the scan order.
 
         The first stage only ranks: every pair is screened at Gauss order
-        ``_SCREEN_ORDER`` and those within a share ``m = _SCREEN_MARGIN`` of
-        the screened maximum are confirmed at ``_ABEL_ORDER``.  A screen error
-        below ``m M / (2 - m)`` (M the maximum) keeps the argmax among them, so
-        the result is a full order-24 scan's bit for bit (a pair's value does
-        not depend on its batch); when the largest error seen exceeds half
-        that bound, a guard confirms every pair.  Returns ``(max, t_at_max,
-        r_at_max, screen)``, ``screen`` recording the order and margin, the
-        pairs screened and confirmed, the largest screen error relative to M
-        and whether the guard fired.
+        ``_SCREEN_ORDER`` on its structural panels alone (``_SCREEN_CAP`` is
+        None: no length cap), and those within a share ``m = _SCREEN_MARGIN``
+        of the screened maximum are confirmed at ``_ABEL_ORDER`` with panels
+        capped at (support + t)/``_ABEL_CAP``.  A screen error below
+        ``m M / (2 - m)`` (M the maximum) keeps the argmax among them, so the
+        result is a full order-24 scan's bit for bit (a pair's value does not
+        depend on its batch); when the largest error seen exceeds half that
+        bound, a guard confirms every pair.  Returns ``(max, t_at_max,
+        r_at_max, screen)``, ``screen`` recording the order, panel cap and
+        margin, the pairs screened and confirmed, the largest screen error
+        relative to M and whether the guard fired.
         """
         times = np.unique(np.concatenate(
             [np.arange(t_step, 1.0 + 1e-12, t_step), np.asarray(extra_times, dtype=float),
              [1.0]]))
         times = times[(times > 0) & (times <= 1.0)]
 
-        def abs_z(ts, rs, order=_ABEL_ORDER):
-            return np.abs(self._abel(ts, rs, False, order))
+        def abs_z(ts, rs, order=_ABEL_ORDER, cap=_ABEL_CAP):
+            return np.abs(self._abel(ts, rs, False, order, cap))
 
         def scan(ts, rs, best, z):
             k = int(np.argmax(z))
@@ -399,7 +422,7 @@ class RadialWave2D:
 
         radii = [self._scan_radii(t) for t in times]
         ts, rs = np.repeat(times, [r.size for r in radii]), np.concatenate(radii)
-        rough = abs_z(ts, rs, _SCREEN_ORDER)
+        rough = abs_z(ts, rs, _SCREEN_ORDER, _SCREEN_CAP)
         keep = np.flatnonzero(rough >= (1.0 - _SCREEN_MARGIN) * np.max(rough))
         z = abs_z(ts[keep], rs[keep])
         err, top = float(np.max(np.abs(rough[keep] - z))), float(np.max(z))
@@ -407,9 +430,9 @@ class RadialWave2D:
         if guard:
             keep, z = np.arange(ts.size), abs_z(ts, rs)
             err, top = float(np.max(np.abs(rough - z))), float(np.max(z))
-        screen = {"order": _SCREEN_ORDER, "margin": _SCREEN_MARGIN, "screened": ts.size,
-                  "confirmed": keep.size, "error": err / top if top > 0 else None,
-                  "guard": guard}
+        screen = {"order": _SCREEN_ORDER, "cap": _SCREEN_CAP, "margin": _SCREEN_MARGIN,
+                  "screened": ts.size, "confirmed": keep.size,
+                  "error": err / top if top > 0 else None, "guard": guard}
         m, tj, rj = scan(ts[keep], rs[keep], (0.0, float(times[0]), 0.0), z)
         dt = t_step
         dr = None

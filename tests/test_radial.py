@@ -53,10 +53,14 @@ def _gauss_wave(n_table):
 
 
 def test_engine_reads_the_profile_declaration():
-    fam = delta_family(0.3)
-    wave = shell_wave(fam)
-    assert wave.profile.panel_edges == psi_smooth(fam).panel_edges and wave.support == fam.q1
-    assert wave.breaks.tolist() == [fam.p1, fam.p, fam.q, fam.q1]
+    # at the second delta p1 and its shell-table node are one ulp apart: the
+    # node goes, so the fine scale is the table's (about 4.1e-12), not 1.1e-16
+    for delta in (0.3, 0.00992623488926486):
+        fam = delta_family(delta)
+        wave = shell_wave(fam)
+        assert wave.profile.panel_edges == psi_smooth(fam).panel_edges and wave.support == fam.q1
+        assert wave.breaks.tolist() == [fam.p1, fam.p, fam.q, fam.q1]
+        assert np.isin(wave.breaks, wave._s).all() and wave.fine_scale > 1e-12
     # a datum without a declared derivative or a finite support is refused
     for prof in (RadialProfile(np.exp, 1.0),
                  RadialProfile(np.exp, f_and_prime=lambda r: (np.exp(r), np.exp(r)))):
@@ -101,14 +105,15 @@ def test_one_block_equals_a_split_into_blocks(gauss_wave):
     t = rng.uniform(0.01, 1.5, 300)
     r = rng.uniform(0.0, 12.0, t.size)
     cuts = [0, 1, 40, 41, 175, t.size]
+    screen = (radial._SCREEN_ORDER, radial._SCREEN_CAP)
     for derivative in (False, True):
         whole = {}
-        for order in ((), (radial._SCREEN_ORDER,)):  # the default order, then the screen's
-            split = np.concatenate([gauss_wave._abel_block(t[a:b], r[a:b], derivative, *order)
+        for rule in ((), screen):  # the default rule, then the screen's order and cap
+            split = np.concatenate([gauss_wave._abel_block(t[a:b], r[a:b], derivative, *rule)
                                     for a, b in zip(cuts[:-1], cuts[1:])])
-            whole[order] = gauss_wave._abel(t, r, derivative, *order)
-            assert np.array_equal(whole[order], split)
-        assert not np.array_equal(whole[()], whole[(radial._SCREEN_ORDER,)])
+            whole[rule] = gauss_wave._abel(t, r, derivative, *rule)
+            assert np.array_equal(whole[rule], split)
+        assert not np.array_equal(whole[()], whole[screen])
     s = np.linspace(0.0, 9.99, t.size)
     whole = gauss_wave._ray_transforms(s)
     split = [gauss_wave._ray_block(s[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
@@ -405,22 +410,30 @@ def test_strip_max_finds_synthetic_peak(gauss_wave):
     assert m >= best * 0.999
 
 
+def _full_scan(monkeypatch):
+    # the screen's rule patched to the confirm rule: every pair at order 24, capped
+    monkeypatch.setattr(radial, "_SCREEN_ORDER", _ABEL_ORDER)
+    monkeypatch.setattr(radial, "_SCREEN_CAP", radial._ABEL_CAP)
+
+
 @pytest.mark.parametrize("delta", [0.3, 0.1, 0.03, 0.01, 1e-3])
 def test_screened_strip_scan_is_the_full_scan(monkeypatch, delta):
-    # the order-12 screen only ranks the pairs: (m, t_j, r_j) equals the
-    # scan that evaluates every pair at order 24, and the guard stays off
-    # down to the delta floor
+    # the order-16 screen on the structural panels only ranks the pairs:
+    # (m, t_j, r_j) equals the scan that evaluates every pair at order 24
+    # with capped panels, and the guard stays off down to the delta floor
     datum = focusing_sequence(2, [delta])[0]
     screened = strip_normalize(datum)
     m, tj, rj, screen = construct._STRIP_SCAN_CACHE[delta]
     monkeypatch.setattr(construct, "_STRIP_SCAN_CACHE", {})
-    monkeypatch.setattr(radial, "_SCREEN_ORDER", _ABEL_ORDER)
+    _full_scan(monkeypatch)
     full = strip_normalize(datum)
     assert (m, tj, rj) == construct._STRIP_SCAN_CACHE[delta][:3]
     assert (screened.m_raw, screened.t_j, screened.sign) == (full.m_raw, full.t_j, full.sign)
     assert screened.scan["screen"] == screen and full.scan["screen"]["error"] == 0.0
-    assert screen["order"] == 12 and screen["margin"] == 0.5 and not screen["guard"]
-    assert 0.0 < screen["error"] < 0.5 * 0.5 / (2.0 - 0.5)  # half the bound m / (2 - m)
+    assert full.scan["screen"]["cap"] == radial._ABEL_CAP
+    assert (screen["order"], screen["cap"], screen["margin"]) == (16, None, 0.5)
+    assert not screen["guard"]
+    assert 0.0 < screen["error"] < 0.25 * 0.5 / (2.0 - 0.5)  # a quarter of the bound m / (2 - m)
     assert screen["confirmed"] < 0.1 * screen["screened"]
 
 
@@ -438,7 +451,7 @@ def test_screen_guard_confirms_every_pair(monkeypatch):
     assert screen["guard"] and screen["confirmed"] == screen["screened"] > 10_000
     assert 0.0 < screen["error"] < 1e-5
     monkeypatch.undo()
-    monkeypatch.setattr(radial, "_SCREEN_ORDER", _ABEL_ORDER)  # the full scan
+    _full_scan(monkeypatch)
     assert guarded[1][:3] == wave.strip_max(t_step=1.0 / 64.0)[:3]
 
 
