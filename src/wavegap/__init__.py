@@ -11,5 +11,5 @@ and the command-line interface (:mod:`wavegap.cli`).
 
 __version__ = "0.1.0"
 
-from .field import RadialProfile, ScalarField, TorusGrid, VectorField  # noqa: F401
+from .field import RadialProfile, ScalarField, TorusGrid  # noqa: F401
 from .wave import WaveState  # noqa: F401

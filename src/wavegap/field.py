@@ -9,7 +9,6 @@ are immutable after construction; all operations return new objects.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import struct
@@ -22,7 +21,6 @@ __all__ = [
     "TorusGrid",
     "ScalarField",
     "RadialProfile",
-    "VectorField",
     "WaveState",
     "sample",
     "radial_embed",
@@ -174,33 +172,6 @@ class WaveState:
 
 
 @dataclass(frozen=True)
-class VectorField:
-    """Field with values in an ambient ``R^m``, stored per component."""
-
-    grid: TorusGrid
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(np.asarray(c, dtype=float).copy() for c in self.components)
-        if len(comps) < 2:
-            raise ValueError("ambient dimension must be at least 2")
-        for c in comps:
-            if c.shape != self.grid.shape:
-                raise ValueError("component shape does not match grid")
-            if not np.all(np.isfinite(c)):
-                raise ValueError("non-finite component value")
-            c.setflags(write=False)
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.components)
-
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(sum(c * c for c in self.components))
-
-
-@dataclass(frozen=True)
 class RadialProfile:
     """Radial function ``x -> f(|x|)`` given by its exact callable ``f``.
 
@@ -278,20 +249,13 @@ def lattice_shift(f: ScalarField, j) -> ScalarField:
     """Periodic shift by an integer lattice vector: ``g(x) = f(x + j*h)``.
 
     Exactly invertible: shifting by ``-j`` restores the field bit for bit
-    (values are only moved, by one slice copy per orthant of the shift).
+    (values are only moved, by ``numpy.roll`` over all axes at once).
     The shift of a field is as finite as the field, so it is not scanned.
     """
     j = np.atleast_1d(np.asarray(j, dtype=int))
     if j.size != f.grid.dim:
         raise ValueError(f"shift vector length {j.size} != dim {f.grid.dim}")
-    src = f.values
-    vals = np.empty_like(src)
-    # per axis with k = j mod n: g[:n-k] = f[k:] and g[n-k:] = f[:k]
-    halves = [((slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k)))
-              for n, k in zip(src.shape, (j % np.array(src.shape)).tolist())]
-    for pieces in itertools.product(*halves):
-        dst, orig = zip(*pieces)
-        vals[dst] = src[orig]
+    vals = np.roll(f.values, tuple(-j), axis=tuple(range(f.grid.dim)))
     return ScalarField._own(f.grid, vals, finite=True)
 
 

@@ -10,7 +10,7 @@ from functools import partialmethod
 
 import numpy as np
 
-from .field import ScalarField, VectorField, WaveState
+from .field import ScalarField, WaveState
 from .norms import sobolev_norm
 from .wave import _value_sweep, spectral_gradient, spectral_laplacian
 
@@ -99,27 +99,23 @@ def geodesic_constants(curve: GeodesicCurve):
     return min(math.pi * curve.radius / 3.0, C0_CAP), 0.5 / curve.radius, 2
 
 
-def compose(curve: GeodesicCurve, v: ScalarField) -> VectorField:
-    """Pointwise composition ``u = gamma(v)``."""
-    comps = np.asarray(curve.gamma(v.values), dtype=float)
-    return VectorField(v.grid, tuple(comps))
+def compose(curve: GeodesicCurve, v: ScalarField) -> np.ndarray:
+    """Pointwise composition ``u = gamma(v)``: the ``ambient_dim``
+    components stacked on axis 0."""
+    return np.asarray(curve.gamma(v.values), dtype=float)
 
 
-def compose_dt(curve: GeodesicCurve, state: WaveState) -> VectorField:
-    """Chain-rule time derivative of the composition:
-    ``d/dt gamma(v) = gamma'(v) v_t`` componentwise."""
-    gp = np.asarray(curve.gamma_p(state.u.values), dtype=float)
-    return VectorField(state.grid, tuple(gp[ell] * state.ut.values
-                                         for ell in range(curve.ambient_dim)))
+def compose_dt(curve: GeodesicCurve, state: WaveState) -> np.ndarray:
+    """Chain-rule time derivative of the composition, stacked like
+    :func:`compose`: ``d/dt gamma(v) = gamma'(v) v_t`` componentwise."""
+    return np.asarray(curve.gamma_p(state.u.values), dtype=float) * state.ut.values
 
 
 def _box_components(curve: GeodesicCurve, state: WaveState, tau: float):
     """d'Alembertian of u = gamma(v) with a centered 3-point stencil in time
     and spectral space derivatives; returns (box components, u components)."""
     minus, plus = _value_sweep(state, (state.t - tau, state.t + tau))
-    u_m = np.asarray(curve.gamma(minus.values), dtype=float)
-    u_0 = np.asarray(curve.gamma(state.u.values), dtype=float)
-    u_p = np.asarray(curve.gamma(plus.values), dtype=float)
+    u_m, u_0, u_p = (compose(curve, v) for v in (minus, state.u, plus))
     utt = (u_p - 2.0 * u_0 + u_m) / tau ** 2
     box = []
     for ell in range(curve.ambient_dim):
@@ -148,8 +144,7 @@ def wavemap_residual(curve: GeodesicCurve, state: WaveState, tau: float = 1e-3,
         if curve.flat:
             R = box
         else:
-            ut = compose_dt(curve, state)
-            ut2 = sum(c * c for c in ut.components)
+            ut2 = sum(c * c for c in compose_dt(curve, state))
             grad2 = np.zeros(state.grid.shape)
             for ell in range(curve.ambient_dim):
                 for d in spectral_gradient(ScalarField(state.grid, u0[ell])):

@@ -96,8 +96,15 @@ def _spectrum_norms(grid: TorusGrid, F: np.ndarray, orders) -> list:
             with np.errstate(divide="ignore"):
                 w2 = np.take(k ** (2.0 * s), index)
             w2.flat[0] = 0.0  # class 0 is the zero mode alone
-        out.append(math.sqrt(scale * float(np.vdot(w2, power))))
+        out.append(math.sqrt(scale * _dot(w2, power)))
     return out
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``sum(a * b)`` over every axis in one fixed order: ``numpy.einsum``
+    reduces without BLAS, whose ``ddot`` splits the sum by its thread count."""
+    ax = "ijk"[:a.ndim]
+    return float(np.einsum(f"{ax},{ax}->", a, b))
 
 
 def difference(f: ScalarField, h_vec, order: int = 1) -> ScalarField:
@@ -199,7 +206,7 @@ def _difference_shell_sum(f: ScalarField, s: float, p: float, q: float):
             with np.errstate(over="ignore"):
                 prev = f if ell == 1 else difference(f, v, ell - 1)
                 d = lattice_shift(prev, v).values - prev.values
-                power_sum = float(np.vdot(d, d)) if p == 2.0 else float(np.sum(np.abs(d) ** p))
+                power_sum = _dot(d, d) if p == 2.0 else float(np.sum(np.abs(d) ** p))
             if not math.isfinite(power_sum):
                 raise ValueError(f"difference along {tuple(v)} overflows the L^{p} sum")
             terms[tuple(v)] = cell * (cell * power_sum) ** (q / p) / dist ** (grid.dim + s * q)
@@ -243,34 +250,22 @@ def rescale(f: ScalarField, lam: float) -> ScalarField:
     The read is wrap-free: nodes whose image ``lam x`` falls outside the
     fundamental box read zero.  (A periodic read would be measure-preserving
     on the torus and could not satisfy the continuum scaling laws; the
-    operator is meant for fields supported well inside the box.)  Exact index
-    gather when ``lam`` maps the lattice to itself, linear interpolation
-    otherwise.
+    operator is meant for fields supported well inside the box.)  One
+    linear-interpolation read, which at integer image coordinates returns the
+    node values exactly; an outside node reads from coordinate -2, two nodes
+    off the box, where the constant extension is exactly 0.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
+    from scipy import ndimage
     grid = f.grid
     n = grid.n
-    idx = np.arange(n) - n // 2  # node k <-> coordinate idx*h
-    target = lam * idx  # image coordinate in units of h
+    target = lam * (np.arange(n) - n // 2)  # image of node k, in units of h
     inside = (target >= -n // 2) & (target < n // 2)
-    exact = np.allclose(target, np.round(target), atol=1e-12)
-    if exact:
-        src = np.where(inside, (np.round(target).astype(int) + n // 2) % n, 0)
-        mesh = np.meshgrid(*([src] * grid.dim), indexing="ij")
-        vals = f.values[tuple(mesh)]
-    else:
-        from scipy import ndimage
-        coords = np.where(inside, target + n // 2, 0.0)
-        mesh = np.meshgrid(*([coords] * grid.dim), indexing="ij")
-        vals = ndimage.map_coordinates(f.values, np.stack(mesh), order=1,
-                                       mode="grid-constant", cval=0.0)
-    mask_in = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = n
-        mask_in &= inside.reshape(shape)
-    vals = np.where(mask_in, vals, 0.0)
+    coords = np.where(inside, target + n // 2, -2.0)
+    mesh = np.meshgrid(*([coords] * grid.dim), indexing="ij")
+    vals = ndimage.map_coordinates(f.values, np.stack(mesh), order=1,
+                                   mode="grid-constant", cval=0.0)
     return ScalarField._own(grid, vals)
 
 

@@ -238,8 +238,10 @@ def test_choose_r_defining_relation_and_consistency():
     # defining inequality re-checked on a finer sample inside the window
     rr = np.linspace(0.0, r_star * 0.999, 400)
     assert np.all(nz.z_at(nz.t_j, rr) >= 0.5 - 1e-9)
-    # and it fails just beyond
-    assert nz.z_at(nz.t_j, r_star * 1.05) < 0.5 or True  # bisection is one-sided
+    # the bisection brackets the level crossing to its stopping width
+    tol = max(1e-3 * nz.wave.fine_scale, 1e-16 * (nz.wave.support + nz.t_j))
+    assert nz.z_at(nz.t_j, r_star) >= 0.5
+    assert nz.z_at(nz.t_j, r_star + tol) < 0.5
 
 
 def test_window_refused_below_twice_the_fine_scale():

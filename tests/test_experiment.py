@@ -149,7 +149,10 @@ def test_scaling_suite_matches_recorded_values(scaling_report):
     # through wave.energy and sobolev_norm.  The norms now sum the rfftn
     # half spectrum, a reordered sum that moves the values by up to 9.5e-16
     # relative; the energy drifts are differences of conserved energies,
-    # roundoff themselves, and are compared absolutely
+    # roundoff themselves, and are compared absolutely.  The norms now reduce
+    # in one fixed order (no BLAS dot), which moved the fitted slope errors
+    # by up to 5.5e-14 relative (a near-zero slope amplifies roundoff): the
+    # 0.5 error and the 1.0 slope and error were re-recorded then
     recorded = json.loads((Path(__file__).parent / "scaling_suite_recorded.json").read_text())
     got = dict(_leaves(json.loads(json.dumps(scaling_report))))
     want = dict(_leaves(recorded))

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,9 +236,32 @@ def test_rescale_identity_and_laws(gaussian):
     f1 = rescale(gaussian, 1.0)
     assert np.array_equal(f1.values, gaussian.values)
     f2 = rescale(gaussian, 2.0)
+    # lam = 2 maps nodes to nodes: node k reads node 2k - n/2, and reads 0.0
+    # where that leaves the box
+    n = gaussian.grid.n
+    src = 2 * np.arange(n) - n // 2
+    inside = (src >= 0) & (src < n)
+    gather = np.zeros(gaussian.grid.shape)
+    gather[np.ix_(inside, inside)] = gaussian.values[np.ix_(src[inside], src[inside])]
+    assert f2.values.tobytes() == gather.tobytes()
     assert abs(lp_norm(f2, 2) / lp_norm(gaussian, 2) - 0.5) < 1e-3
     r = sobolev_norm(f2, 0.5, True) / sobolev_norm(gaussian, 0.5, True)
     assert abs(r - 2.0 ** (0.5 - 1.0)) < 1e-2
+
+
+def test_norms_do_not_depend_on_blas_threads():
+    # the p = 2 seminorm term and the half-spectrum norms reduce in one fixed
+    # order, so a 512^2 field gives the same bits under one and two BLAS threads
+    code = ("from wavegap.field import TorusGrid; "
+            "from wavegap.norms import bump_family, fractional_integral_seminorm, sobolev_norm; "
+            "f = bump_family(TorusGrid(2, 16.0, 512), 5)[0]; "
+            "print(sobolev_norm(f, 0.5, True).hex(), fractional_integral_seminorm(f, 0.5).hex())")
+    src = str(Path(norms.__file__).resolve().parents[1])
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           timeout=120, check=True,
+                           env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+                           ).stdout for threads in ("1", "2")]
+    assert outs[0] == outs[1] and len(outs[0].split()) == 2
 
 
 def test_homogeneous_shift_invariance(family):

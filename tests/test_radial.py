@@ -239,6 +239,29 @@ def test_shell_wave_l2_matches_split_panel_reference(t):
     assert wave.l2_planar(t) == pytest.approx(ref, rel=1e-8)
 
 
+_L2_BELOW_0P03 = ("l2_planar misses the energy partition by -2.0e-4 at t = 0.5 and -2.6e-4 "
+                  "at t_j near the focus at delta 0.01 (ROADMAP item 3)")
+
+
+@pytest.mark.parametrize("delta, rel", [
+    (0.3, 1e-6), (0.1, 1e-6), (0.03, 1e-4),
+    pytest.param(0.01, 1e-4, marks=pytest.mark.xfail(strict=True, reason=_L2_BELOW_0P03)),
+])
+def test_shell_wave_l2_matches_energy_partition(delta, rel):
+    # a second route for ||z_t(t)||: cos^2 = (1 + cos(2 .)) / 2 gives
+    # ||z_t(t)||^2 = ||psi||^2 / 2 + <psi, z_t(2t)> / 2, with ||psi|| in closed
+    # form and the cross term one order-24 quadrature over the annulus
+    datum = focusing_sequence(2, [delta])[0]
+    wave, fam = datum.wave, delta_family(delta)
+    psi_norm = datum.norm * datum.z_value_at_10
+    r, w = gauss_panel_nodes([e for e in wave.profile.panel_edges if fam.p1 <= e <= fam.q1], 24)
+    psi = wave.profile(r)
+    for t in (0.5, strip_normalize(datum).t_j):
+        cross = 2.0 * math.pi * float(np.sum(w * psi * wave.dt_value(2.0 * t, r) * r))
+        assert wave.l2_planar(t) == pytest.approx(math.sqrt(0.5 * psi_norm ** 2 + 0.5 * cross),
+                                                  rel=rel)
+
+
 def test_shell_wave_cross_validated_against_fft():
     fam = delta_family(0.3)
     wave = shell_wave(fam)
