@@ -33,7 +33,7 @@ from .field import RadialProfile, ScalarField, TorusGrid, WaveState, remove_latt
 from .norms import sobolev_norm
 from .radial import (RadialWave2D, gauss_panel_nodes, h_half_sq_radial_3d,
                      h_half_sq_shell_3d, l2_radial_measure, l2_sq_shell_3d, smooth_step,
-                     smooth_step_and_d, smooth_step_d)
+                     smooth_step_and_d)
 from .wave import _value_sweep, spectral_propagate
 
 __all__ = [
@@ -146,11 +146,11 @@ class _ShellCutoff:
         return smooth_step(sig - 1.0) * smooth_step(4.0 - sig)
 
     def psi(self, r):
-        return self.psi_and_prime(r, prime=False)[0]
+        return self.psi_and_prime(r)[0]
 
-    def psi_and_prime(self, r, prime=True):
+    def psi_and_prime(self, r):
         """``(psi(r), psi'(r))`` from one pass over ``u``, ``log u`` and the
-        two smooth steps; ``(psi(r), None)`` without ``prime``."""
+        two smooth steps."""
         r = np.asarray(r, dtype=float)
         u = 1.0 - r * r
         out = np.zeros_like(u)
@@ -158,13 +158,10 @@ class _ShellCutoff:
         um = u[m]
         lg = np.log(um)
         sig = lg / self.logd
-        if prime:
-            rise, d_rise = smooth_step_and_d(sig - 1.0)
-            fall, d_fall = smooth_step_and_d(4.0 - sig)
-        c = rise * fall if prime else self.c(sig)
+        rise, d_rise = smooth_step_and_d(sig - 1.0)
+        fall, d_fall = smooth_step_and_d(4.0 - sig)
+        c = rise * fall
         out[m] = -c / (np.sqrt(um) * lg)
-        if not prime:
-            return out, None
         out_p = np.zeros_like(u)
         cp = d_rise * fall - rise * d_fall
         u32 = um ** -1.5
@@ -359,35 +356,36 @@ def strip_normalize(datum: FocusingDatum) -> NormalizedZ:
                              "refine": "local, 3 rounds of 8x", "screen": dict(screen)})
 
 
-def choose_R(normalized: NormalizedZ, level: float = 0.5) -> float:
+def choose_R(normalized: NormalizedZ) -> float:
     """Concentration radius for the rescaled bump: the largest ``r*`` with
-    ``z~(t_j, r) >= level`` on the sampled ball, returned as ``R = 2/r*``
+    ``z~(t_j, r) >= 1/2`` on the sampled ball, returned as ``R = 2/r*``
     (:meth:`NormalizedZ.window`, which refuses unresolved windows)."""
-    return 2.0 / normalized.window(level, np.inf)
+    return 2.0 / normalized.window(0.5, np.inf)
 
 
 def _level_window(z_fn, t, lo, hi, r_top, fine):
-    """Radius where ``z(t, .)`` first leaves ``[lo, hi]``, by geometric
-    descent from the top scale followed by bisection; ``r_top`` if it never
-    does on the probes."""
+    """Radius where ``z(t, .)`` first leaves ``[lo, hi]``; ``r_top`` if it
+    never does on the probes.
+
+    200 geometric probes descend from the top scale; then each round spreads
+    16 even probes over the bracket ``(a, b]`` around the first probe
+    outside, in one call, until the bracket is no wider than
+    ``max(1e-3 fine, 1e-16 r_top)``.  Returns the bracket's inner end ``a``.
+    """
     def inside(v):
         return (v >= lo) & (v <= hi)
 
     probes = np.geomspace(max(fine, r_top * 1e-12), r_top, 200)
-    out = np.nonzero(~inside(z_fn(t, probes)))[0]
-    if out.size == 0:
-        return float(r_top)
-    i = out[0]
-    a = probes[i - 1] if i > 0 else 0.0
-    b = probes[i]
-    for _ in range(80):
+    a = 0.0
+    for _ in range(21):  # 16^20 = 2^80: the halvings a bisection would allow
+        out = np.flatnonzero(~inside(z_fn(t, probes)))
+        if out.size == 0:  # only the first round: later ones end on a probe outside
+            return float(r_top)
+        i = out[0]
+        a, b = (probes[i - 1] if i > 0 else a), probes[i]
         if b - a <= max(1e-3 * fine, 1e-16 * r_top):
             break
-        mid = 0.5 * (a + b)
-        if inside(z_fn(t, mid)):
-            a = mid
-        else:
-            b = mid
+        probes = np.linspace(a, b, 17)[1:]
     return float(a)
 
 
@@ -448,11 +446,12 @@ def chi_field(chi: RadialProfile, grid: TorusGrid, scale: float = 1.0,
     return remove_lattice_mean(ScalarField(grid, scale * chi(concentration * r)))
 
 
-def chi_hat_planar(chi: RadialProfile, k, order=24):
+def chi_hat_planar(chi: RadialProfile, k):
     """Planar Fourier transform of the radial bump:
-    ``2 pi int chi(r) J0(k r) r dr`` (vectorized in k)."""
+    ``2 pi int chi(r) J0(k r) r dr`` (vectorized in k), Gauss order 24 on
+    32 panels."""
     from scipy.special import j0
-    rr, w = gauss_panel_nodes(np.linspace(0.0, chi.support_radius, 33), order)
+    rr, w = gauss_panel_nodes(np.linspace(0.0, chi.support_radius, 33), 24)
     vals = chi(rr)
     k = np.atleast_1d(np.asarray(k, dtype=float))
     return 2.0 * math.pi * (j0(np.outer(k, rr)) @ (w * vals * rr))
@@ -528,7 +527,8 @@ class LogCutoffAtom:
         return smooth_step((self.l_out - np.asarray(l, dtype=float)) / self.lam)
 
     def dT_logd(self, l):
-        return -smooth_step_d((self.l_out - np.asarray(l, dtype=float)) / self.lam) / self.lam
+        x = (self.l_out - np.asarray(l, dtype=float)) / self.lam
+        return -smooth_step_and_d(x)[1] / self.lam
 
     # -- plain radial form (plateau saturates at float resolution around 1) --
 

@@ -52,7 +52,9 @@ class GapRunConfig:
     """Configuration of a data-distance vs solution-gap run.
 
     ``seed`` only labels the run in the manifest: gap and certified runs
-    are deterministic and draw no random numbers.
+    are deterministic and draw no random numbers.  A ``lam`` that is not
+    finite and >= 0, or an ``r0`` that is not finite and > 0, is refused on
+    construction.
     """
 
     target: str = "sphere_great_circle"
@@ -65,6 +67,12 @@ class GapRunConfig:
     grid_l: float = 16.0
     seed: int = 0
     negative_control: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError(f"lam={self.lam} must be finite and >= 0")
+        if not (math.isfinite(self.r0) and self.r0 > 0.0):
+            raise ValueError(f"r0={self.r0} must be finite and > 0")
 
     def curve(self) -> GeodesicCurve:
         return make_preset(self.target, **self.target_params)

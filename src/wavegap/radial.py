@@ -64,8 +64,10 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-def _step_exps(x):
-    """``x`` clipped to [0, 1] and the two exponentials of :func:`smooth_step`."""
+def smooth_step_and_d(x):
+    """C-infinity transition built from exp(-1/x): 0 for x <= 0, 1 for
+    x >= 1, strictly monotone between, and its derivative (which vanishes to
+    all orders at 0 and 1) from one pair of exponentials."""
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     a = np.zeros_like(x)
     b = np.zeros_like(x)
@@ -73,20 +75,6 @@ def _step_exps(x):
     a[m] = np.exp(-1.0 / x[m])
     m = x < 1
     b[m] = np.exp(-1.0 / (1.0 - x[m]))
-    return x, a, b
-
-
-def smooth_step(x):
-    """C-infinity transition: 0 for x <= 0, 1 for x >= 1, strictly monotone
-    between, built from exp(-1/x)."""
-    _, a, b = _step_exps(x)
-    return a / (a + b)
-
-
-def smooth_step_and_d(x):
-    """:func:`smooth_step` and its derivative (which vanishes to all orders
-    at 0 and 1) from one pair of exponentials."""
-    x, a, b = _step_exps(x)
     out = np.zeros_like(x)
     m = (x > 0) & (x < 1)
     xm, am, bm = x[m], a[m], b[m]
@@ -96,9 +84,9 @@ def smooth_step_and_d(x):
     return a / (a + b), out
 
 
-def smooth_step_d(x):
-    """Derivative of :func:`smooth_step`."""
-    return smooth_step_and_d(x)[1]
+def smooth_step(x):
+    """The value of :func:`smooth_step_and_d`."""
+    return smooth_step_and_d(x)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,18 +95,10 @@ def _leggauss(order):
 
 
 def gauss_panel_nodes(edges, order=24):
-    """Gauss-Legendre nodes/weights on consecutive panels ``edges``."""
-    xg, wg = _leggauss(order)
-    edges = np.asarray(edges, dtype=float)
-    widths = np.diff(edges)
-    keep = widths > 0
-    if not np.any(keep):
-        return np.array([]), np.array([])
-    a = edges[:-1][keep]
-    w = widths[keep]
-    xs = 0.5 * w[:, None] * xg[None, :] + (a + 0.5 * w)[:, None]
-    ws = 0.5 * w[:, None] * wg[None, :]
-    return xs.ravel(), ws.ravel()
+    """Gauss-Legendre nodes/weights on consecutive panels ``edges``: the
+    one-row, uncapped :func:`_ragged_gauss`."""
+    edges = np.asarray(edges, dtype=float)[None]
+    return next(_ragged_gauss(edges, np.array([np.inf]), order))[2:4]
 
 
 # Gauss nodes evaluated at once by the batched quadratures below.  Chunk

@@ -20,7 +20,7 @@ import numpy.fft  # noqa: F401  (NumPy 2 loads it lazily; wavebench/tracer.py wr
 
 from .field import RadialProfile, ScalarField, WaveState
 from .norms import sobolev_norm
-from .radial import gauss_panel_nodes
+from .radial import _ragged_gauss, gauss_panel_nodes
 
 __all__ = [
     "WaveState",
@@ -118,25 +118,43 @@ def spectral_gradient(f: ScalarField):
 # planar singular-kernel point value
 # ---------------------------------------------------------------------------
 
-# largest node-by-angle array of one off-axis kernel refinement (32 MiB)
-_KERNEL_MAX_DOUBLES = 2 ** 22
+# most Gauss nodes of one off-axis kernel refinement
+_KERNEL_MAX_NODES = 2 ** 24
+
+
+def _theta_edges(radii, t, n):
+    """Panel edges in ``theta`` on [0, pi/2] for ``rho = t sin(theta)``: ``n``
+    even ones and ``asin(b / t)`` at every radius ``0 < b < t``."""
+    edges = {0.0, math.pi / 2.0}
+    for b in radii:
+        if 0 < b < t:
+            edges.add(math.asin(b / t))
+    for v in np.linspace(0.0, math.pi / 2.0, n):
+        edges.add(float(v))
+    return np.asarray(sorted(edges))
 
 
 def kernel_solution_2d(psi: RadialProfile, t: float, x=0.0, tol: float = 1e-8,
                        max_refine: int = 9):
     """Point value of the planar solution with data ``(0, psi(|.|))``:
 
-        z(t, x) = (1/(2 pi)) int_{|x-y|<=t} psi(|y|) / sqrt(t^2-|x-y|^2) dy.
+        z(t, x) = (1/(2 pi)) int_{|y|<=t} psi(|x+y|) / sqrt(t^2-|y|^2) dy.
 
-    The substitution ``rho = t sin(theta)`` removes the square-root
-    singularity at the rim; the result is a smooth double quadrature with
-    panel edges at the profile's ``panel_edges`` (the annulus u-ladder among
-    them) on the axis, refined until two successive refinements agree to ``tol``.
+    In polar coordinates ``y = rho e^{i alpha}`` the substitution ``rho =
+    t sin(theta)`` removes the square-root singularity at the rim.  The
+    result is a smooth double quadrature, refined until two successive
+    refinements agree to ``tol``.  Panel edges in ``alpha`` (over [0, pi],
+    the integrand being even) sit where ``|x + y|`` crosses one of the
+    profile's ``panel_edges`` (the annulus u-ladder among them), and in
+    ``theta`` where ``rho`` is ``|b -+ |x||`` for such an edge ``b``, where
+    the circle of radius ``rho`` touches its circle (on the axis, ``rho = b``).
+    Each refinement doubles the even ``theta`` edges and, off the axis, the
+    Gauss order in both variables.
 
     Raises on a ``t`` or ``tol`` not finite and positive, on an ``x`` not a
     finite planar point, if the refinement loop fails to converge (with the
     achieved error estimate in the message), and off the axis before a
-    refinement's node-by-angle temporary would exceed :data:`_KERNEL_MAX_DOUBLES`.
+    refinement of more than :data:`_KERNEL_MAX_NODES` Gauss nodes.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not (math.isfinite(t) and t > 0 and math.isfinite(tol) and tol > 0):
@@ -144,46 +162,44 @@ def kernel_solution_2d(psi: RadialProfile, t: float, x=0.0, tol: float = 1e-8,
     if x.ndim != 1 or x.size > 2 or not np.all(np.isfinite(x)):
         raise ValueError(f"x must be a finite planar point, got {x.tolist()}")
     r0 = float(np.sqrt(np.sum(x * x)))
+    edges = np.asarray(psi.panel_edges, dtype=float)
+    radii = np.concatenate([np.abs(edges - r0), edges + r0])
+    err = math.inf  # no refinement compared yet
 
-    def theta_edges(n_extra):
-        edges = {0.0, math.pi / 2.0}
-        if r0 == 0.0:
-            for b in psi.panel_edges:
-                if 0 < b < t:
-                    edges.add(math.asin(b / t))
-        for v in np.linspace(0.0, math.pi / 2.0, n_extra):
-            edges.add(float(v))
-        return np.asarray(sorted(edges))
-
-    def evaluate(n_theta, n_alpha):
-        th, wth = gauss_panel_nodes(theta_edges(n_theta), 12)
+    def evaluate(level):
+        # off the axis the angular mean has square-root kinks at the touching
+        # radii, where Gauss rules converge only algebraically in their order
+        order = 12 if r0 == 0.0 else 12 * 2 ** level
+        th, wth = gauss_panel_nodes(_theta_edges(radii, t, 8 * 2 ** level + 1), order)
         rho = t * np.sin(th)
         if r0 == 0.0:
             vals = psi(rho)
             return float(t * np.sum(wth * np.sin(th) * vals))
-        alpha = 2.0 * math.pi * np.arange(n_alpha) / n_alpha
-        ca = np.cos(alpha)
-        dist = np.sqrt(np.maximum(r0 * r0 + rho[:, None] ** 2
-                                  + 2.0 * r0 * rho[:, None] * ca[None, :], 0.0))
-        vals = psi(dist.ravel()).reshape(dist.shape)
-        angular = vals.mean(axis=1)
-        return float(t * np.sum(wth * np.sin(th) * angular))
-
-    prev = evaluate(9, 32)
-    n_theta, n_alpha = 17, 64
-    err = math.inf  # no refinement compared yet
-    for _ in range(max_refine):
-        if r0 > 0.0 and 12 * (len(theta_edges(n_theta)) - 1) * n_alpha > _KERNEL_MAX_DOUBLES:
-            raise RuntimeError(f"kernel quadrature off the axis reached its memory cap "
-                               f"({_KERNEL_MAX_DOUBLES} doubles) unconverged: last "
+        # a circle that misses an edge's circle puts its crossing at 0 or pi:
+        # an empty panel, which the ragged rule drops
+        cos_cross = (edges ** 2 - r0 * r0 - rho[:, None] ** 2) / (2.0 * r0 * rho[:, None])
+        cos_cross = np.hstack([np.clip(cos_cross, -1.0, 1.0), np.tile([1.0, -1.0], (rho.size, 1))])
+        a_edges = np.sort(np.arccos(cos_cross), axis=1)
+        max_len = np.full(rho.size, math.pi / 4.0)
+        nodes = order * np.sum(np.ceil(np.diff(a_edges, axis=1) / max_len[:, None]))
+        if nodes > _KERNEL_MAX_NODES:
+            raise RuntimeError(f"kernel quadrature off the axis reached its node cap "
+                               f"({_KERNEL_MAX_NODES} nodes) unconverged: last "
                                f"refinement changed by {err:.3e}")
-        cur = evaluate(n_theta, n_alpha)
+        angular = np.empty(rho.size)
+        for lo, hi, alpha, w, owner in _ragged_gauss(a_edges, max_len, order):
+            r = rho[lo + owner]
+            dist = np.sqrt(np.maximum(r0 * r0 + r * r + 2.0 * r0 * r * np.cos(alpha), 0.0))
+            angular[lo:hi] = np.bincount(owner, w * psi(dist), minlength=hi - lo)
+        return float(t * np.sum(wth * np.sin(th) * angular) / math.pi)
+
+    prev = evaluate(0)
+    for level in range(1, max_refine + 1):
+        cur = evaluate(level)
         err = abs(cur - prev)
         if err <= tol * max(1.0, abs(cur)):
             return cur
         prev = cur
-        n_theta = 2 * n_theta - 1
-        n_alpha *= 2
     raise RuntimeError(
         f"kernel quadrature did not converge: last refinement changed by {err:.3e}")
 
@@ -209,13 +225,7 @@ def _even_moment(profile: RadialProfile, nu, n):
     with panel edges at the profile's ``panel_edges`` (the annulus data's
     u-ladder among them)."""
     d = profile.prime if nu else profile
-    edges = {0.0, math.pi / 2.0}
-    for b in profile.panel_edges:
-        if 0 < b < 1:
-            edges.add(math.asin(b))
-    for v in np.linspace(0, math.pi / 2, 33):
-        edges.add(float(v))
-    th, w = gauss_panel_nodes(np.asarray(sorted(edges)), 16)
+    th, w = gauss_panel_nodes(_theta_edges(profile.panel_edges, 1.0, 33), 16)
     s = np.sin(th)
     return float(np.sum(w * np.asarray(d(s)) * s ** (nu + n - 1)))
 

@@ -358,9 +358,18 @@ def test_report_requires_equal_delta_lists(tmp_path, capsys):
     "[run]\nkind = gap\ndeltas = 0.3\nmu = 0.6\n",
     "[run]\nkind = gap\ndeltas = 0.3\ntarget = flat_line\nnegative_control = true\nmu = nan\n",
     "[run]\nkind = gap\ndeltas = 0.3\ntarget = flat_line\nnegative_control = true\nmu = -1\n",
+    "[run]\nkind = certified\ndeltas = 0.3\nr0 = 0\n",
+    "[run]\nkind = certified\ndeltas = 0.3\nr0 = nan\n",
+    "[run]\nkind = certified\ndeltas = 0.3\nr0 = inf\n",
+    "[run]\nkind = certified\ndeltas = 0.3\nr0 = -0.5\n",
+    "[run]\nkind = gap\ndeltas = 0.3\nr0 = inf\n",
+    "[run]\nkind = gap\ndeltas = 0.3\nlam = -0.1\n",
+    "[run]\nkind = gap\ndeltas = 0.3\nlam = nan\n",
 ], ids=["other_section", "no_section", "duplicate_key", "params_list", "params_number",
         "bool_maybe", "t_step", "n", "jobs", "deltas_increasing", "params_sphere_rho",
-        "params_typo", "mu_above_curvature_window", "flat_mu_nan", "flat_mu_negative"])
+        "params_typo", "mu_above_curvature_window", "flat_mu_nan", "flat_mu_negative",
+        "certified_r0_zero", "certified_r0_nan", "certified_r0_inf", "certified_r0_negative",
+        "gap_r0_inf", "lam_negative", "lam_nan"])
 def test_sweep_rejects_malformed_config(tmp_path, capsys, body):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(body)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavegap.construct import (LogCutoffAtom, _ShellCutoff,
+from wavegap.construct import (LogCutoffAtom, NormalizedZ, _ShellCutoff,
                                annulus_l2sq_radial, annulus_point_value_radial,
                                chi_field, chi_hat_planar, chi_mean_zero, strip_normalize,
                                choose_R, delta_family, focusing_sequence,
@@ -230,18 +230,26 @@ def test_strip_normalize_properties():
         strip_normalize(focusing_sequence(3, [0])[0])
 
 
-def test_choose_r_defining_relation_and_consistency():
-    datum = focusing_sequence(2, [0.3])[0]
-    nz = strip_normalize(datum)
-    R = choose_R(nz)
-    r_star = 2.0 / R
+@pytest.mark.parametrize("delta", [0.3, 0.1, 0.01])
+@pytest.mark.parametrize("band", ["strip", "certified"])
+def test_choose_r_defining_relation_and_consistency(delta, band):
+    # the gap run's band (1/2, inf) at the strip time t_j, and the certified
+    # run's (1/2, 2) at t = 1 around the unit focus value
+    datum = focusing_sequence(2, [delta])[0]
+    if band == "strip":
+        nz, lo, hi = strip_normalize(datum), 0.5, np.inf
+        r_star = nz.window(lo, hi)
+        assert choose_R(nz) == 2.0 / r_star
+    else:
+        nz, lo, hi = NormalizedZ(datum.wave, 1.0, datum.z_value_at_10, 1.0, 1.0), 0.5, 2.0
+        r_star = nz.window(lo, hi)
     # defining inequality re-checked on a finer sample inside the window
-    rr = np.linspace(0.0, r_star * 0.999, 400)
-    assert np.all(nz.z_at(nz.t_j, rr) >= 0.5 - 1e-9)
-    # the bisection brackets the level crossing to its stopping width
+    z = nz.z_at(nz.t_j, np.linspace(0.0, r_star * 0.999, 400))
+    assert np.all((z >= lo - 1e-9) & (z <= hi + 1e-9))
+    # the search brackets the crossing to its stopping width
     tol = max(1e-3 * nz.wave.fine_scale, 1e-16 * (nz.wave.support + nz.t_j))
-    assert nz.z_at(nz.t_j, r_star) >= 0.5
-    assert nz.z_at(nz.t_j, r_star + tol) < 0.5
+    assert lo <= nz.z_at(nz.t_j, r_star) <= hi
+    assert not lo <= nz.z_at(nz.t_j, r_star + tol) <= hi
 
 
 def test_window_refused_below_twice_the_fine_scale():

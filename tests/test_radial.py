@@ -19,7 +19,7 @@ from wavegap.radial import (_ABEL_ORDER, RadialWave2D, fourier_hs_sq_radial_3d,
                             h_half_sq_radial_3d, h_half_sq_shell_3d,
                             l2_radial_measure, l2_sq_radial_3d,
                             l2_sq_shell_3d, odd3_origin_value, odd3_value,
-                            smooth_step, smooth_step_d, sphere_area)
+                            smooth_step, smooth_step_and_d, sphere_area)
 from wavegap.wave import kernel_solution_2d
 
 
@@ -37,7 +37,7 @@ def test_smooth_step_properties():
     h = 1e-6
     mid = np.linspace(0.1, 0.9, 17)
     fd = (smooth_step(mid + h) - smooth_step(mid - h)) / (2 * h)
-    assert np.max(np.abs(fd - smooth_step_d(mid))) < 1e-6
+    assert np.max(np.abs(fd - smooth_step_and_d(mid)[1])) < 1e-6
 
 
 def test_sphere_area_values():
@@ -488,6 +488,16 @@ def test_half_level_radius_cosine():
     r = _level_window(lambda t, rr: 1.0 + np.asarray(rr), 0.5, 0.5, 2.0,
                       r_top=3.0, fine=1e-6)
     assert abs(r - 1.0) < 1e-6
+    # exp(-r / c) crosses 1/2 at c log 2, below the first probe (fine): the
+    # bracket starts at 0 and closes to the stopping width 1e-3 fine
+    c = 1e-8
+    r = _level_window(lambda t, rr: np.exp(-np.asarray(rr) / c), 0.5, 0.5, np.inf,
+                      r_top=3.0, fine=1e-6)
+    assert 0.0 < c * math.log(2.0) - r <= 1e-9
+    # a band never left: the top radius itself
+    r = _level_window(lambda t, rr: np.ones_like(np.asarray(rr)), 0.5, 0.5, 2.0,
+                      r_top=3.0, fine=1e-6)
+    assert r == 3.0
 
 
 def test_shell_wave_delta_0p3_matches_recorded_values():

@@ -5,7 +5,7 @@ import pytest
 
 from wavegap import wave
 from wavegap.construct import (PLANAR_POINT_FACTOR, _ShellCutoff, annulus_point_value_radial,
-                               delta_family, psi_exact, psi_smooth)
+                               delta_family, psi_exact, psi_smooth, shell_wave)
 from wavegap.field import RadialProfile, ScalarField, TorusGrid, radial_embed, sample
 from wavegap.norms import bump_family, lp_norm
 from wavegap.radial import gaussian_origin_value
@@ -62,18 +62,30 @@ def test_kernel_nonconvergence_error():
 
 
 def test_kernel_offaxis_stops_at_its_memory_cap(monkeypatch):
-    # off the axis every refinement quadruples the node-by-angle array; the
-    # sixth would pass the cap, so the call refuses before allocating it
-    prof = psi_smooth(delta_family(0.3))
-    with pytest.raises(RuntimeError, match=r"memory cap \(4194304 doubles\)"):
+    # off the axis every refinement doubles the Gauss order in theta and
+    # alpha, about 4x the nodes; at delta = 0.03 the fourth would pass the
+    # cap (the third still changed the value by 6e-8), so the call refuses
+    # before evaluating it
+    prof = psi_smooth(delta_family(0.03))
+    with pytest.raises(RuntimeError, match=r"node cap \(16777216 nodes\)"):
         kernel_solution_2d(prof, 1.0, np.array([0.3, 0.0]))
-    # a smaller cap stops earlier; the Gaussian converges at the first
-    # refinement, under the cap
-    monkeypatch.setattr(wave, "_KERNEL_MAX_DOUBLES", 12288)
-    with pytest.raises(RuntimeError, match=r"memory cap \(12288 doubles\)"):
-        kernel_solution_2d(prof, 1.0, np.array([0.3, 0.0]))
+    # a smaller cap stops earlier, even where the full one converges; the
+    # Gaussian converges under it
+    monkeypatch.setattr(wave, "_KERNEL_MAX_NODES", 100_000)
+    with pytest.raises(RuntimeError, match=r"node cap \(100000 nodes\)"):
+        kernel_solution_2d(psi_smooth(delta_family(0.3)), 1.0, np.array([0.3, 0.0]))
     gauss = RadialProfile(lambda r: np.exp(-r ** 2))
     assert np.isfinite(kernel_solution_2d(gauss, 0.8, np.array([0.5, 0.0])))
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.1])
+@pytest.mark.parametrize("x", [0.3, 0.05])
+def test_kernel_offaxis_matches_the_engine_on_the_annulus(delta, x):
+    # alpha edges where |x + y| crosses the u-ladder, theta edges where the
+    # circles touch: two routes with no quadrature in common
+    fam = delta_family(delta)
+    val = kernel_solution_2d(psi_smooth(fam), 1.0, np.array([x, 0.0]))
+    assert val == pytest.approx(shell_wave(fam).value(1.0, x), rel=1e-6)
 
 
 def test_time_reversibility(bump_state):
