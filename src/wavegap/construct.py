@@ -187,29 +187,16 @@ def psi_smooth(fam: DeltaFamily) -> RadialProfile:
                          (fam.p1, fam.p, fam.q, fam.q1))
 
 
-def _shell_s_table(fam: DeltaFamily):
-    # the ray transform keeps delta-scale structure well below the inner
-    # shell radius (chords clipping the annulus): log-dense inside the shell
-    # scales (16384 nodes), moderately dense in the mid zone up to u = 1/2
-    # (4096), coarse below (2048)
-    d = fam.delta
-    u_shell = np.exp(np.linspace(math.log(d ** 4), math.log(d), 16384))
-    u_mid = np.exp(np.linspace(math.log(d), math.log(0.5), 4096))
-    s_nodes = np.sqrt(1.0 - np.concatenate([u_shell, u_mid]))
-    s_coarse = np.linspace(0.0, float(s_nodes.min()), 2048, endpoint=False)
-    return np.unique(np.concatenate([s_coarse, s_nodes, [fam.q1]]))
-
-
 _SHELL_WAVE_CACHE: dict = {}
 
 
 def shell_wave(fam: DeltaFamily) -> RadialWave2D:
-    """Planar radial wave evaluator for the smooth annulus datum, with the
-    ray table clustered logarithmically inside the shell.  Evaluators are
-    stateless after construction and shared through a cache keyed by delta
-    (the table build is the expensive step)."""
+    """Planar radial wave evaluator for the smooth annulus datum, its ray
+    table laid on the datum's panel edges (the u-ladder and the smoothness
+    radii).  Evaluators are stateless after construction and shared through
+    a cache keyed by delta (the table build is the expensive step)."""
     if fam.delta not in _SHELL_WAVE_CACHE:
-        _SHELL_WAVE_CACHE[fam.delta] = RadialWave2D(psi_smooth(fam), _shell_s_table(fam))
+        _SHELL_WAVE_CACHE[fam.delta] = RadialWave2D(psi_smooth(fam))
     return _SHELL_WAVE_CACHE[fam.delta]
 
 

@@ -289,7 +289,7 @@ def load_field(path) -> ScalarField:
     if path.suffix == ".json":
         doc = json.loads(path.read_text())
         try:
-            grid = TorusGrid(int(doc["dim"]), float(doc["half_width"]), int(doc["n"]))
+            grid = _grid(path, "field", doc["dim"], doc["half_width"], doc["n"])
             vals = np.asarray(doc["values"], dtype=float).reshape(grid.shape)
         except (KeyError, TypeError) as e:  # not an object, or a key missing or mistyped
             raise ValueError(f"{path}: not a field document: {e!r}") from e
@@ -311,6 +311,13 @@ def load_state(path) -> WaveState:
     return WaveState(ScalarField(grid, u), ScalarField(grid, ut), t)
 
 
+def _grid(path, kind, dim, half_width, n):
+    """The grid a file declares, refusing a ``dim`` or ``n`` that is not whole."""
+    if not (float(dim).is_integer() and float(n).is_integer()):
+        raise ValueError(f"{path}: {kind} dim and n must be integers, got {dim!r} and {n!r}")
+    return TorusGrid(int(dim), float(half_width), int(n))
+
+
 def _read_container(path, kind, n_arrays):
     """Grid, header time and the value arrays of a binary container."""
     raw = Path(path).read_bytes()
@@ -321,7 +328,7 @@ def _read_container(path, kind, n_arrays):
     dim, n, half_width, t = struct.unpack("<4d", raw[4:36])
     if not np.all(np.isfinite([dim, n, half_width])):
         raise ValueError(f"{path}: non-finite grid in the {kind} header")
-    grid = TorusGrid(int(dim), half_width, int(n))
+    grid = _grid(path, kind, dim, half_width, n)
     size = 8 * grid.n ** grid.dim
     if len(raw) < 36 + n_arrays * size:
         raise ValueError(f"{path}: payload of {len(raw) - 36} bytes, a {kind} on this grid "

@@ -125,6 +125,12 @@ _SCREEN_ORDER = 16
 _SCREEN_CAP = None
 _SCREEN_MARGIN = 0.5
 
+# Ray table (RadialWave2D): least pieces per panel, pieces no wider than
+# support / _TABLE_WIDTH, table points per piece
+_TABLE_PIECES = 64
+_TABLE_WIDTH = 512
+_TABLE_FILL = 8
+
 
 def _cpus():
     """Number of CPUs this process may run on."""
@@ -207,42 +213,41 @@ class RadialWave2D:
     profile : RadialProfile
         The velocity datum ``psi``, read once: its finite ``support_radius``,
         its declared ``f_and_prime`` (``psi`` and ``psi'`` from one pass, which
-        fill the ray table), its ``panel_edges`` (where the ray-transform
-        quadrature splits) and its ``smoothness_radii`` (inverse-Abel panel
-        edges sit at every crossing of these circles, and the wave fronts of
-        the strip scan and the L2 norm start from them).
-    s_table : array
-        Nodes for the ray-transform table, clustered where the structure of
-        the profile lives.  The smoothness radii join it, each replacing a
-        node far closer to it than the table's spacing there; the smallest
-        spacing is the ``fine_scale``.
+        fill the ray table), its ``panel_edges`` (where the ray table and the
+        ray-transform quadrature split) and its ``smoothness_radii``
+        (inverse-Abel panel edges sit at every crossing of these circles, and
+        the wave fronts of the strip scan and the L2 norm start from them).
+
+    The ray table splits each panel between 0 and the panel edges up to the
+    support evenly into at least ``_TABLE_PIECES`` pieces no wider than
+    ``support / _TABLE_WIDTH``, with exact ``(g, g')`` at their ends, and fills
+    each piece at ``_TABLE_FILL`` points by the cubic Hermite interpolant of g
+    and its derivative (de Boor ch. IV), which :meth:`g` and :meth:`g_prime`
+    read linearly; its smallest spacing is the ``fine_scale``.
     """
 
-    def __init__(self, profile, s_table):
+    def __init__(self, profile):
         if profile.f_and_prime is None or not math.isfinite(profile.support_radius):
             raise ValueError("the planar engine needs a finite support and f_and_prime")
         self.profile = profile
         self.support = float(profile.support_radius)
         self.breaks = np.array([b for b in profile.smoothness_radii if 0.0 < b <= self.support])
-        s_table = np.unique(np.clip(np.concatenate(
-            [np.asarray(s_table, dtype=float), self.breaks, [0.0, self.support]]),
-            0.0, self.support))
-        # a node nearer a smoothness radius than 1/16 of the table's spacing
-        # beyond it is that radius rounded apart (p1 and its shell node are one
-        # ulp apart at some delta): it goes and the radius stays, so the fine
-        # scale is the table's
-        at = np.searchsorted(s_table, self.breaks)
-        near, beyond = np.concatenate([at - 1, at + 1]), np.concatenate([at - 2, at + 2])
-        ok = (beyond >= 0) & (beyond < s_table.size)
-        near, beyond, at = near[ok], beyond[ok], np.tile(at, 2)[ok]
-        gap, spacing = (np.abs(s_table[near] - s_table[at]),
-                        np.abs(s_table[beyond] - s_table[near]))
-        drop = near[(gap < spacing / 16.0) & ~np.isin(s_table[near], self.breaks)]
-        s_table = np.delete(s_table, drop)
-        self._s = s_table
-        self._g, self._gp = self._ray_transforms(s_table)
+        edges = [0.0] + [e for e in profile.panel_edges if 0.0 < e <= self.support]
+        width = self.support / _TABLE_WIDTH
+        nodes = np.concatenate([np.linspace(a, b, max(_TABLE_PIECES, math.ceil((b - a) / width)),
+                                            endpoint=False)
+                                for a, b in zip(edges[:-1], edges[1:])] + [[self.support]])
+        g, gp = self._ray_transforms(nodes)
+        # Hermite fill at tau = k / _TABLE_FILL, v = 1 - tau (tau = 0: the exact row)
+        h, tau = np.diff(nodes)[:, None], np.arange(_TABLE_FILL) / _TABLE_FILL
+        ga, gb, da, db, v = g[:-1, None], g[1:, None], gp[:-1, None], gp[1:, None], 1.0 - tau
+        self._s = np.append((nodes[:-1, None] + tau * h).ravel(), nodes[-1])
+        self._g = np.append((ga + tau * tau * (3.0 - 2.0 * tau) * (gb - ga)
+                             + h * tau * (v * v * da - tau * v * db)).ravel(), g[-1])
+        self._gp = np.append((6.0 * tau * v * (gb - ga) / h + v * (1.0 - 3.0 * tau) * da
+                              + tau * (3.0 * tau - 2.0) * db).ravel(), gp[-1])
         # smallest table spacing: proxy for the finest resolved feature
-        self.fine_scale = float(np.min(np.diff(s_table)))
+        self.fine_scale = float(np.min(np.diff(self._s)))
 
     # -- ray (line-integral) transform of the datum --------------------------
 

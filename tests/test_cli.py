@@ -296,6 +296,20 @@ def test_error_paths(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("dim, n", [(2.5, 8), (2, 8.7)])
+def test_field_grid_values_must_be_integers(tmp_path, capsys, dim, n):
+    # int() would read either header as a 2-d grid of n = 8
+    binary = tmp_path / "bad.field"
+    binary.write_bytes(b"WGF1" + struct.pack("<4d", dim, n, 1.0, math.nan) + bytes(8 * 64))
+    mirror = tmp_path / "bad.json"
+    mirror.write_text(json.dumps({"dim": dim, "n": n, "half_width": 1.0, "values": [0.0] * 64}))
+    for path in (binary, mirror):
+        code, lines, err = run(capsys, "norms", "--in", str(path), "--s", "0.5")
+        assert code == 1 and lines == []
+        assert err.startswith("error:") and str(path) in err and "must be integers" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_report_schema_mismatch(tmp_path, capsys):
     p = tmp_path / "notareport.json"
     p.write_text(json.dumps({"foo": 1}))
