@@ -2,9 +2,11 @@
 factories, experiment sweeps and report merging.
 
 Every run writes a manifest next to its outputs (config echo, input/output
-paths with content checksums, wall time, grid parameters, seed).  Exit
-codes: 0 for success / pass verdict, 2 for a fail verdict, 1 for errors.
-Stdout carries machine-parseable JSON lines only.
+paths with content checksums, wall time; for ``propagate`` the state's
+grid).  Exit codes: 0 for success / pass verdict, 2 for a fail verdict, 1
+for errors.  Stdout carries machine-parseable JSON lines only.  Every JSON
+file and stdout line is strict JSON: a NaN or infinite value is an error,
+raised before anything is written.
 """
 
 from __future__ import annotations
@@ -27,30 +29,49 @@ ARTIFACT_VERSION = "0.1.0"
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj) + "\n")
+    sys.stdout.write(json.dumps(obj, allow_nan=False) + "\n")
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
+def _write_json(path, doc):
+    """Write ``doc`` to ``path`` as strict JSON, making its directory."""
+    text = json.dumps(doc, indent=1, allow_nan=False)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
 
 
-def _write_manifest(out_dir, name, sub, config, inputs, outputs, t0, seed=None,
-                    grid=None):
+def _write_manifest(out_dir, name, sub, config, inputs, outputs, t0, grid=None):
     man = {
         "subcommand": sub,
         "config": config,
         "inputs": [str(p) for p in inputs],
-        "outputs": [{"path": str(p), "sha256": _sha256(p)} for p in outputs],
+        "outputs": [{"path": str(p), "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
+                    for p in outputs],
         "artifact_version": ARTIFACT_VERSION,
         "wall_time_s": round(time.time() - t0, 3),
-        "seed": seed,
         "grid": grid,
     }
-    path = Path(out_dir) / f"{name}.manifest.json"
-    path.write_text(json.dumps(man, indent=1))
-    return path
+    return _write_json(Path(out_dir) / f"{name}.manifest.json", man)
+
+
+# keys a certified run does not read: it pins lam and mu and builds no grid
+_CERTIFIED_UNREAD = frozenset({"lam", "grid_n", "grid_l", "negative_control"})
+
+
+def _config_value(sec, key, annotation):
+    """The ``[run]`` value of ``key`` read as the ``GapRunConfig`` field
+    annotated ``annotation``."""
+    if annotation == "bool":
+        return sec.getboolean(key)
+    if annotation == "tuple":
+        return tuple(float(v) for v in sec[key].split(","))
+    if annotation == "dict":
+        val = json.loads(sec[key])
+        if not isinstance(val, dict):
+            raise ValueError(f"not a JSON object: {sec[key]}")
+        return val
+    return {"str": str, "int": int, "float": float, "float | None": float}[annotation](sec[key])
 
 
 def _load_config(path):
@@ -66,28 +87,20 @@ def _load_config(path):
     kind = sec.get("kind", "gap")
     if kind not in ("gap", "certified"):
         raise ValueError(f"{path}: kind must be gap or certified, got {kind!r}")
-    unknown = set(sec) - {"kind"} - {f.name for f in dataclasses.fields(experiment.GapRunConfig)}
+    cp.remove_option("run", "kind")
+    types = {f.name: f.type for f in dataclasses.fields(experiment.GapRunConfig)}
+    if kind == "certified":
+        types = {k: v for k, v in types.items() if k not in _CERTIFIED_UNREAD}
+    unknown = set(sec) - set(types)
     if unknown:
-        raise ValueError(f"{path}: unknown config key(s): {', '.join(sorted(unknown))}")
+        raise ValueError(f"{path}: config key(s) a {kind} run does not read: "
+                         f"{', '.join(sorted(unknown))}")
     out = {}
-    for key, val in sec.items():
+    for key in sec:  # in file order: the first bad key is the one reported
         try:
-            if key == "deltas":
-                val = tuple(float(v) for v in val.split(","))
-            elif key in ("grid_n", "seed"):
-                val = int(val)
-            elif key in ("lam", "mu", "r0", "grid_l"):
-                val = float(val)
-            elif key == "negative_control":
-                val = sec.getboolean(key)
-            elif key == "target_params":
-                val = json.loads(val)
-                if not isinstance(val, dict):
-                    raise ValueError(f"not a JSON object: {sec[key]}")
+            out[key] = _config_value(sec, key, types[key])
         except ValueError as e:
             raise ValueError(f"{path}: {key}: {e}") from None
-        out[key] = val
-    out.pop("kind", None)
     return kind, experiment.GapRunConfig(**out)
 
 
@@ -128,6 +141,8 @@ def _profile_from_spec(spec):
     kind, _, param = spec.partition(":")
     if kind == "gaussian":
         a = float(param or 1.0)
+        if not (np.isfinite(a) and a > 0.0):
+            raise ValueError(f"profile spec {spec!r}: a must be finite and > 0")
 
         def f_and_prime(r):
             e = np.exp(-a * r ** 2)
@@ -187,9 +202,7 @@ def cmd_lemma1(args):
                 nz = construct.strip_normalize(datum)
                 row.update({"t_j": nz.t_j, "m_j": nz.m_j})
         rows.append(row)
-    man_path = out_dir / "lemma1.json"
-    man_path.write_text(json.dumps(rows, indent=1))
-    outputs.append(man_path)
+    outputs.append(_write_json(out_dir / "lemma1.json", rows))
     _write_manifest(out_dir, "lemma1", "lemma1",
                     {"n": args.n, "deltas": deltas}, [], outputs, t0)
     _emit({"rows": rows})
@@ -205,11 +218,9 @@ def cmd_chi(args):
     emb = construct.chi_field(chi, grid)
     path = out_dir / f"chi_n{args.n}.field"
     field.save_field(emb, path)
-    info = out_dir / f"chi_n{args.n}.json"
-    info.write_text(json.dumps({"kappa": chi.kappa, "support_radius": chi.support_radius,
-                                "n": args.n}))
-    _write_manifest(out_dir, f"chi_n{args.n}", "chi", {"n": args.n}, [],
-                    [path, info], t0)
+    info = _write_json(out_dir / f"chi_n{args.n}.json",
+                       {"kappa": chi.kappa, "support_radius": chi.support_radius, "n": args.n})
+    _write_manifest(out_dir, f"chi_n{args.n}", "chi", {"n": args.n}, [], [path, info], t0)
     _emit({"kappa": chi.kappa, "outfile": str(path)})
     return 0
 
@@ -222,12 +233,8 @@ def cmd_sweep(args):
     doc = {"kind": kind, "config_echo": report.config, "rows": report.rows,
            "constants": report.constants, "verdict": report.verdict,
            "verdict_detail": report.verdict_detail}
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=1))
-    _write_manifest(out.parent, out.stem, "sweep", report.config, [args.config], [out],
-                    t0, seed=cfg.seed,
-                    grid={"n": cfg.grid_n, "L": cfg.grid_l})
+    out = _write_json(args.out, doc)
+    _write_manifest(out.parent, out.stem, "sweep", report.config, [args.config], [out], t0)
     _emit({"verdict": report.verdict, "out": str(out),
            "detail": report.verdict_detail})
     return 0 if report.verdict == "pass" else 2
@@ -236,11 +243,8 @@ def cmd_sweep(args):
 def cmd_appendix(args):
     t0 = time.time()
     rep = experiment.appendix_ratio_suite(seed=args.seed, n_pairs=args.pairs)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(rep, indent=1))
-    _write_manifest(out.parent, out.stem, "appendix", {"seed": args.seed},
-                    [], [out], t0, seed=args.seed)
+    out = _write_json(args.out, rep)
+    _write_manifest(out.parent, out.stem, "appendix", {"seed": args.seed}, [], [out], t0)
     _emit({"out": str(out), "multest_max": rep["multest_max"]})
     return 0
 
@@ -248,53 +252,48 @@ def cmd_appendix(args):
 def cmd_scaling(args):
     t0 = time.time()
     rep = experiment.scaling_suite()
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(rep, indent=1))
+    out = _write_json(args.out, rep)
     _write_manifest(out.parent, out.stem, "scaling", {}, [], [out], t0)
     _emit({"out": str(out), "slopes": {k: v["slope"] for k, v in rep["slopes"].items()}})
     return 0
 
 
+def _report_rows(path):
+    """The ``(delta, data_distance, gap)`` rows of one sweep report."""
+    doc = json.loads(Path(path).read_text())
+    rows = doc.get("rows") if isinstance(doc, dict) else None
+    keys = ("delta", "data_distance", "gap")
+    if not (isinstance(rows, list) and all(
+            isinstance(r, dict) and all(isinstance(r.get(k), (int, float)) for k in keys)
+            for r in rows)):
+        raise ValueError(f"schema mismatch: {path} is not a report whose rows are objects "
+                         f"with numeric {', '.join(keys)}")
+    return [tuple(r[k] for k in keys) for r in rows]
+
+
 def cmd_report(args):
-    if not args.inputs:
-        raise ValueError("no report files given")
     t0 = time.time()
-    docs = []
-    for p in args.inputs:
-        doc = json.loads(Path(p).read_text())
-        if "rows" not in doc:
-            raise ValueError(f"schema mismatch: {p} has no rows")
-        docs.append((Path(p).stem, doc))
-    deltas = [r["delta"] for r in docs[0][1]["rows"]]
-    for name, doc in docs[1:]:
-        other = [r["delta"] for r in doc["rows"]]
-        if other != deltas:
-            raise ValueError(f"delta lists differ: {docs[0][0]} has {deltas}, "
-                             f"{name} has {other}")
+    names = [Path(p).stem for p in args.inputs]
+    tables = [_report_rows(p) for p in args.inputs]
+    deltas = [row[0] for row in tables[0]]
+    for name, rows in zip(names[1:], tables[1:]):
+        if [row[0] for row in rows] != deltas:
+            raise ValueError(f"delta lists differ: {names[0]} has {deltas}, "
+                             f"{name} has {[row[0] for row in rows]}")
+    # one row per delta: delta, then each input's data distance and gap
+    merged = [[d] + [v for rows in tables for v in rows[i][1:]] for i, d in enumerate(deltas)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "merged.csv"
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        header = ["delta"]
-        for name, _ in docs:
-            header += [f"{name}_data_distance", f"{name}_gap"]
-        w.writerow(header)
-        for i, d in enumerate(deltas):
-            row = [d]
-            for _, doc in docs:
-                row += [doc["rows"][i]["data_distance"], doc["rows"][i]["gap"]]
-            w.writerow(row)
+        w.writerow(["delta"] + [f"{n}_{c}" for n in names for c in ("data_distance", "gap")])
+        w.writerows(merged)
     dat_path = out_dir / "merged.dat"
     with open(dat_path, "w") as fh:
-        fh.write("# delta" + "".join(f" {n}_dd {n}_gap" for n, _ in docs) + "\n")
-        for i, d in enumerate(deltas):
-            cols = [f"{d:.6g}"]
-            for _, doc in docs:
-                cols += [f"{doc['rows'][i]['data_distance']:.8g}",
-                         f"{doc['rows'][i]['gap']:.8g}"]
-            fh.write(" ".join(cols) + "\n")
+        fh.write("# delta" + "".join(f" {n}_dd {n}_gap" for n in names) + "\n")
+        for d, *vals in merged:
+            fh.write(" ".join([f"{d:.6g}"] + [f"{v:.8g}" for v in vals]) + "\n")
     _write_manifest(out_dir, "report", "report", {}, args.inputs,
                     [csv_path, dat_path], t0)
     _emit({"csv": str(csv_path), "dat": str(dat_path)})

@@ -51,10 +51,10 @@ _SCALING_T_EVAL = 0.5
 class GapRunConfig:
     """Configuration of a data-distance vs solution-gap run.
 
-    ``seed`` only labels the run in the manifest: gap and certified runs
-    are deterministic and draw no random numbers.  A ``lam`` that is not
-    finite and >= 0, or an ``r0`` that is not finite and > 0, is refused on
-    construction.
+    ``seed`` only labels the run in the config echo, and gap and certified
+    runs draw no random numbers; ``lam``, ``grid_n``, ``grid_l`` and
+    ``negative_control`` configure gap runs only.  A ``lam`` not finite and
+    >= 0, or an ``r0`` not finite and > 0, is refused on construction.
     """
 
     target: str = "sphere_great_circle"

@@ -57,8 +57,8 @@ class TorusGrid:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(f"half_width must be finite and positive, got {self.half_width}")
         if self.n < 8 or self.n % 2:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
 

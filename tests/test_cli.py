@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 import wavegap
+from wavegap import experiment
 from wavegap.cli import _load_config, main
 from wavegap.construct import delta_family, psi_smooth
-from wavegap.experiment import GapRunConfig
+from wavegap.experiment import GapReport, GapRunConfig
 from wavegap.field import (ScalarField, TorusGrid, WaveState, load_state, sample,
                            save_field, save_state)
 from wavegap.radial import gauss_panel_nodes
@@ -182,6 +184,11 @@ _KERNEL = ["pointvalue", "--method", "kernel", "--profile", "gaussian:1.0"]
                  "state time must be finite, got inf", id="propagate_state_time_inf"),
     pytest.param(["pointvalue", "--method", "kernel", "--profile", "bessel:1"],
                  "unknown profile spec", id="pointvalue_unknown_profile"),
+    *[pytest.param(["pointvalue", "--method", method, "--profile", spec],
+                   f"profile spec '{spec}': a must be finite and > 0",
+                   id=f"{method}_{spec.replace(':', '_')}")
+      for method in ("evenrep", "kirchhoff", "oddrep")
+      for spec in ("gaussian:nan", "gaussian:-1e300", "gaussian:inf")],
     pytest.param(["lemma1", "--n", "4", "--deltas", "0.3", "--out", "{out}"],
                  "n in {2, 3}", id="lemma1_n4"),
     pytest.param(["sweep", "--config", "{missing}", "--out", "{out}"],
@@ -312,10 +319,15 @@ def test_field_grid_values_must_be_integers(tmp_path, capsys, dim, n):
 
 def test_report_schema_mismatch(tmp_path, capsys):
     p = tmp_path / "notareport.json"
-    p.write_text(json.dumps({"foo": 1}))
-    code, _, err = run(capsys, "report", "--inputs", str(p),
-                       "--out-dir", str(tmp_path / "m"))
-    assert code == 1 and "schema" in err
+    for doc in ({"foo": 1}, {"rows": [1]}, {"rows": 5}, "rows", [{"rows": []}],
+                {"rows": [{"delta": 0.3, "data_distance": 1.0}]},
+                {"rows": [{"delta": 0.3, "data_distance": 1.0, "gap": None}]}):
+        p.write_text(json.dumps(doc))
+        code, lines, err = run(capsys, "report", "--inputs", str(p),
+                               "--out-dir", str(tmp_path / "m"))
+        assert code == 1 and lines == [] and not (tmp_path / "m").exists()
+        assert err.startswith("error:") and "schema" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
@@ -325,6 +337,53 @@ def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
     code, lines, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
     assert code == 1 and lines == [] and not out.exists()
     assert err.startswith("error:") and "bogus" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("keys", [
+    "lam = 0.5\n", "grid_n = 8\n", "grid_l = 1.0\n", "negative_control = true\n",
+    "lam = 0.5\ngrid_n = 8\ngrid_l = 1.0\nnegative_control = true\n",
+], ids=["lam", "grid_n", "grid_l", "negative_control", "all_four"])
+def test_certified_sweep_refuses_keys_it_does_not_read(tmp_path, capsys, keys):
+    # the certified run pins lam (lam0 = r0 / (8 |chi|_L2)) and builds no grid
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nkind = certified\ndeltas = 0.3\n" + keys)
+    out = tmp_path / "r.json"
+    code, lines, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert code == 1 and lines == [] and not out.exists()
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "a certified run does not read" in err and keys.split()[0] in err
+
+
+def test_config_reads_every_field_as_its_declared_type(tmp_path):
+    # a field added to GapRunConfig must be added here, so none goes unparsed
+    text = {"target": "circle_radius", "target_params": '{"rho": 2.0}',
+            "deltas": "0.3, 0.1", "lam": "0.25", "mu": "0.05", "r0": "0.75",
+            "grid_n": "256", "grid_l": "8", "seed": "7", "negative_control": "yes"}
+    expected = GapRunConfig(target="circle_radius", target_params={"rho": 2.0},
+                            deltas=(0.3, 0.1), lam=0.25, mu=0.05, r0=0.75, grid_n=256,
+                            grid_l=8.0, seed=7, negative_control=True)
+    assert list(text) == [f.name for f in dataclasses.fields(GapRunConfig)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\n" + "".join(f"{k} = {v}\n" for k, v in text.items()))
+    kind, got = _load_config(cfg)
+    assert kind == "gap" and got == expected
+    for f in dataclasses.fields(GapRunConfig):
+        assert type(getattr(got, f.name)) is type(getattr(expected, f.name)), f.name
+
+
+def test_sweep_refuses_a_non_finite_value_before_writing(tmp_path, capsys, monkeypatch):
+    # strict JSON: a NaN gap is an error, and no report or manifest is written
+    def nan_gap(cfg):
+        row = {"delta": 0.3, "data_distance": 0.1, "gap": math.nan}
+        return GapReport(dataclasses.asdict(cfg), [row], {}, "fail", {})
+
+    monkeypatch.setattr(experiment, "gap_run", nan_gap)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nkind = gap\ndeltas = 0.3\n")
+    code, lines, err = run(capsys, "sweep", "--config", str(cfg),
+                           "--out", str(tmp_path / "out" / "r.json"))
+    assert code == 1 and lines == [] and list(tmp_path.iterdir()) == [cfg]
+    assert err.startswith("error:") and "JSON" in err and len(err.strip().splitlines()) == 1
 
 
 def test_sweep_rejects_unknown_kind(tmp_path, capsys):
@@ -379,11 +438,13 @@ def test_report_requires_equal_delta_lists(tmp_path, capsys):
     "[run]\nkind = gap\ndeltas = 0.3\nr0 = inf\n",
     "[run]\nkind = gap\ndeltas = 0.3\nlam = -0.1\n",
     "[run]\nkind = gap\ndeltas = 0.3\nlam = nan\n",
+    "[run]\nkind = gap\ndeltas = 0.3\ngrid_l = nan\n",
+    "[run]\nkind = gap\ndeltas = 0.3\ngrid_l = inf\n",
 ], ids=["other_section", "no_section", "duplicate_key", "params_list", "params_number",
         "bool_maybe", "t_step", "n", "jobs", "deltas_increasing", "params_sphere_rho",
         "params_typo", "mu_above_curvature_window", "flat_mu_nan", "flat_mu_negative",
         "certified_r0_zero", "certified_r0_nan", "certified_r0_inf", "certified_r0_negative",
-        "gap_r0_inf", "lam_negative", "lam_nan"])
+        "gap_r0_inf", "lam_negative", "lam_nan", "grid_l_nan", "grid_l_inf"])
 def test_sweep_rejects_malformed_config(tmp_path, capsys, body):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(body)

@@ -24,6 +24,9 @@ def test_grid_invariants():
         TorusGrid(2, 16.0, 129)        # odd
     with pytest.raises(ValueError):
         TorusGrid(4, 16.0, 128)        # bad dim
+    for half_width in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="half_width must be finite and positive"):
+            TorusGrid(2, half_width, 8)
     g = TorusGrid(1, 16.0, 16)
     assert g.spacing == 2.0
     assert g.axis()[0] == -16.0
