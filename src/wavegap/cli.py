@@ -28,13 +28,21 @@ from . import construct, experiment, field, norms, wave
 ARTIFACT_VERSION = "0.1.0"
 
 
+def _strict_json(doc, where, **kw):
+    """``doc`` as strict JSON; a NaN or infinity is refused, naming ``where``."""
+    try:
+        return json.dumps(doc, allow_nan=False, **kw)
+    except ValueError as e:
+        raise ValueError(f"nothing written to {where}: {e}") from None
+
+
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, allow_nan=False) + "\n")
+    sys.stdout.write(_strict_json(obj, "stdout") + "\n")
 
 
 def _write_json(path, doc):
     """Write ``doc`` to ``path`` as strict JSON, making its directory."""
-    text = json.dumps(doc, indent=1, allow_nan=False)
+    text = _strict_json(doc, path, indent=1)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)

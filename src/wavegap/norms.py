@@ -58,7 +58,8 @@ def sobolev_norm(f: ScalarField, s: float, homogeneous: bool = False) -> float:
     Homogeneous norms weight by ``|xi|^s`` with the zero mode excluded; the
     inhomogeneous weight is ``(1+|xi|^2)^(s/2)``.  Negative-order homogeneous
     norms require the zero Fourier mode to vanish (relative to the L2 norm),
-    otherwise the function is not in the homogeneous space at all.
+    otherwise the function is not in the homogeneous space at all.  An order
+    whose weight overflows on the grid is refused.
     """
     return _sobolev_norms(f, [(s, homogeneous)])[0]
 
@@ -82,21 +83,19 @@ def _spectrum_norms(grid: TorusGrid, F: np.ndarray, orders) -> list:
     scale = grid.spacing ** grid.dim / grid.n ** grid.dim
     out = []
     for s, homogeneous in orders:
-        if not homogeneous:
-            w2 = np.take((1.0 + k * k) ** s, index)
-        elif s == 0.0:
-            w2 = np.ones(index.shape)  # |xi|^0 = 1 including the zero mode: plain L2
-        else:
-            if s < 0:
-                zero_amp = math.sqrt(scale) * abs(F.flat[0])
-                l2 = math.sqrt(scale * float(np.sum(power)))  # Parseval
-                if zero_amp > _ZERO_MODE_TOL * max(l2, 1e-300):
-                    raise ValueError(f"not in homogeneous H^{s}: zero mode {zero_amp:.3e} "
-                                     f"exceeds {_ZERO_MODE_TOL:.0e} * L2")
-            with np.errstate(divide="ignore"):
-                w2 = np.take(k ** (2.0 * s), index)
-            w2.flat[0] = 0.0  # class 0 is the zero mode alone
-        out.append(math.sqrt(scale * _dot(w2, power)))
+        if homogeneous and s < 0:
+            zero_amp = math.sqrt(scale) * abs(F.flat[0])
+            l2 = math.sqrt(scale * float(np.sum(power)))  # Parseval
+            if zero_amp > _ZERO_MODE_TOL * max(l2, 1e-300):
+                raise ValueError(f"not in homogeneous H^{s}: zero mode {zero_amp:.3e} "
+                                 f"exceeds {_ZERO_MODE_TOL:.0e} * L2")
+        with np.errstate(divide="ignore", over="ignore"):
+            w = k ** (2.0 * s) if homogeneous else (1.0 + k * k) ** s
+        if homogeneous and s != 0.0:
+            w[0] = 0.0  # class 0 is the zero mode alone; |xi|^0 = 1 keeps it: plain L2
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"the Sobolev weight of order s = {s} is not finite on this grid")
+        out.append(math.sqrt(scale * _dot(np.take(w, index), power)))
     return out
 
 

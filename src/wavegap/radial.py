@@ -17,17 +17,18 @@ structure sits far below any uniform grid resolution (thin annuli near the
 unit circle) stay computable: panels are aligned with the radii the profile
 declares and the tables are dense exactly where the structure lives.
 
-One inverse-Abel evaluator serves ``value`` and ``dt_value``, the strip
-scan and the L2 norm of ``z_t``; the scan and the norm share one set of
-radii at the wave fronts (``_scan_radii``).  It streams a ``(t, r)`` batch
-in blocks of ``_ABEL_BLOCK`` pairs (the ray-transform table in blocks of
-``_TABLE_BLOCK`` rows): each block builds its own panel edges, integrates
-them with ragged ``repeat``/``bincount`` Gauss rules in chunks of about
-``_NODE_BUDGET`` nodes and writes its own slice of the result.  The blocks
-run on a thread pool as wide as the CPUs the process may use, the only
-parallel path of the package (NumPy releases the GIL in ``interp`` and the
-ufuncs).  A pair's panels, nodes and summation order, hence its value, do
-not depend on its block or thread, nor on the block size or thread count.
+The ray transform and the inverse Abel integral are line integrals in sigma
+of functions of s' = sqrt(r^2 + sigma^2), split where s' crosses given
+circles: one crossing-panel integral (``_crossing_integral``) sums them per
+row by ragged ``repeat``/``bincount`` Gauss rules in chunks of about
+``_NODE_BUDGET`` nodes, and the ray table and the inverse-Abel evaluator only
+state their rule.  That evaluator serves ``value``, ``dt_value``, the strip
+scan and the L2 norm of ``z_t`` (the last two share the front radii of
+``_scan_radii``).  Rows stream in blocks of ``_ABEL_BLOCK`` pairs or
+``_TABLE_BLOCK`` table rows on a thread pool as wide as the CPUs the process
+may use, the package's only parallel path (NumPy releases the GIL in
+``interp`` and the ufuncs).  A row's panels, nodes and summation order,
+hence its value, depend neither on its block or thread nor on their count.
 
 For odd dimensions the classical exact reductions are used instead
 (``r z`` solves the 1-d wave equation when n = 3).  The H^(1/2)(R^3)
@@ -117,12 +118,12 @@ _TABLE_BLOCK = 1024
 
 # Gauss order of the inverse-Abel panels and their cap: no panel is longer
 # than (support + t) / cap.  The strip scan's screen only ranks pairs, on the
-# structural panels alone (no cap) at its own order, and confirms those within
-# its margin of the screened maximum.
+# structural panels alone (a cap of 1 splits none) at its own order, and
+# confirms those within its margin of the screened maximum.
 _ABEL_ORDER = 24
 _ABEL_CAP = 12.0
 _SCREEN_ORDER = 16
-_SCREEN_CAP = None
+_SCREEN_CAP = 1.0
 _SCREEN_MARGIN = 0.5
 
 # Ray table (RadialWave2D): least pieces per panel, pieces no wider than
@@ -141,18 +142,20 @@ def _cpus():
 
 
 def _streamed(n, block, work):
-    """``work(lo, hi)`` for the consecutive blocks ``lo:hi`` of ``range(n)``
-    of ``block`` items, on a thread per CPU made for this call (so no thread
-    outlives it).  A single block, or a single CPU, runs inline."""
-    bounds = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
+    """``work(lo, hi)``, a tuple of arrays, for the consecutive blocks
+    ``lo:hi`` of ``range(n)`` of ``block`` items (one empty block when n is 0),
+    on a thread per CPU made for this call (so no thread outlives it), each
+    array joined over the blocks in order.  A single block, or a single CPU,
+    runs inline."""
+    bounds = [(lo, min(lo + block, n)) for lo in range(0, max(n, 1), block)]
     width = min(_cpus(), len(bounds))
     if width <= 1:
-        for lo, hi in bounds:
-            work(lo, hi)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(width) as pool:
-        list(pool.map(lambda b: work(*b), bounds))
+        parts = [work(lo, hi) for lo, hi in bounds]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(width) as pool:
+            parts = list(pool.map(lambda b: work(*b), bounds))
+    return [np.concatenate(part) for part in zip(*parts)]
 
 
 def _ragged_gauss(edges, max_len, order):
@@ -183,6 +186,31 @@ def _ragged_gauss(edges, max_len, order):
         xs = 0.5 * w[:, None] * xg[None, :] + (left + 0.5 * w)[:, None]
         ws = 0.5 * w[:, None] * wg[None, :]
         yield lo, hi, xs.ravel(), ws.ravel(), np.repeat(owner, order)
+
+
+def _crossing_integral(r, top, crossing, bends, cap, order, weighted):
+    """Per-row integrals over sigma in [0, sqrt(top^2 - r^2)] of functions of
+    s' = sqrt(r^2 + sigma^2), with panel edges at both ends, wherever s'
+    crosses a radius of ``crossing`` (broadcast against ``r[:, None]``) and at
+    the bends ``bends * r`` inside, none longer than ``top / cap``.  At the
+    Gauss nodes of ``order``, ``weighted(rows, s', w)`` gives a tuple of
+    weighted node values (``rows`` indexing ``r``), each summed per row."""
+    lim2 = top * top - r * r
+    sig_max, rc = np.sqrt(lim2), r[:, None]
+    v = crossing * crossing - rc * rc
+    cross = np.sqrt(np.where((crossing >= rc) & (v > 0) & (v < lim2[:, None]), v, np.nan))
+    bend = rc * np.asarray(bends)
+    bend = np.where((bend > 0) & (bend < sig_max[:, None]), bend, np.nan)
+    edges = np.sort(np.concatenate(
+        [np.zeros((r.size, 1)), sig_max[:, None], cross, bend], axis=1), axis=1)
+    sums = []
+    for lo, hi, sig, w, own in _ragged_gauss(edges, top / cap, order):
+        rk = r[lo + own]
+        s = np.sqrt(rk * rk + sig * sig)
+        low = s == 0  # both squares underflow when r < 1e-162
+        s[low] = np.hypot(rk[low], sig[low])
+        sums.append([np.bincount(own, f, minlength=hi - lo) for f in weighted(lo + own, s, w)])
+    return [np.concatenate(part) for part in zip(*sums)]
 
 
 def sphere_area(n: int) -> float:
@@ -255,39 +283,25 @@ class RadialWave2D:
         """Tabulate the ray transform g(s) = 2 int psi(sqrt(s^2 + tau^2)) dtau
         and its s-derivative, in streamed blocks of table rows
         (:meth:`_ray_block`)."""
-        g = np.zeros_like(s_arr)
-        gp = np.zeros_like(s_arr)
         s = np.abs(s_arr)
         rows = np.flatnonzero(s < self.support)
-
-        def work(lo, hi):
-            g[rows[lo:hi]], gp[rows[lo:hi]] = self._ray_block(s[rows[lo:hi]])
-
-        _streamed(rows.size, _TABLE_BLOCK, work)
+        g, gp = np.zeros((2, s.size))
+        g[rows], gp[rows] = _streamed(rows.size, _TABLE_BLOCK,
+                                      lambda lo, hi: self._ray_block(s[rows[lo:hi]]))
         return g, gp
 
     def _ray_block(self, s):
-        """``(g, g')`` at the radii ``0 <= s < support``.  The tau panels end
-        where the ray crosses one of the profile's panel edges and, for
-        entries with at most 24 edges, are capped at ``support / 12``."""
-        g = np.zeros_like(s)
-        gp = np.zeros_like(s)
-        bb = np.asarray(self.profile.panel_edges)
-        bb = bb[(bb > 0.0) & (bb <= self.support)]
-        crossed = bb[None, :] > s[:, None]
-        tau = np.sqrt(np.where(crossed, bb * bb - (s * s)[:, None], np.nan))
-        edges = np.sort(np.concatenate([np.zeros((s.size, 1)), tau], axis=1), axis=1)
-        n_edges = 1 + np.sum(np.diff(edges, axis=1) > 0, axis=1)
-        max_len = np.where(n_edges > 24, np.inf, self.support / 12.0)
-        for lo, hi, tt, wt, own in _ragged_gauss(edges, max_len, 16):
-            sk = s[lo:hi][own]
-            radii = np.sqrt(sk * sk + tt * tt)
-            wts = 2.0 * wt
+        """``(g, g')`` at the radii ``0 <= s < support``: order-16 tau panels
+        between the crossings of the profile's panel edges, none split."""
+        def weighted(rows, radii, w):
+            sk, wts = s[rows], 2.0 * w
             f, fp = (np.asarray(v, dtype=float) for v in self.profile.f_and_prime(radii))
-            g[lo:hi] = np.bincount(own, wts * f, minlength=hi - lo)
             vals = np.divide(fp * sk, radii, out=np.zeros_like(radii), where=radii > 0)
-            gp[lo:hi] = np.bincount(own, wts * vals, minlength=hi - lo)
-        return g, gp
+            return wts * f, wts * vals
+
+        return _crossing_integral(s, np.full_like(s, self.support),
+                                  np.asarray(self.profile.panel_edges)[None, :], (), 1.0, 16,
+                                  weighted)
 
     def g(self, s):
         return np.interp(np.abs(s), self._s, self._g, left=self._g[0], right=0.0)
@@ -307,46 +321,31 @@ class RadialWave2D:
                                    np.abs(np.asarray(r, dtype=float)))
         shape = t.shape
         t, r = t.ravel(), r.ravel()
-        out = np.zeros(t.size)
-
-        def work(lo, hi):
-            out[lo:hi] = self._abel_block(t[lo:hi], r[lo:hi], derivative, order, cap)
-
-        _streamed(t.size, _ABEL_BLOCK, work)
-        return out.reshape(shape)
+        z, = _streamed(t.size, _ABEL_BLOCK, lambda lo, hi: (
+            self._abel_block(t[lo:hi], r[lo:hi], derivative, order, cap),))
+        return z.reshape(shape)
 
     def _abel_block(self, t, r, derivative, order=_ABEL_ORDER, cap=_ABEL_CAP):
         """:meth:`_abel` at the pairs of 1-d arrays ``t`` and ``r >= 0``, in
         sigma with s' = sqrt(r^2 + sigma^2) up to s' = support + t.  Panel
         edges sit where s' -+ t crosses a smoothness radius, where s' - t
         changes sign and at ``0.25 r``, ``r``, ``4 r`` (s'(sigma) bends
-        there); panels are capped at (support + t)/``cap``, and with ``cap``
-        None these structural panels are the whole rule."""
+        there); panels are capped at (support + t)/``cap``, and a ``cap`` of
+        1 splits none of these structural panels."""
         out = np.zeros(t.size)
         top = self.support + t
-        lim2 = top * top - r * r
-        live = np.flatnonzero(lim2 > 0)
-        t, r, top, lim2 = t[live], r[live], top[live], lim2[live]
-        sig_max = np.sqrt(lim2)
-        tc, rc = t[:, None], r[:, None]
-        b = self.breaks[None, :]
-        sp = np.concatenate([b - tc, b + tc, tc - b, tc], axis=1)
-        v = sp * sp - rc * rc
-        cross = np.sqrt(np.where((sp >= rc) & (v > 0) & (v < lim2[:, None]), v, np.nan))
-        bend = rc * np.array([0.25, 1.0, 4.0])
-        bend = np.where((bend > 0) & (bend < sig_max[:, None]), bend, np.nan)
-        edges = np.sort(np.concatenate(
-            [np.zeros((t.size, 1)), sig_max[:, None], cross, bend], axis=1), axis=1)
+        live = np.flatnonzero(top * top > r * r)
+        t, r, top = t[live], r[live], top[live]
+        tc, b = t[:, None], self.breaks[None, :]
         g = self.g_prime if derivative else self.g
-        max_len = top / cap if cap else np.full(t.size, np.inf)
-        for lo, hi, sig, w, own in _ragged_gauss(edges, max_len, order):
-            rk, tk = r[lo:hi][own], t[lo:hi][own]
-            s = np.sqrt(rk * rk + sig * sig)
-            low = s == 0  # both squares underflow when r < 1e-162
-            s[low] = np.hypot(rk[low], sig[low])
-            ahead, behind = g(s + tk), g(s - tk)
-            f = ahead + behind if derivative else ahead - behind
-            out[live[lo:hi]] = -np.bincount(own, w * f / s, minlength=hi - lo) / TWO_PI
+
+        def weighted(rows, s, w):
+            ahead, behind = g(s + t[rows]), g(s - t[rows])
+            return (w * (ahead + behind if derivative else ahead - behind) / s,)
+
+        z, = _crossing_integral(r, top, np.concatenate([b - tc, b + tc, tc - b, tc], axis=1),
+                                (0.25, 1.0, 4.0), cap, order, weighted)
+        out[live] = -z / TWO_PI
         return out
 
     def value(self, t, r):
@@ -382,7 +381,7 @@ class RadialWave2D:
 
         The first stage only ranks: every pair is screened at Gauss order
         ``_SCREEN_ORDER`` on its structural panels alone (``_SCREEN_CAP`` is
-        None: no length cap), and those within a share ``m = _SCREEN_MARGIN``
+        1: no panel is split), and those within a share ``m = _SCREEN_MARGIN``
         of the screened maximum are confirmed at ``_ABEL_ORDER`` with panels
         capped at (support + t)/``_ABEL_CAP``.  A screen error below
         ``m M / (2 - m)`` (M the maximum) keeps the argmax among them, so the

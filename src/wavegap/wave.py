@@ -148,8 +148,10 @@ def kernel_solution_2d(psi: RadialProfile, t: float, x=0.0, tol: float = 1e-8,
     profile's ``panel_edges`` (the annulus u-ladder among them), and in
     ``theta`` where ``rho`` is ``|b -+ |x||`` for such an edge ``b``, where
     the circle of radius ``rho`` touches its circle (on the axis, ``rho = b``).
-    Each refinement doubles the even ``theta`` edges and, off the axis, the
-    Gauss order in both variables.
+    Each ``theta`` panel ``[a, b]`` is mapped by ``theta = a + (b - a) u^2
+    (3 - 2u)`` onto the Gauss nodes ``u`` of [0, 1], so its nodes cluster at
+    both ends.  Each refinement doubles the even ``theta`` edges and, off the
+    axis, the Gauss order in both variables.
 
     Raises on a ``t`` or ``tol`` not finite and positive, on an ``x`` not a
     finite planar point, if the refinement loop fails to converge (with the
@@ -168,9 +170,14 @@ def kernel_solution_2d(psi: RadialProfile, t: float, x=0.0, tol: float = 1e-8,
 
     def evaluate(level):
         # off the axis the angular mean has square-root kinks at the touching
-        # radii, where Gauss rules converge only algebraically in their order
+        # radii, the theta panel ends, where Gauss rules converge only
+        # algebraically in their order; the map clusters the nodes there
         order = 12 if r0 == 0.0 else 12 * 2 ** level
-        th, wth = gauss_panel_nodes(_theta_edges(radii, t, 8 * 2 ** level + 1), order)
+        th_edges = _theta_edges(radii, t, 8 * 2 ** level + 1)
+        u, wu = gauss_panel_nodes([0.0, 1.0], order)
+        a, h = th_edges[:-1, None], np.diff(th_edges)[:, None]
+        th = (a + h * u * u * (3.0 - 2.0 * u)).ravel()
+        wth = (h * 6.0 * u * (1.0 - u) * wu).ravel()
         rho = t * np.sin(th)
         if r0 == 0.0:
             vals = psi(rho)

@@ -166,6 +166,10 @@ _KERNEL = ["pointvalue", "--method", "kernel", "--profile", "gaussian:1.0"]
                  id="norms_s_nan"),
     pytest.param(["norms", "--in", "{field}", "--s", "inf", "--method", "difference"],
                  "--s must be finite", id="norms_s_inf"),
+    pytest.param(["norms", "--in", "{field}", "--s", "400"], "order s = 400.0",
+                 id="norms_weight_overflows"),
+    pytest.param(["norms", "--in", "{field}", "--s", "400", "--homogeneous"],
+                 "order s = 400.0", id="norms_homogeneous_weight_overflows"),
     pytest.param(_KERNEL + ["--x", "1,2,3"], "planar point", id="kernel_3d_point"),
     pytest.param(_KERNEL + ["--t", "nan"], "finite and positive", id="kernel_t_nan"),
     pytest.param(_KERNEL + ["--t", "inf"], "finite and positive", id="kernel_t_inf"),
@@ -384,6 +388,7 @@ def test_sweep_refuses_a_non_finite_value_before_writing(tmp_path, capsys, monke
                            "--out", str(tmp_path / "out" / "r.json"))
     assert code == 1 and lines == [] and list(tmp_path.iterdir()) == [cfg]
     assert err.startswith("error:") and "JSON" in err and len(err.strip().splitlines()) == 1
+    assert str(tmp_path / "out" / "r.json") in err
 
 
 def test_sweep_rejects_unknown_kind(tmp_path, capsys):

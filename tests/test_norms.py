@@ -60,6 +60,18 @@ def test_negative_order_zero_mode_guard(grid):
         sobolev_norm(f, -1.0, True)
 
 
+def test_order_whose_weight_overflows_is_refused(grid, gaussian):
+    # (1 + |xi|^2)^s and |xi|^(2 s) overflow at s = 400 on this grid, and at
+    # a negative homogeneous order k_min^(2 s) does (k_min = pi / 16)
+    for s, h in [(400.0, False), (400.0, True)]:
+        with pytest.raises(ValueError, match=r"order s = 400\.0 is not finite"):
+            sobolev_norm(gaussian, s, h)
+    f = sample(lambda x, y: np.cos(math.pi / 16.0 * x), grid)  # mean zero
+    assert sobolev_norm(f, -100.0, True) > 0.0
+    with pytest.raises(ValueError, match=r"order s = -400\.0 is not finite"):
+        sobolev_norm(f, -400.0, True)
+
+
 def test_lp_norms(grid, gaussian):
     z = ScalarField(grid, np.zeros(grid.shape))
     assert lp_norm(z, 2) == 0.0

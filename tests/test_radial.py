@@ -494,7 +494,7 @@ def test_screened_strip_scan_is_the_full_scan(monkeypatch, delta):
     assert (screened.m_raw, screened.t_j, screened.sign) == (full.m_raw, full.t_j, full.sign)
     assert screened.scan["screen"] == screen and full.scan["screen"]["error"] == 0.0
     assert full.scan["screen"]["cap"] == radial._ABEL_CAP
-    assert (screen["order"], screen["cap"], screen["margin"]) == (16, None, 0.5)
+    assert (screen["order"], screen["cap"], screen["margin"]) == (16, 1.0, 0.5)
     assert not screen["guard"]
     assert 0.0 < screen["error"] < 0.25 * 0.5 / (2.0 - 0.5)  # a quarter of the bound m / (2 - m)
     assert screen["confirmed"] < 0.1 * screen["screened"]

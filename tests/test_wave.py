@@ -63,12 +63,12 @@ def test_kernel_nonconvergence_error():
 
 def test_kernel_offaxis_stops_at_its_memory_cap(monkeypatch):
     # off the axis every refinement doubles the Gauss order in theta and
-    # alpha, about 4x the nodes; at delta = 0.03 the fourth would pass the
-    # cap (the third still changed the value by 6e-8), so the call refuses
-    # before evaluating it
+    # alpha, about 4x the nodes; at delta = 0.03 a tolerance of 1e-13 is out
+    # of reach (the third refinement still changes the value by 4e-11), and
+    # the fourth would pass the cap, so the call refuses before evaluating it
     prof = psi_smooth(delta_family(0.03))
     with pytest.raises(RuntimeError, match=r"node cap \(16777216 nodes\)"):
-        kernel_solution_2d(prof, 1.0, np.array([0.3, 0.0]))
+        kernel_solution_2d(prof, 1.0, np.array([0.3, 0.0]), tol=1e-13)
     # a smaller cap stops earlier, even where the full one converges; the
     # Gaussian converges under it
     monkeypatch.setattr(wave, "_KERNEL_MAX_NODES", 100_000)
@@ -78,11 +78,12 @@ def test_kernel_offaxis_stops_at_its_memory_cap(monkeypatch):
     assert np.isfinite(kernel_solution_2d(gauss, 0.8, np.array([0.5, 0.0])))
 
 
-@pytest.mark.parametrize("delta", [0.3, 0.1])
+@pytest.mark.parametrize("delta", [0.3, 0.1, 0.03, 0.01])
 @pytest.mark.parametrize("x", [0.3, 0.05])
 def test_kernel_offaxis_matches_the_engine_on_the_annulus(delta, x):
     # alpha edges where |x + y| crosses the u-ladder, theta edges where the
-    # circles touch: two routes with no quadrature in common
+    # circles touch and theta nodes clustered at both panel ends: two routes
+    # with no quadrature in common
     fam = delta_family(delta)
     val = kernel_solution_2d(psi_smooth(fam), 1.0, np.array([x, 0.0]))
     assert val == pytest.approx(shell_wave(fam).value(1.0, x), rel=1e-6)
@@ -230,7 +231,7 @@ def test_kernel_converges_on_thin_annuli():
 def test_even_representation_matches_kernel_on_smooth_annulus(delta):
     # both on-axis routes meet the delta-free closed form z(1, 0) =
     # (1/2) int c(sigma) / sigma dsigma of the self-similar cutoff (measured
-    # within 3.1e-12 down to delta = 0.01 and 3.6e-8 at 1e-3)
+    # within 3.1e-12, the kernel 1.9e-11, down to delta = 0.01 and 1.1e-8 at 1e-3)
     prof = psi_smooth(delta_family(delta))
     closed = 0.5 * _ShellCutoff(delta).sigma_integral(1, -1)
     rel = 1e-7 if delta < 0.01 else 1e-10
