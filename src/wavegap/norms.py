@@ -59,7 +59,8 @@ def sobolev_norm(f: ScalarField, s: float, homogeneous: bool = False) -> float:
     inhomogeneous weight is ``(1+|xi|^2)^(s/2)``.  Negative-order homogeneous
     norms require the zero Fourier mode to vanish (relative to the L2 norm),
     otherwise the function is not in the homogeneous space at all.  An order
-    whose weight overflows on the grid is refused.
+    whose weight overflows on the grid is summed from log-weights, and one
+    whose norm overflows is refused.
     """
     return _sobolev_norms(f, [(s, homogeneous)])[0]
 
@@ -93,9 +94,21 @@ def _spectrum_norms(grid: TorusGrid, F: np.ndarray, orders) -> list:
             w = k ** (2.0 * s) if homogeneous else (1.0 + k * k) ** s
         if homogeneous and s != 0.0:
             w[0] = 0.0  # class 0 is the zero mode alone; |xi|^0 = 1 keeps it: plain L2
-        if not np.all(np.isfinite(w)):
-            raise ValueError(f"the Sobolev weight of order s = {s} is not finite on this grid")
-        out.append(math.sqrt(scale * _dot(np.take(w, index), power)))
+        if np.all(np.isfinite(w)):
+            out.append(math.sqrt(scale * _dot(np.take(w, index), power)))
+            continue
+        # the weight overflows: sum against the weights over the largest one,
+        # then add half its log to the log of the root
+        with np.errstate(divide="ignore", over="ignore"):
+            lw = 2.0 * s * np.log(k) if homogeneous else s * np.log1p(k * k)
+            if homogeneous:
+                lw[0] = -np.inf
+            top = np.max(lw)
+            part = scale * _dot(np.take(np.exp(lw - top), index), power)
+            norm = float(np.exp(0.5 * (top + np.log(part))))
+        if not math.isfinite(norm):
+            raise ValueError(f"the Sobolev norm of order s = {s} is not finite on this grid")
+        out.append(norm)
     return out
 
 

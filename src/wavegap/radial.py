@@ -25,10 +25,10 @@ row by ragged ``repeat``/``bincount`` Gauss rules in chunks of about
 state their rule.  That evaluator serves ``value``, ``dt_value``, the strip
 scan and the L2 norm of ``z_t`` (the last two share the front radii of
 ``_scan_radii``).  Rows stream in blocks of ``_ABEL_BLOCK`` pairs or
-``_TABLE_BLOCK`` table rows on a thread pool as wide as the CPUs the process
-may use, the package's only parallel path (NumPy releases the GIL in
-``interp`` and the ufuncs).  A row's panels, nodes and summation order,
-hence its value, depend neither on its block or thread nor on their count.
+``_TABLE_BLOCK`` table rows on the calling thread plus one helper per further
+CPU, the package's only parallel path (NumPy releases the GIL in ``interp``
+and the ufuncs).  A row's panels, nodes and summation order, hence its
+value, depend neither on its block or thread nor on their count.
 
 For odd dimensions the classical exact reductions are used instead
 (``r z`` solves the 1-d wave equation when n = 3).  The H^(1/2)(R^3)
@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -105,9 +106,10 @@ def gauss_panel_nodes(edges, order=24):
 # Gauss nodes evaluated at once by the batched quadratures below.  Chunk
 # arrays of 256 kB stay in cache, and one chunk's temporaries (about 5 MB)
 # stay below the heap trim threshold that glibc's default malloc reaches in a
-# gap run.  On a 2-vCPU x86 host a single-threaded delta-0.01 gap run took
-# 9.7-10.3 s and 0.41 M minor page faults with 64k nodes, 8.0-8.3 s and
-# 0.1 M with 32k (with malloc tuned never to trim, 64k was 5 % faster).
+# gap run.  Each further thread working blocks holds a malloc arena of them,
+# which a malloc tuned never to trim keeps: on a 2-vCPU x86 host the
+# benchmark's gap_pair run peaked at 78 MB with the blocks on the calling
+# thread alone, 88 MB with one helper and 99 MB with two beside an idle caller.
 _NODE_BUDGET = 1 << 15
 
 # (t, r) pairs and ray-table rows per streamed block.  Only one block's
@@ -144,17 +146,29 @@ def _cpus():
 def _streamed(n, block, work):
     """``work(lo, hi)``, a tuple of arrays, for the consecutive blocks
     ``lo:hi`` of ``range(n)`` of ``block`` items (one empty block when n is 0),
-    on a thread per CPU made for this call (so no thread outlives it), each
-    array joined over the blocks in order.  A single block, or a single CPU,
-    runs inline."""
+    each array joined over the blocks in order.  The calling thread plus one
+    helper per further CPU (at most a thread per block) take the next unclaimed
+    block in turn; no thread outlives the call, which raises the first error."""
     bounds = [(lo, min(lo + block, n)) for lo in range(0, max(n, 1), block)]
-    width = min(_cpus(), len(bounds))
-    if width <= 1:
-        parts = [work(lo, hi) for lo, hi in bounds]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(width) as pool:
-            parts = list(pool.map(lambda b: work(*b), bounds))
+    parts, errors, claim = [None] * len(bounds), [], iter(range(len(bounds)))
+
+    def drain():
+        try:
+            for k in claim:
+                if errors:
+                    return
+                parts[k] = work(*bounds[k])
+        except BaseException as exc:  # re-raised by the caller
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=drain) for _ in range(min(_cpus(), len(bounds)) - 1)]
+    for thread in helpers:
+        thread.start()
+    drain()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
     return [np.concatenate(part) for part in zip(*parts)]
 
 

@@ -216,6 +216,19 @@ def test_non_finite_or_out_of_range_values_are_refused(tmp_path, capsys, argv, s
     assert err.startswith("error:") and says in err and len(err.strip().splitlines()) == 1
 
 
+def test_norms_of_an_order_whose_weight_overflows(tmp_path, capsys):
+    # on the chi field (1 + |xi|^2)^100 overflows but the norm does not; at
+    # s = 400 the norm overflows too and is refused by its order
+    assert run(capsys, "chi", "--n", "2", "--out", str(tmp_path))[0] == 0
+    field = str(tmp_path / "chi_n2.field")
+    code, lines, _ = run(capsys, "norms", "--in", field, "--s", "100")
+    assert code == 0 and abs(lines[0]["norm"] / 5.0734346358235e150 - 1.0) < 1e-12
+    code, lines, err = run(capsys, "norms", "--in", field, "--s", "400")
+    assert code == 1 and lines == [] and "Traceback" not in err
+    assert err.startswith("error:") and "order s = 400.0" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_chi_and_sequence(tmp_path, capsys):
     code, lines, _ = run(capsys, "chi", "--n", "2", "--out", str(tmp_path))
     assert code == 0 and lines[0]["kappa"] > 0

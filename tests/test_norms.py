@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate as sint
+from scipy.special import logsumexp
 
 from wavegap import norms
+from wavegap.construct import chi_field, chi_mean_zero
 from wavegap.field import ScalarField, TorusGrid, lattice_shift, remove_lattice_mean, sample
 from wavegap.norms import (_lattice_shells, _sobolev_norms, besov_norm, bump_family,
                            difference, fractional_integral_seminorm, leibniz_expand,
@@ -61,15 +63,37 @@ def test_negative_order_zero_mode_guard(grid):
 
 
 def test_order_whose_weight_overflows_is_refused(grid, gaussian):
-    # (1 + |xi|^2)^s and |xi|^(2 s) overflow at s = 400 on this grid, and at
-    # a negative homogeneous order k_min^(2 s) does (k_min = pi / 16)
+    # (1 + |xi|^2)^s and |xi|^(2 s) overflow at s = 400 on this grid, and so
+    # do the norms; at a negative homogeneous order k_min^(2 s) overflows
+    # first (k_min = pi / 16), and the norm of the k_min mode alone, |k|^s
+    # times its L2 norm, only from s = -450 on
     for s, h in [(400.0, False), (400.0, True)]:
         with pytest.raises(ValueError, match=r"order s = 400\.0 is not finite"):
             sobolev_norm(gaussian, s, h)
     f = sample(lambda x, y: np.cos(math.pi / 16.0 * x), grid)  # mean zero
     assert sobolev_norm(f, -100.0, True) > 0.0
-    with pytest.raises(ValueError, match=r"order s = -400\.0 is not finite"):
-        sobolev_norm(f, -400.0, True)
+    exact = (math.pi / 16.0) ** -400.0 * lp_norm(f, 2)
+    assert abs(sobolev_norm(f, -400.0, True) / exact - 1.0) < 1e-12
+    with pytest.raises(ValueError, match=r"order s = -450\.0 is not finite"):
+        sobolev_norm(f, -450.0, True)
+
+
+def test_overflowing_weight_sums_from_log_weights():
+    # on the 256^2 chi field (1 + |xi|^2)^100 overflows at the largest |xi|,
+    # but the norm, about 5.07e150, does not: like the plain sum at s = 80, it
+    # matches a log-sum over the full spectrum
+    grid = TorusGrid(2, 16.0, 256)
+    f = chi_field(chi_mean_zero(2), grid)
+    power = np.abs(np.fft.fftn(f.values)) ** 2
+    xi2 = sum(k * k for k in grid.wavenumbers())
+    scale = grid.spacing ** 2 / grid.n ** 2
+    for s in (80.0, 100.0, 200.0):
+        with np.errstate(divide="ignore"):
+            log_sq = math.log(scale) + logsumexp(s * np.log1p(xi2) + np.log(power))
+        assert abs(sobolev_norm(f, s) / math.exp(0.5 * log_sq) - 1.0) < 1e-12
+    with np.errstate(over="ignore"):
+        assert np.all(np.isfinite((1.0 + xi2) ** 80.0))
+        assert not np.all(np.isfinite((1.0 + xi2) ** 100.0))
 
 
 def test_lp_norms(grid, gaussian):

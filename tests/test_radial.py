@@ -1,6 +1,8 @@
 import json
 import math
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +110,82 @@ def test_engine_is_bit_identical_at_every_width(monkeypatch):
     for width in (2, 5):
         for one, other in zip(outputs[1], outputs[width]):
             assert np.array_equal(one, other)
+
+
+def test_caller_works_blocks_beside_its_helpers(monkeypatch):
+    # 3 CPUs, 8 blocks: the caller and at most two helpers drain the blocks,
+    # each result lands in its block's place and no helper outlives the call
+    monkeypatch.setattr(radial, "_cpus", lambda: 3)
+    starts, start = [], threading.Thread.start
+
+    def counted_start(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    before, caller, who = threading.active_count(), threading.get_ident(), {}
+    caller_began = threading.Event()
+
+    def work(lo, hi):
+        who[lo] = threading.get_ident()
+        if who[lo] == caller:
+            caller_began.set()
+        caller_began.wait(10.0)  # a helper's block waits (bounded) for the caller's first
+        return np.arange(lo, hi), np.full(hi - lo, lo)
+
+    items, owners = radial._streamed(38, 5, work)
+    assert np.array_equal(items, np.arange(38))
+    assert np.array_equal(owners, np.repeat(np.arange(0, 38, 5), [5] * 7 + [3]))
+    assert sorted(who) == list(range(0, 38, 5)) and caller in who.values()
+    assert len(set(who.values())) <= 3 and len(starts) <= 2
+    assert threading.active_count() == before
+    # one block, or one CPU, is worked by the caller alone
+    for cpus, n in ((3, 4), (1, 38)):
+        monkeypatch.setattr(radial, "_cpus", lambda c=cpus: c)
+        starts.clear()
+        who.clear()
+        assert np.array_equal(radial._streamed(n, 5, work)[0], np.arange(n))
+        assert set(who.values()) == {caller} and starts == []
+
+
+def _fail(on_helper, error):
+    # the first block on the failing side raises ``error()`` once the other
+    # side has taken a block, which waits (bounded) for it; the other side's
+    # blocks return
+    caller, other_ran, failed = threading.get_ident(), threading.Event(), threading.Event()
+
+    def work(lo, hi):
+        if (threading.get_ident() != caller) == on_helper:
+            other_ran.wait(10.0)
+            failed.set()
+            error()
+        other_ran.set()
+        failed.wait(10.0)
+        return (np.zeros(hi - lo),)
+    return work
+
+
+def _raise_value_error():
+    raise ValueError("block failed")
+
+
+def _warn_overflow():
+    warnings.warn("overflow in a block", RuntimeWarning)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("error, kind", [(_raise_value_error, ValueError),
+                                         (_warn_overflow, RuntimeWarning)],
+                         ids=["raise", "runtime_warning"])
+@pytest.mark.parametrize("on_helper", [True, False], ids=["on_helper", "on_caller"])
+def test_a_block_error_is_raised_in_the_caller(monkeypatch, on_helper, error, kind):
+    # the error of the failing block reaches the caller, not a TypeError from
+    # an empty result slot, and every helper has ended when it does
+    monkeypatch.setattr(radial, "_cpus", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(kind, match="block failed|overflow in a block"):
+        radial._streamed(24, 4, _fail(on_helper, error))
+    assert threading.active_count() == before
 
 
 def test_one_block_equals_a_split_into_blocks(gauss_wave):
