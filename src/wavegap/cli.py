@@ -386,7 +386,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:  # argparse errors carry their own code
         return 1 if e.code not in (0, None) else 0
-    except (FileNotFoundError, ValueError, RuntimeError, KeyError, json.JSONDecodeError,
+    except (OSError, ValueError, RuntimeError, KeyError, json.JSONDecodeError,
             configparser.Error) as e:
         print("error:", " ".join(str(e).split()), file=sys.stderr)  # one line
         return 1

@@ -19,16 +19,17 @@ declares and the tables are dense exactly where the structure lives.
 
 The ray transform and the inverse Abel integral are line integrals in sigma
 of functions of s' = sqrt(r^2 + sigma^2), split where s' crosses given
-circles: one crossing-panel integral (``_crossing_integral``) sums them per
-row by ragged ``repeat``/``bincount`` Gauss rules in chunks of about
-``_NODE_BUDGET`` nodes, and the ray table and the inverse-Abel evaluator only
-state their rule.  That evaluator serves ``value``, ``dt_value``, the strip
-scan and the L2 norm of ``z_t`` (the last two share the front radii of
-``_scan_radii``).  Rows stream in blocks of ``_ABEL_BLOCK`` pairs or
-``_TABLE_BLOCK`` table rows on the calling thread plus one helper per further
-CPU, the package's only parallel path (NumPy releases the GIL in ``interp``
-and the ufuncs).  A row's panels, nodes and summation order, hence its
-value, depend neither on its block or thread nor on their count.
+circles.  One crossing-panel integral (``_crossing_integral``) is the only
+row path: it streams its rows in blocks (``_ABEL_BLOCK`` pairs or
+``_TABLE_BLOCK`` table rows) on the calling thread plus one helper per
+further CPU, the package's only parallel path (NumPy releases the GIL in
+``interp`` and the ufuncs), and sums each block's rows by ragged
+``repeat``/``bincount`` Gauss rules in chunks of about ``_NODE_BUDGET``
+nodes.  The ray table and the inverse-Abel evaluator only state their rule;
+that evaluator serves ``value``, ``dt_value``, the strip scan and the L2 norm
+of ``z_t`` (the last two share the front radii of ``_scan_radii``).  A row's
+panels, nodes and summation order, hence its value, depend neither on its
+block or thread nor on their count.
 
 For odd dimensions the classical exact reductions are used instead
 (``r z`` solves the 1-d wave equation when n = 3).  The H^(1/2)(R^3)
@@ -202,29 +203,38 @@ def _ragged_gauss(edges, max_len, order):
         yield lo, hi, xs.ravel(), ws.ravel(), np.repeat(owner, order)
 
 
-def _crossing_integral(r, top, crossing, bends, cap, order, weighted):
+def _crossing_integral(r, top, crossing, bends, cap, order, weighted, block):
     """Per-row integrals over sigma in [0, sqrt(top^2 - r^2)] of functions of
-    s' = sqrt(r^2 + sigma^2), with panel edges at both ends, wherever s'
-    crosses a radius of ``crossing`` (broadcast against ``r[:, None]``) and at
-    the bends ``bends * r`` inside, none longer than ``top / cap``.  At the
-    Gauss nodes of ``order``, ``weighted(rows, s', w)`` gives a tuple of
-    weighted node values (``rows`` indexing ``r``), each summed per row."""
-    lim2 = top * top - r * r
-    sig_max, rc = np.sqrt(lim2), r[:, None]
-    v = crossing * crossing - rc * rc
-    cross = np.sqrt(np.where((crossing >= rc) & (v > 0) & (v < lim2[:, None]), v, np.nan))
-    bend = rc * np.asarray(bends)
-    bend = np.where((bend > 0) & (bend < sig_max[:, None]), bend, np.nan)
-    edges = np.sort(np.concatenate(
-        [np.zeros((r.size, 1)), sig_max[:, None], cross, bend], axis=1), axis=1)
-    sums = []
-    for lo, hi, sig, w, own in _ragged_gauss(edges, top / cap, order):
-        rk = r[lo + own]
-        s = np.sqrt(rk * rk + sig * sig)
-        low = s == 0  # both squares underflow when r < 1e-162
-        s[low] = np.hypot(rk[low], sig[low])
-        sums.append([np.bincount(own, f, minlength=hi - lo) for f in weighted(lo + own, s, w)])
-    return [np.concatenate(part) for part in zip(*sums)]
+    s' = sqrt(r^2 + sigma^2), 0 where top <= r, with panel edges at both
+    ends, wherever s' crosses a radius of ``crossing(rows)`` (broadcast
+    against ``r[rows, None]``) and at the bends ``bends * r`` inside, none
+    longer than ``top / cap``.  At the Gauss nodes of ``order``,
+    ``weighted(rows, s', w)`` gives a tuple of weighted node values, each
+    summed per row; ``rows`` index ``r``.  The rows stream in blocks of
+    ``block`` (:func:`_streamed`), so only one block's panel edges exist per
+    thread."""
+    def work(lo, hi):
+        rb, tb = r[lo:hi], top[lo:hi]
+        lim2 = np.maximum(tb * tb - rb * rb, 0.0)
+        cap_len = np.where(lim2 > 0, tb / cap, np.inf)  # no 0/0 on a row without panels
+        sig_max, rc, cut = np.sqrt(lim2), rb[:, None], crossing(slice(lo, hi))
+        v = cut * cut - rc * rc
+        cross = np.sqrt(np.where((cut >= rc) & (v > 0) & (v < lim2[:, None]), v, np.nan))
+        bend = rc * np.asarray(bends)
+        bend = np.where((bend > 0) & (bend < sig_max[:, None]), bend, np.nan)
+        edges = np.sort(np.concatenate(
+            [np.zeros((hi - lo, 1)), sig_max[:, None], cross, bend], axis=1), axis=1)
+        sums = []
+        for a, b, sig, w, own in _ragged_gauss(edges, cap_len, order):
+            rows = lo + a + own
+            rk = r[rows]
+            s = np.sqrt(rk * rk + sig * sig)
+            low = s == 0  # both squares underflow when r < 1e-162
+            s[low] = np.hypot(rk[low], sig[low])
+            sums.append([np.bincount(own, f, minlength=b - a) for f in weighted(rows, s, w)])
+        return [np.concatenate(part, dtype=float) for part in zip(*sums)]  # no-node bincount is int
+
+    return _streamed(r.size, block, work)
 
 
 def sphere_area(n: int) -> float:
@@ -294,28 +304,20 @@ class RadialWave2D:
     # -- ray (line-integral) transform of the datum --------------------------
 
     def _ray_transforms(self, s_arr):
-        """Tabulate the ray transform g(s) = 2 int psi(sqrt(s^2 + tau^2)) dtau
-        and its s-derivative, in streamed blocks of table rows
-        (:meth:`_ray_block`)."""
+        """The ray transform g(s) = 2 int psi(sqrt(s^2 + tau^2)) dtau and its
+        s-derivative at ``|s_arr|``: order-16 tau panels between the crossings
+        of the profile's panel edges, none split, and 0 from the support on."""
         s = np.abs(s_arr)
-        rows = np.flatnonzero(s < self.support)
-        g, gp = np.zeros((2, s.size))
-        g[rows], gp[rows] = _streamed(rows.size, _TABLE_BLOCK,
-                                      lambda lo, hi: self._ray_block(s[rows[lo:hi]]))
-        return g, gp
+        edges = np.asarray(self.profile.panel_edges)[None, :]
 
-    def _ray_block(self, s):
-        """``(g, g')`` at the radii ``0 <= s < support``: order-16 tau panels
-        between the crossings of the profile's panel edges, none split."""
         def weighted(rows, radii, w):
             sk, wts = s[rows], 2.0 * w
             f, fp = (np.asarray(v, dtype=float) for v in self.profile.f_and_prime(radii))
             vals = np.divide(fp * sk, radii, out=np.zeros_like(radii), where=radii > 0)
             return wts * f, wts * vals
 
-        return _crossing_integral(s, np.full_like(s, self.support),
-                                  np.asarray(self.profile.panel_edges)[None, :], (), 1.0, 16,
-                                  weighted)
+        return _crossing_integral(s, np.full_like(s, self.support), lambda rows: edges, (), 1.0,
+                                  16, weighted, _TABLE_BLOCK)
 
     def g(self, s):
         return np.interp(np.abs(s), self._s, self._g, left=self._g[0], right=0.0)
@@ -329,49 +331,38 @@ class RadialWave2D:
 
     def _abel(self, t, r, derivative, order=_ABEL_ORDER, cap=_ABEL_CAP):
         """Inverse Abel integral z (or z_t with ``derivative``) at every pair
-        of the broadcast ``(t, r)`` batch, in streamed blocks of pairs
-        (:meth:`_abel_block`) with Gauss panels of ``order`` and ``cap``."""
-        t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                   np.abs(np.asarray(r, dtype=float)))
-        shape = t.shape
-        t, r = t.ravel(), r.ravel()
-        z, = _streamed(t.size, _ABEL_BLOCK, lambda lo, hi: (
-            self._abel_block(t[lo:hi], r[lo:hi], derivative, order, cap),))
-        return z.reshape(shape)
-
-    def _abel_block(self, t, r, derivative, order=_ABEL_ORDER, cap=_ABEL_CAP):
-        """:meth:`_abel` at the pairs of 1-d arrays ``t`` and ``r >= 0``, in
+        of the broadcast ``(t, r)`` batch (a float for scalar t and r), in
         sigma with s' = sqrt(r^2 + sigma^2) up to s' = support + t.  Panel
         edges sit where s' -+ t crosses a smoothness radius, where s' - t
         changes sign and at ``0.25 r``, ``r``, ``4 r`` (s'(sigma) bends
         there); panels are capped at (support + t)/``cap``, and a ``cap`` of
         1 splits none of these structural panels."""
-        out = np.zeros(t.size)
-        top = self.support + t
-        live = np.flatnonzero(top * top > r * r)
-        t, r, top = t[live], r[live], top[live]
-        tc, b = t[:, None], self.breaks[None, :]
-        g = self.g_prime if derivative else self.g
+        t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.abs(np.asarray(r, dtype=float)))
+        shape, t, r = t.shape, t.ravel(), r.ravel()
+        b, g = self.breaks[None, :], self.g_prime if derivative else self.g
+
+        def crossing(rows):
+            tc = t[rows, None]
+            return np.concatenate([b - tc, b + tc, tc - b, tc], axis=1)
 
         def weighted(rows, s, w):
             ahead, behind = g(s + t[rows]), g(s - t[rows])
             return (w * (ahead + behind if derivative else ahead - behind) / s,)
 
-        z, = _crossing_integral(r, top, np.concatenate([b - tc, b + tc, tc - b, tc], axis=1),
-                                (0.25, 1.0, 4.0), cap, order, weighted)
-        out[live] = -z / TWO_PI
-        return out
+        z, = _crossing_integral(r, self.support + t, crossing, (0.25, 1.0, 4.0), cap, order,
+                                weighted, _ABEL_BLOCK)
+        z = (-z / TWO_PI).reshape(shape)
+        return z if z.ndim else float(z)
 
     def value(self, t, r):
         """Point value z(t, r), vectorized over broadcast arrays of t and r
         (a float for scalar t and r)."""
-        z = self._abel(t, r, derivative=False)
-        return z if z.ndim else float(z)
+        return self._abel(t, r, derivative=False)
 
     def dt_value(self, t, r):
         """Time derivative z_t(t, r), vectorized as :meth:`value`."""
-        z = self._abel(t, r, derivative=True)
-        return z if z.ndim else float(z)
+        return self._abel(t, r, derivative=True)
 
     # -- global radial quadrature of z_t(t, .) -------------------------------
 

@@ -197,6 +197,12 @@ _KERNEL = ["pointvalue", "--method", "kernel", "--profile", "gaussian:1.0"]
                  "n in {2, 3}", id="lemma1_n4"),
     pytest.param(["sweep", "--config", "{missing}", "--out", "{out}"],
                  "config file not found", id="sweep_missing_config"),
+    pytest.param(["norms", "--in", "{dir}", "--s", "0.5"], "Is a directory",
+                 id="norms_in_a_directory"),
+    pytest.param(["report", "--inputs", "{dir}"], "Is a directory", id="report_a_directory"),
+    pytest.param(["chi", "--out", "{field}"], "File exists", id="chi_out_an_existing_file"),
+    pytest.param(["propagate", "--in", "{state}", "--t", "0.5", "--out", "{field}/x.state"],
+                 "Not a directory", id="propagate_out_below_a_file"),
 ])
 def test_non_finite_or_out_of_range_values_are_refused(tmp_path, capsys, argv, says):
     # exit 1 with one error line that names the refusal, nothing on stdout
@@ -204,7 +210,8 @@ def test_non_finite_or_out_of_range_values_are_refused(tmp_path, capsys, argv, s
     f = sample(lambda x, y: np.exp(-(x * x + y * y)), TorusGrid(2, 4.0, 16))
     paths = {"field": tmp_path / "f.field", "state": tmp_path / "s.state",
              "nan_state": tmp_path / "nan.state", "inf_state": tmp_path / "inf.state",
-             "missing": tmp_path / "missing.cfg", "out": tmp_path / "out.json"}
+             "missing": tmp_path / "missing.cfg", "out": tmp_path / "out.json",
+             "dir": tmp_path}
     save_field(f, paths["field"])
     save_state(WaveState(f, f, 0.0), paths["state"])
     for key, t in (("nan_state", math.nan), ("inf_state", math.inf)):
@@ -214,6 +221,7 @@ def test_non_finite_or_out_of_range_values_are_refused(tmp_path, capsys, argv, s
     code, lines, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 1 and lines == [] and not paths["out"].exists()
     assert err.startswith("error:") and says in err and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_norms_of_an_order_whose_weight_overflows(tmp_path, capsys):

@@ -188,26 +188,41 @@ def test_a_block_error_is_raised_in_the_caller(monkeypatch, on_helper, error, ki
     assert threading.active_count() == before
 
 
-def test_one_block_equals_a_split_into_blocks(gauss_wave):
-    # the batches fit in one block; the block helpers split them by hand
+def test_rows_do_not_depend_on_the_block_size(gauss_wave, monkeypatch):
+    # the batches fit in one default block; blocks of 1, 7 and 40 rows give
+    # every row bit for bit.  Pairs with r >= support + t (also at the time
+    # -support, where the top radius is 0) and table rows with s >= support
+    # lie outside the domain of dependence: they integrate to 0
     rng = np.random.default_rng(6)
     t = rng.uniform(0.01, 1.5, 300)
     r = rng.uniform(0.0, 12.0, t.size)
-    cuts = [0, 1, 40, 41, 175, t.size]
+    support = gauss_wave.support
+    t[:4] = (0.5, 0.5, 0.5, -support)
+    r[:4] = (support + 0.5, support + 1.0, 2.0 * support, 0.5)
+    s = np.append(np.linspace(0.0, 9.99, t.size - 2), [support, support + 1.0])
+    assert t.size <= radial._ABEL_BLOCK and s.size <= radial._TABLE_BLOCK
     screen = (radial._SCREEN_ORDER, radial._SCREEN_CAP)
-    for derivative in (False, True):
-        whole = {}
-        for rule in ((), screen):  # the default rule, then the screen's order and cap
-            split = np.concatenate([gauss_wave._abel_block(t[a:b], r[a:b], derivative, *rule)
-                                    for a, b in zip(cuts[:-1], cuts[1:])])
-            whole[rule] = gauss_wave._abel(t, r, derivative, *rule)
-            assert np.array_equal(whole[rule], split)
-        assert not np.array_equal(whole[()], whole[screen])
-    s = np.linspace(0.0, 9.99, t.size)
-    whole = gauss_wave._ray_transforms(s)
-    split = [gauss_wave._ray_block(s[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
-    for k in (0, 1):
-        assert np.array_equal(whole[k], np.concatenate([part[k] for part in split]))
+    rules = [(derivative, rule) for derivative in (False, True)
+             for rule in ((), screen)]  # the default rule, then the screen's order and cap
+
+    def rows(t, r, s):
+        return ([gauss_wave._abel(t, r, derivative, *rule) for derivative, rule in rules]
+                + list(gauss_wave._ray_transforms(s)))
+
+    def both():  # the batch, then an empty one
+        return rows(t, r, s) + rows(np.zeros((2, 0)), 1.0, np.zeros(0))
+
+    whole = both()
+    assert not np.array_equal(whole[0], whole[1]) and not np.array_equal(whole[2], whole[3])
+    assert all(np.all(z[:4] == 0.0) for z in whole[:4])
+    assert all(np.all(g[-2:] == 0.0) for g in whole[4:6])
+    # an empty batch gives an empty float result of the broadcast shape
+    assert [(z.shape, z.dtype) for z in whole[6:]] == [((2, 0), float)] * 4 + [((0,), float)] * 2
+    for block in (1, 7, 40):
+        monkeypatch.setattr(radial, "_ABEL_BLOCK", block)
+        monkeypatch.setattr(radial, "_TABLE_BLOCK", block)
+        for one, split in zip(whole, both()):
+            assert np.array_equal(one, split) and one.shape == split.shape
 
 
 def test_ray_table_matches_the_closed_form(gauss_wave):

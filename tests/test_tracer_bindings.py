@@ -3,7 +3,10 @@ deleting a traced name fails here and not only in a traced benchmark run."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from wavegap.radial import RadialWave2D
 
 TRACER = Path(__file__).resolve().parents[1] / "wavebench" / "tracer.py"
 
@@ -23,3 +26,9 @@ def test_every_traced_binding_resolves():
         # wavegap calls through the module attribute)
         namespace = vars(getattr(owner, cls)) if cls is not None else vars(owner)
         assert callable(namespace.get(attr)), f"{name}: {attr} is not bound in {cls or module}"
+
+
+def test_traced_point_evaluators_take_r():
+    # the tracer's radii count reads the argument named r of value and dt_value
+    for method in (RadialWave2D.value, RadialWave2D.dt_value):
+        assert "r" in inspect.signature(method).parameters, method.__name__
