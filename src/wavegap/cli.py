@@ -49,6 +49,13 @@ def _write_json(path, doc):
     return path
 
 
+def _check_out(path):
+    """Refuse, before any work, an output path that is a directory or lies below a file."""
+    path = Path(path)
+    if path.is_dir() or not next(p for p in path.parents if p.exists()).is_dir():
+        raise OSError(f"cannot write {path}: it is a directory or lies below a file")
+
+
 def _write_manifest(out_dir, name, sub, config, inputs, outputs, t0, grid=None):
     man = {
         "subcommand": sub,
@@ -236,6 +243,7 @@ def cmd_chi(args):
 def cmd_sweep(args):
     t0 = time.time()
     kind, cfg = _load_config(args.config)
+    _check_out(args.out)
     run = experiment.gap_run if kind == "gap" else experiment.certified_radial_run
     report = run(cfg)
     doc = {"kind": kind, "config_echo": report.config, "rows": report.rows,
@@ -250,6 +258,7 @@ def cmd_sweep(args):
 
 def cmd_appendix(args):
     t0 = time.time()
+    _check_out(args.out)
     rep = experiment.appendix_ratio_suite(seed=args.seed, n_pairs=args.pairs)
     out = _write_json(args.out, rep)
     _write_manifest(out.parent, out.stem, "appendix", {"seed": args.seed}, [], [out], t0)
@@ -259,6 +268,7 @@ def cmd_appendix(args):
 
 def cmd_scaling(args):
     t0 = time.time()
+    _check_out(args.out)
     rep = experiment.scaling_suite()
     out = _write_json(args.out, rep)
     _write_manifest(out.parent, out.stem, "scaling", {}, [], [out], t0)

@@ -240,7 +240,7 @@ def focusing_sequence(n: int, delta_list) -> list:
             z10 = wave.value(1.0, 0.0)  # planar focus value of the raw datum
             norm_planar = math.sqrt(PLANAR_POINT_FACTOR * _ShellCutoff(d).sigma_integral(2, -2)
                                     / (2.0 * abs(math.log(d))))
-            raw = psi_smooth(fam)
+            raw = wave.profile
             phi = replace(raw, f=lambda r, _f=raw.f, _z=z10: _f(r) / _z,
                           f_and_prime=lambda r, _d=raw.f_and_prime, _z=z10:
                           tuple(v / _z for v in _d(r)))
@@ -308,39 +308,32 @@ class NormalizedZ:
 
 _STRIP_SCAN_CACHE: dict = {}
 
-# step of the strip scan's uniform time grid
-_STRIP_T_STEP = 1.0 / 256.0
-
 
 def strip_normalize(datum: FocusingDatum) -> NormalizedZ:
     """Renormalize by the sampled strip maximum so |z~| <= 1 on the strip
     and z~(t_j, 0) = 1 at the sampled argmax.
 
-    The time scan runs the uniform grid of step ``_STRIP_T_STEP`` plus
-    structure-aware times aligned with the collapse of the annulus
-    (t = sqrt(1-u), u log-spaced through the shell scales), then refines
-    locally; this resolves the focusing overshoot that a bare uniform grid
-    undersamples for thin shells.  Scan results are cached per delta: the
+    The engine's strip scan (:meth:`RadialWave2D.strip_max`) runs its
+    uniform time grid plus structure-aware times aligned with the collapse
+    of the annulus (t = sqrt(1-u), u log-spaced through the shell scales),
+    which resolve the focusing overshoot that a bare uniform grid
+    undersamples for thin shells.  Scan results are cached per engine: the
     scan is deterministic.
     """
     if datum.dimension != 2:
         raise ValueError("strip normalization applies to the planar family")
     wave = datum.wave
-    d = datum.delta
-    if d not in _STRIP_SCAN_CACHE:
+    if wave not in _STRIP_SCAN_CACHE:
+        d = datum.delta
         ulog = np.exp(np.linspace(math.log(d ** 4.5), math.log(min(d ** 0.5, 0.99)), 160))
-        extra = np.sqrt(1.0 - ulog)
-        _STRIP_SCAN_CACHE[d] = wave.strip_max(t_step=_STRIP_T_STEP, extra_times=extra)
-    m_raw, t_j, r_j, screen = _STRIP_SCAN_CACHE[d]
+        _STRIP_SCAN_CACHE[wave] = wave.strip_max(np.sqrt(1.0 - ulog))
+    z, t_j, r_j, record = _STRIP_SCAN_CACHE[wave]
     if r_j > 50.0 * wave.fine_scale + 1e-9:
         raise NotImplementedError(
             f"strip max found off axis (r = {r_j:.3e}); recentering of "
             "non-axial maxima is not implemented for the radial pipeline")
-    sign = math.copysign(1.0, wave.value(t_j, r_j))
-    return NormalizedZ(wave, float(t_j), float(m_raw), sign,
-                       float(m_raw / datum.z_value_at_10),
-                       scan={"t_step": _STRIP_T_STEP, "structured_times": 160,
-                             "refine": "local, 3 rounds of 8x", "screen": dict(screen)})
+    return NormalizedZ(wave, t_j, abs(z), math.copysign(1.0, z), abs(z) / datum.z_value_at_10,
+                       scan={**record, "screen": dict(record["screen"])})
 
 
 def choose_R(normalized: NormalizedZ) -> float:

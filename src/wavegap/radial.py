@@ -120,11 +120,13 @@ _ABEL_BLOCK = 2048
 _TABLE_BLOCK = 1024
 
 # Gauss order of the inverse-Abel panels and their cap: no panel is longer
-# than (support + t) / cap.  The strip scan's screen only ranks pairs, on the
-# structural panels alone (a cap of 1 splits none) at its own order, and
-# confirms those within its margin of the screened maximum.
+# than (support + t) / cap.  The strip scan steps its uniform time grid by
+# _STRIP_T_STEP; its screen only ranks pairs, on the structural panels alone
+# (a cap of 1 splits none) at its own order, and confirms those within its
+# margin of the screened maximum.
 _ABEL_ORDER = 24
 _ABEL_CAP = 12.0
+_STRIP_T_STEP = 1.0 / 256.0
 _SCREEN_ORDER = 16
 _SCREEN_CAP = 1.0
 _SCREEN_MARGIN = 0.5
@@ -376,13 +378,13 @@ class RadialWave2D:
 
     # -- strip scan ----------------------------------------------------------
 
-    def strip_max(self, t_step, extra_times=()):
-        """Largest |z| over the sampled strip [0,1] x {radii}.
+    def strip_max(self, extra_times=()):
+        """Signed z at the largest |z| over the sampled strip [0,1] x {radii}.
 
-        Scans the uniform time grid of step ``t_step`` (plus caller-supplied
-        structure-aware times), then refines locally around the winner in
-        both t and r.  Each stage is evaluated in batches; ties go to the
-        earliest time, then the smallest radius index, of the scan order.
+        Scans the uniform time grid of step ``_STRIP_T_STEP`` (plus
+        caller-supplied structure-aware times), then refines locally around
+        the winner in both t and r.  Each stage ranks |z| in batches; ties go
+        to the earliest time, then the smallest radius index, of the scan order.
 
         The first stage only ranks: every pair is screened at Gauss order
         ``_SCREEN_ORDER`` on its structural panels alone (``_SCREEN_CAP`` is
@@ -392,54 +394,48 @@ class RadialWave2D:
         ``m M / (2 - m)`` (M the maximum) keeps the argmax among them, so the
         result is a full order-24 scan's bit for bit (a pair's value does not
         depend on its batch); when the largest error seen exceeds half that
-        bound, a guard confirms every pair.  Returns ``(max, t_at_max,
-        r_at_max, screen)``, ``screen`` recording the order, panel cap and
-        margin, the pairs screened and confirmed, the largest screen error
+        bound, a guard confirms every pair.  Returns ``(z, t_at_max,
+        r_at_max, record)``, ``record`` stating the time step, the times
+        scanned, the refine rounds and the ``screen``: its order, panel cap
+        and margin, the pairs screened and confirmed, the largest screen error
         relative to M and whether the guard fired.
         """
-        times = np.unique(np.concatenate(
-            [np.arange(t_step, 1.0 + 1e-12, t_step), np.asarray(extra_times, dtype=float),
-             [1.0]]))
+        times = np.unique(np.concatenate([np.arange(_STRIP_T_STEP, 1.0 + 1e-12, _STRIP_T_STEP),
+                                          np.asarray(extra_times, dtype=float), [1.0]]))
         times = times[(times > 0) & (times <= 1.0)]
 
-        def abs_z(ts, rs, order=_ABEL_ORDER, cap=_ABEL_CAP):
-            return np.abs(self._abel(ts, rs, False, order, cap))
-
         def scan(ts, rs, best, z):
-            k = int(np.argmax(z))
-            return (float(z[k]), float(ts[k]), float(rs[k])) if z[k] > best[0] else best
+            k = int(np.argmax(np.abs(z)))
+            return (float(z[k]), float(ts[k]), float(rs[k])) if abs(z[k]) > abs(best[0]) else best
 
         radii = [self._scan_radii(t) for t in times]
         ts, rs = np.repeat(times, [r.size for r in radii]), np.concatenate(radii)
-        rough = abs_z(ts, rs, _SCREEN_ORDER, _SCREEN_CAP)
+        rough = np.abs(self._abel(ts, rs, False, _SCREEN_ORDER, _SCREEN_CAP))
         keep = np.flatnonzero(rough >= (1.0 - _SCREEN_MARGIN) * np.max(rough))
-        z = abs_z(ts[keep], rs[keep])
-        err, top = float(np.max(np.abs(rough[keep] - z))), float(np.max(z))
+        z = self._abel(ts[keep], rs[keep], False)
+        err, top = float(np.max(np.abs(rough[keep] - np.abs(z)))), float(np.max(np.abs(z)))
         guard = err > 0.5 * _SCREEN_MARGIN * top / (2.0 - _SCREEN_MARGIN)
         if guard:
-            keep, z = np.arange(ts.size), abs_z(ts, rs)
-            err, top = float(np.max(np.abs(rough - z))), float(np.max(z))
-        screen = {"order": _SCREEN_ORDER, "cap": _SCREEN_CAP, "margin": _SCREEN_MARGIN,
-                  "screened": ts.size, "confirmed": keep.size,
-                  "error": err / top if top > 0 else None, "guard": guard}
-        m, tj, rj = scan(ts[keep], rs[keep], (0.0, float(times[0]), 0.0), z)
-        dt = t_step
-        dr = None
-        for _ in range(3):
+            keep, z = np.arange(ts.size), self._abel(ts, rs, False)
+            err, top = float(np.max(np.abs(rough - np.abs(z)))), float(np.max(np.abs(z)))
+        record = {"t_step": _STRIP_T_STEP, "times": times.size, "refine_rounds": 3,
+                  "screen": {"order": _SCREEN_ORDER, "cap": _SCREEN_CAP, "margin": _SCREEN_MARGIN,
+                             "screened": ts.size, "confirmed": keep.size,
+                             "error": err / top if top > 0 else None, "guard": guard}}
+        zj, tj, rj = scan(ts[keep], rs[keep], (0.0, float(times[0]), 0.0), z)
+        rs_local = self._scan_radii(tj)
+        rs_local = np.sort(rs_local[np.argsort(np.abs(rs_local - rj))[:9]])
+        dt, dr = _STRIP_T_STEP, max(np.min(np.diff(rs_local)) if rs_local.size > 1 else 1e-3, 1e-12)
+        for k in range(record["refine_rounds"]):
+            if k:
+                dr /= 8.0
+                rs_local = np.abs(rj + dr * np.arange(-8, 9))
             dt /= 8.0
             ts = tj + dt * np.arange(-8, 9)
             ts = ts[(ts > 0) & (ts <= 1.0)]
-            if dr is None:
-                rs_local = self._scan_radii(tj)
-                sel = np.argsort(np.abs(rs_local - rj))[:9]
-                rs_local = np.sort(rs_local[sel])
-                dr = max(np.min(np.diff(rs_local)) if rs_local.size > 1 else 1e-3, 1e-12)
-            else:
-                dr /= 8.0
-                rs_local = np.abs(rj + dr * np.arange(-8, 9))
             ts, rs = np.repeat(ts, rs_local.size), np.tile(rs_local, ts.size)
-            m, tj, rj = scan(ts, rs, (m, tj, rj), abs_z(ts, rs))
-        return m, tj, rj, screen
+            zj, tj, rj = scan(ts, rs, (zj, tj, rj), self._abel(ts, rs, False))
+        return zj, tj, rj, record
 
     def _scan_radii(self, t):
         """Structure-aware radii at time t, from 0 to ``t + support``: fronts

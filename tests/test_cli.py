@@ -412,6 +412,29 @@ def test_sweep_refuses_a_non_finite_value_before_writing(tmp_path, capsys, monke
     assert str(tmp_path / "out" / "r.json") in err
 
 
+@pytest.mark.parametrize("argv, runner", [
+    (["sweep", "--config", "CFG"], "gap_run"),
+    (["appendix"], "appendix_ratio_suite"),
+    (["scaling"], "scaling_suite"),
+])
+def test_unwritable_out_is_refused_before_the_run(tmp_path, capsys, monkeypatch, argv, runner):
+    # an --out below an existing file, or naming an existing directory, is
+    # refused before any work, and nothing is created
+    def never(*args, **kw):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(experiment, runner, never)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nkind = gap\ndeltas = 0.3\n")
+    (tmp_path / "dir").mkdir()
+    argv = [str(cfg) if a == "CFG" else a for a in argv]
+    for out in (cfg / "r.json", cfg / "sub" / "r.json", tmp_path / "dir"):
+        code, lines, err = run(capsys, *argv, "--out", str(out))
+        assert code == 1 and lines == [] and err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1 and str(out) in err
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "dir", cfg]
+
+
 def test_sweep_rejects_unknown_kind(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[run]\nkind = gapp\ndeltas = 0.3\n")

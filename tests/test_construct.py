@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavegap.construct import (LogCutoffAtom, NormalizedZ, _ShellCutoff,
+from wavegap import construct
+from wavegap.construct import (FocusingDatum, LogCutoffAtom, NormalizedZ, _ShellCutoff,
                                annulus_l2sq_radial, annulus_point_value_radial,
                                chi_field, chi_hat_planar, chi_mean_zero, strip_normalize,
                                choose_R, delta_family, focusing_sequence,
                                psi_exact, psi_smooth, rescaled_family)
 from wavegap.cli import _profile_from_spec
 from wavegap.field import TorusGrid
-from wavegap.radial import l2_radial_measure
+from wavegap.radial import RadialWave2D, l2_radial_measure
 from wavegap.wave import spectral_propagate
 
 
@@ -228,6 +229,29 @@ def test_strip_normalize_properties():
     assert worst <= 1.0 + 1e-10
     with pytest.raises(ValueError, match="planar family"):
         strip_normalize(focusing_sequence(3, [0])[0])
+
+
+def test_strip_scan_is_cached_per_engine(monkeypatch):
+    # a second datum at the same delta, -2 psi, gets its own scan: scaling the
+    # datum by -2 is exact, so the signed maximum is exactly -2 times psi's
+    # value at the same (t_j, r_j); a cache hit calls no engine method
+    psi = focusing_sequence(2, [0.3])[0]
+    nz = strip_normalize(psi)
+    raw = psi_smooth(delta_family(0.3))
+    neg = dataclasses.replace(raw, f=lambda r: -2.0 * raw.f(r),
+                              f_and_prime=lambda r: tuple(-2.0 * v for v in raw.f_and_prime(r)))
+    wave = RadialWave2D(neg)
+    datum = FocusingDatum(neg, 0.3, wave.value(1.0, 0.0), 2.0 * psi.norm, 2, wave)
+    nz_neg = strip_normalize(datum)
+    assert (nz_neg.m_raw, nz_neg.sign, nz_neg.t_j) == (2.0 * nz.m_raw, -1.0, nz.t_j)
+    _, t_j, r_j, _ = construct._STRIP_SCAN_CACHE[psi.wave]
+    assert construct._STRIP_SCAN_CACHE[wave][:3] == (-2.0 * psi.wave.value(t_j, r_j), t_j, r_j)
+
+    def no_engine(*args, **kw):
+        raise AssertionError("engine called on a cache hit")
+
+    monkeypatch.setattr(RadialWave2D, "_abel", no_engine)
+    assert strip_normalize(datum) == nz_neg and strip_normalize(psi) == nz
 
 
 @pytest.mark.parametrize("delta", [0.3, 0.1, 0.01])

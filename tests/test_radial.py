@@ -85,12 +85,13 @@ def gauss_wave():
     return _gauss_wave(64)
 
 
-def _engine_outputs(wave):
+def _engine_outputs(wave, monkeypatch):
+    monkeypatch.setattr(radial, "_STRIP_T_STEP", 1.0 / 64.0)
     rng = np.random.default_rng(5)
     t = rng.uniform(0.01, 1.5, 3 * radial._ABEL_BLOCK + 17)
     r = rng.uniform(0.0, 12.0, t.size)
     return (wave._g, wave._gp, wave.value(t, r), wave.dt_value(t, r),
-            np.array(wave.strip_max(t_step=1.0 / 64.0)[:3]))
+            np.array(wave.strip_max()[:3]))
 
 
 def test_engine_is_bit_identical_at_every_width(monkeypatch):
@@ -104,7 +105,7 @@ def test_engine_is_bit_identical_at_every_width(monkeypatch):
     try:
         for width in (1, 2, 5):
             monkeypatch.setattr(radial, "_cpus", lambda w=width: w)
-            outputs[width] = _engine_outputs(_gauss_wave(n_panels))
+            outputs[width] = _engine_outputs(_gauss_wave(n_panels), monkeypatch)
     finally:
         sys.setswitchinterval(interval)
     for width in (2, 5):
@@ -556,14 +557,15 @@ def test_tensor_rule_takes_the_diagonal_limit():
     assert abs(got / exact - 1.0) < 1e-12
 
 
-def test_strip_max_finds_synthetic_peak(gauss_wave):
-    m, tj, rj, _ = gauss_wave.strip_max(t_step=1.0 / 64.0)
+def test_strip_max_finds_synthetic_peak(monkeypatch, gauss_wave):
+    monkeypatch.setattr(radial, "_STRIP_T_STEP", 1.0 / 64.0)
+    z, tj, rj, _ = gauss_wave.strip_max()
     # brute scan oracle on a fine grid
     best = 0.0
     for t in np.linspace(0.05, 1.0, 96):
         vals = np.abs(gauss_wave.value(t, np.linspace(0, 3, 200)))
         best = max(best, vals.max())
-    assert m >= best * 0.999
+    assert abs(z) >= best * 0.999
 
 
 def _full_scan(monkeypatch):
@@ -579,13 +581,16 @@ def test_screened_strip_scan_is_the_full_scan(monkeypatch, delta):
     # with capped panels, and the guard stays off down to the delta floor
     datum = focusing_sequence(2, [delta])[0]
     screened = strip_normalize(datum)
-    m, tj, rj, screen = construct._STRIP_SCAN_CACHE[delta]
+    z, tj, rj, record = construct._STRIP_SCAN_CACHE[datum.wave]
+    screen = record["screen"]
     monkeypatch.setattr(construct, "_STRIP_SCAN_CACHE", {})
     _full_scan(monkeypatch)
     full = strip_normalize(datum)
-    assert (m, tj, rj) == construct._STRIP_SCAN_CACHE[delta][:3]
+    assert (z, tj, rj) == construct._STRIP_SCAN_CACHE[datum.wave][:3]
     assert (screened.m_raw, screened.t_j, screened.sign) == (full.m_raw, full.t_j, full.sign)
-    assert screened.scan["screen"] == screen and full.scan["screen"]["error"] == 0.0
+    assert screened.scan == record and full.scan["screen"]["error"] == 0.0
+    assert (record["t_step"], record["refine_rounds"]) == (1.0 / 256.0, 3)
+    assert 256 < record["times"] <= 256 + 160
     assert full.scan["screen"]["cap"] == radial._ABEL_CAP
     assert (screen["order"], screen["cap"], screen["margin"]) == (16, 1.0, 0.5)
     assert not screen["guard"]
@@ -597,18 +602,20 @@ def test_screen_guard_confirms_every_pair(monkeypatch):
     # a margin this small makes any screen error trip the guard, and the
     # stage becomes the full order-24 scan, on one thread and on two
     wave = shell_wave(delta_family(0.3))
+    monkeypatch.setattr(radial, "_STRIP_T_STEP", 1.0 / 64.0)
     monkeypatch.setattr(radial, "_SCREEN_MARGIN", 1e-12)
     guarded = {}
     for width in (1, 2):
         monkeypatch.setattr(radial, "_cpus", lambda w=width: w)
-        guarded[width] = wave.strip_max(t_step=1.0 / 64.0)
+        guarded[width] = wave.strip_max()
     assert guarded[1] == guarded[2]
-    screen = guarded[1][3]
+    screen = guarded[1][3]["screen"]
     assert screen["guard"] and screen["confirmed"] == screen["screened"] > 10_000
     assert 0.0 < screen["error"] < 1e-5
     monkeypatch.undo()
+    monkeypatch.setattr(radial, "_STRIP_T_STEP", 1.0 / 64.0)
     _full_scan(monkeypatch)
-    assert guarded[1][:3] == wave.strip_max(t_step=1.0 / 64.0)[:3]
+    assert guarded[1][:3] == wave.strip_max()[:3]
 
 
 def test_half_level_radius_cosine():
