@@ -1,12 +1,12 @@
 """Command-line entry point: norms, propagation, point values, data
 factories, experiment sweeps and report merging.
 
-Every run writes a manifest next to its outputs (config echo, input/output
-paths with content checksums, wall time; for ``propagate`` the state's
-grid).  Exit codes: 0 for success / pass verdict, 2 for a fail verdict, 1
-for errors.  Stdout carries machine-parseable JSON lines only.  Every JSON
-file and stdout line is strict JSON: a NaN or infinite value is an error,
-raised before anything is written.
+Every subcommand that writes files writes a manifest next to its outputs
+(config echo, input/output paths with content checksums, wall time; for
+``propagate`` the state's grid).  Exit codes: 0 for success / pass verdict,
+2 for a fail verdict, 1 for errors.  Stdout carries machine-parseable JSON
+lines only.  Every JSON file and stdout line is strict JSON: a NaN or
+infinite value is an error, raised before anything is written.
 """
 
 from __future__ import annotations
@@ -197,8 +197,9 @@ def cmd_lemma1(args):
         raise ValueError(f"--normalize applies to --n 2 only, got --n {args.n}")
     t0 = time.time()
     deltas = [float(v) for v in args.deltas.split(",")]
-    data = construct.focusing_sequence(args.n, deltas)
     out_dir = Path(args.out)
+    _check_out(out_dir / "lemma1.json")
+    data = construct.focusing_sequence(args.n, deltas)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows, outputs = [], []
     for datum in data:
@@ -226,9 +227,9 @@ def cmd_lemma1(args):
 
 def cmd_chi(args):
     t0 = time.time()
+    chi = construct.chi_mean_zero(args.n)  # refuses --n before anything is made
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    chi = construct.chi_mean_zero(args.n)
     grid = field.TorusGrid(min(args.n, 2), 16.0, 256)
     emb = construct.chi_field(chi, grid)
     path = out_dir / f"chi_n{args.n}.field"

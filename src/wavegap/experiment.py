@@ -105,9 +105,9 @@ def report_verdict(rows) -> tuple:
     return ("pass" if ok else "fail"), detail
 
 
-def _gap_terms(curve, consts, chi, R, M, mu, nz: NormalizedZ):
-    """Solution-derivative gap and its decomposition at the time t_j of the
-    normalized solution z = ``nz``.
+def _gap_row(datum, nz: NormalizedZ, R, M, curve, consts, chi, mu):
+    """Report row of one datum: the solution-derivative gap and its
+    decomposition at the time t_j of the normalized solution z = ``nz``.
 
     With v(t_j) = 0, v_t(t_j) = M chi(R .), w = v + mu z the difference
     of composed time derivatives splits into the target-curvature term
@@ -154,30 +154,14 @@ def _gap_terms(curve, consts, chi, R, M, mu, nz: NormalizedZ):
     # curvature remainder in the distinguished component
     rem = (gp0[jc - 1] - gp[jc - 1] + gpp0[jc - 1] * s_core)
     comm = (M / R) * math.sqrt(two_pi * float(np.sum(wy * (rem * chi_core) ** 2 * y)))
-    energy_term = mu * dtz_l2_global
-    return {"gap": gap, "main": main, "commutator": comm, "energy": energy_term,
-            "dtz_l2": dtz_l2_global, "b2_tail_clamped": bool(B2_global < B2_core),
-            "z_core_min": float(np.min(z_core)), "z_core_max": float(np.max(z_core))}
-
-
-def _gap_row(datum, curve, consts, chi, mu, lam):
-    """Report row of one datum of the focusing sequence."""
-    nz = strip_normalize(datum)
-    R = choose_R(nz)
-    M = lam * R
-    terms = _gap_terms(curve, consts, chi, R, M, mu, nz)
-    dd = mu * datum.norm / nz.m_j  # psi / m_raw = phi_j / m_j
     return {
         "delta": datum.delta, "t_j": nz.t_j, "m_j": nz.m_j, "R": R, "M": M,
-        "data_distance": dd, "gap": terms["gap"],
-        "terms": {"main": terms["main"], "commutator": terms["commutator"],
-                  "energy": terms["energy"]},
-        "extras": {"z_core_min": terms["z_core_min"],
-                   "z_core_max": terms["z_core_max"],
-                   "dtz_l2": terms["dtz_l2"],
-                   "b2_tail_clamped": terms["b2_tail_clamped"],
-                   "z_value_at_10": datum.z_value_at_10,
-                   "sequence_norm": datum.norm},
+        "data_distance": mu * datum.norm / nz.m_j,  # psi / m_raw = phi_j / m_j
+        "gap": gap,
+        "terms": {"main": main, "commutator": comm, "energy": mu * dtz_l2_global},
+        "extras": {"z_core_min": float(np.min(z_core)), "z_core_max": float(np.max(z_core)),
+                   "dtz_l2": dtz_l2_global, "b2_tail_clamped": bool(B2_global < B2_core),
+                   "z_value_at_10": datum.z_value_at_10, "sequence_norm": datum.norm},
     }
 
 
@@ -226,8 +210,11 @@ def gap_run(cfg: GapRunConfig) -> GapReport:
         raise ValueError(f"range admissibility failed: {sup_constant:.3f}*{cfg.lam} "
                          f">= c0/2={c0 / 2.0:.4f}")
 
-    data = focusing_sequence(2, cfg.deltas)  # refuses a list that is not decreasing
-    rows = [_gap_row(datum, curve, (c0, c1, jc), chi, mu, cfg.lam) for datum in data]
+    rows = []
+    for datum in focusing_sequence(2, cfg.deltas):  # refuses a list that is not decreasing
+        nz = strip_normalize(datum)
+        R = choose_R(nz)
+        rows.append(_gap_row(datum, nz, R, cfg.lam * R, curve, (c0, c1, jc), chi, mu))
     verdict, detail = report_verdict(rows)
     # JSON null: a flat target has no curvature window (c0 = inf)
     constants = {"c0": None if curve.flat else c0, "c1": c1, "component": jc, "mu": mu,
@@ -261,34 +248,26 @@ def certified_radial_run(cfg: GapRunConfig) -> GapReport:
     lam0 = cfg.r0 / (8.0 * kappa_l2)
     c3 = (c0 * c1 * lam0 * kappa_l2) ** 2 / 16.0
 
-    data = focusing_sequence(2, cfg.deltas)
     rows = []
-    for datum in data:
+    for datum in focusing_sequence(2, cfg.deltas):
         # z_j = z / z(1, 0): the solution for the unit-focus datum phi_j
         nz = NormalizedZ(datum.wave, t_j=1.0, m_raw=datum.z_value_at_10, sign=1.0, m_j=1.0)
         # unit-time window 1/2 < z_j < 2 around the focus
         r_win = nz.window(0.5, 2.0)
         R = 1.0 / r_win
         M = lam0 * R
-        terms = _gap_terms(curve, (c0, c1, jc), chi, R, M, mu, nz)
+        row = _gap_row(datum, nz, R, M, curve, (c0, c1, jc), chi, mu)
         # certified window: the inner half of the bump support (|x| <= 1/R)
         y_in = np.linspace(0.0, 1.0, 33)[1:]
         z_win = nz.z_at(1.0, y_in / R)
         phi_l2 = datum.norm
-        lhs = terms["gap"] ** 2 + (c0 ** 2 / 4.0) * phi_l2 ** 2
-        rows.append({
-            "delta": datum.delta, "t_j": 1.0, "R": R, "M": M,
-            "data_distance": mu * phi_l2, "gap": terms["gap"],
-            "terms": {"main": terms["main"], "commutator": terms["commutator"],
-                      "energy": terms["energy"]},
-            "certificate": {"lhs": lhs, "c3": c3, "margin": lhs / c3,
-                            "holds": bool(lhs >= 0.95 * c3)},
-            "extras": {"phi_l2": phi_l2, "window_radius": r_win,
-                       "z_window_min": float(np.min(z_win)),
-                       "z_window_max": float(np.max(z_win)),
-                       "z_core_min": terms["z_core_min"],
-                       "z_core_max": terms["z_core_max"]},
-        })
+        lhs = row["gap"] ** 2 + (c0 ** 2 / 4.0) * phi_l2 ** 2
+        row["certificate"] = {"lhs": lhs, "c3": c3, "margin": lhs / c3,
+                              "holds": bool(lhs >= 0.95 * c3)}
+        row["extras"].update({"phi_l2": phi_l2, "window_radius": r_win,
+                              "z_window_min": float(np.min(z_win)),
+                              "z_window_max": float(np.max(z_win))})
+        rows.append(row)
     all_hold = all(r["certificate"]["holds"] for r in rows)
     constants = {"c0": c0, "c1": c1, "component": jc, "mu": mu, "lam0": lam0,
                  "chi_l2": kappa_l2, "c3": c3}

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import wavegap
-from wavegap import experiment
+from wavegap import construct, experiment
 from wavegap.cli import _load_config, main
 from wavegap.construct import delta_family, psi_smooth
 from wavegap.experiment import GapReport, GapRunConfig
@@ -433,6 +433,26 @@ def test_unwritable_out_is_refused_before_the_run(tmp_path, capsys, monkeypatch,
         assert code == 1 and lines == [] and err.startswith("error:")
         assert len(err.strip().splitlines()) == 1 and str(out) in err
         assert sorted(tmp_path.rglob("*")) == [tmp_path / "dir", cfg]
+
+
+def test_lemma1_and_chi_refuse_before_building(tmp_path, capsys, monkeypatch):
+    # an existing directory is a valid --out for these two, so the refusal
+    # is of a directory below a file (lemma1) or of a bad --n (chi), each
+    # before any data are built and creating nothing
+    def never(*args, **kw):
+        raise AssertionError("the sequence was built")
+
+    monkeypatch.setattr(construct, "focusing_sequence", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, lines, err = run(capsys, "lemma1", "--n", "2", "--deltas", "0.3,0.1,0.01",
+                           "--out", str(blocker / "seq"))
+    assert code == 1 and lines == [] and err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    before = sorted(tmp_path.rglob("*"))
+    code, lines, err = run(capsys, "chi", "--n", "4", "--out", str(tmp_path / "new"))
+    assert code == 1 and lines == [] and err.startswith("error:")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_sweep_rejects_unknown_kind(tmp_path, capsys):

@@ -94,15 +94,23 @@ def test_verdict_pure_function(sphere_report):
     assert detail == sphere_report.verdict_detail
 
 
-def test_certified_run_certificate(short_cfg):
+def test_certified_run_certificate(short_cfg, sphere_report):
     rep = certified_radial_run(short_cfg)
     assert rep.verdict == "pass"
+    gap_row = sphere_report.rows[0]
     for row in rep.rows:
         cert = row["certificate"]
         assert cert["holds"] and cert["lhs"] >= 0.95 * cert["c3"]
         # window invariant: 1/2 < z < 2 on the certified inner ball at unit time
         assert row["extras"]["z_window_min"] > 0.5 - 1e-9
         assert row["extras"]["z_window_max"] < 2.0
+        # a certified row is the gap row at the focus normalization (m_j = 1)
+        # plus its certificate and window extras
+        assert set(gap_row) <= set(row) and set(gap_row["terms"]) == set(row["terms"])
+        assert set(gap_row["extras"]) <= set(row["extras"])
+        assert row["m_j"] == 1.0
+        assert row["data_distance"] == rep.constants["mu"] * row["extras"]["sequence_norm"]
+        assert row["extras"]["phi_l2"] == row["extras"]["sequence_norm"]
     c = rep.constants
     assert abs(c["mu"] - c["c0"] / 2.0) < 1e-12
     assert abs(c["lam0"] - 0.5 / (8.0 * c["chi_l2"])) < 1e-12
